@@ -217,8 +217,6 @@ def cmd_strichartz(args, out: Path) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="JSON file with defaults")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallelism hint (runs are deterministic regardless)")
     p.add_argument("--out", type=str, default="runs/latest")
 
 

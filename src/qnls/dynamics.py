@@ -9,54 +9,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import BudgetError
 from . import flows, nf
-from .poly import HomPoly, ModeSet, build_p6
+from .poly import HomPoly, ModeSet, build_p6, sextic_fft, sextic_grid
 from .spectral import FrequencySet, japanese, split_levels, sup_norm
-
-
-# ----------------------------------------------------------- fast sextic term
-
-
-def _check_symmetric_window(mode_set: ModeSet) -> int:
-    M = mode_set.M_param
-    if mode_set.modes != tuple(range(-M, M + 1)):
-        raise ValueError("fast sextic path expects the symmetric window [-M, M]")
-    return M
-
-
-def quintic_gradient(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
-    """Closure computing sigma*c6*(|u|^4 u) restricted to the window; equals the
-    gradient of the stored sextic polynomial to rounding accuracy."""
-    M = _check_symmetric_window(mode_set)
-    N = next_fast_len(6 * M + 1, real=False)
-    pos = np.arange(0, M + 1)
-    neg = np.arange(N - M, N)
-    coef = float(sigma) * float(c6)
-
-    def grad(u):
-        spec = np.zeros(N, dtype=complex)
-        spec[pos] = u[M:]
-        spec[neg] = u[:M]
-        w = np.fft.ifft(spec) * N
-        z = np.abs(w) ** 4 * w
-        zc = np.fft.fft(z) / N
-        return coef * np.concatenate([zc[neg], zc[pos]])
-
-    return grad
-
-
-def sextic_value(mode_set: ModeSet, u: np.ndarray, sigma: int = 1, c6: float = 1.0) -> float:
-    """Value of the sextic interaction, sigma*c6/6 * mean_x |u(x)|^6."""
-    M = _check_symmetric_window(mode_set)
-    N = next_fast_len(6 * M + 1, real=False)
-    spec = np.zeros(N, dtype=complex)
-    spec[np.arange(0, M + 1)] = u[M:]
-    spec[np.arange(N - M, N)] = u[:M]
-    w = np.fft.ifft(spec) * N
-    return float(sigma) * float(c6) / 6.0 * float(np.mean(np.abs(w) ** 6))
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -100,9 +57,9 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
               flow_tol: float = 1e-14, max_samples: int = 2048) -> Trajectory:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
-    The sextic gradient uses the convolution-power form when p6 carries the
-    standard structure (built by build_p6), and the generic sparse gradient
-    otherwise.  Norm and energy are recorded at every stored sample.
+    The sextic built by build_p6 evaluates its value and gradient by FFT; any
+    other polynomial uses the generic sparse kernels.  Norm and energy are
+    recorded at every stored sample.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -112,22 +69,13 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     if u0.shape != (ms.size,):
         raise ValueError("initial state does not match the mode set")
 
+    quadratic = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2))
     if p6 is None:
-        nl_grad, nl_val = None, None
-    elif getattr(p6, "conv_structure", None) is not None:
-        sigma, c6 = p6.conv_structure
-        nl_grad = quintic_gradient(ms, sigma, c6)
-        nl_val = lambda u: sextic_value(ms, u, sigma, c6)
+        grad, energy = (lambda u: omega * u), quadratic
     else:
-        nl_grad = p6.gradient
-        nl_val = lambda u: float(p6(u))
-
-    if nl_grad is None:
-        grad = lambda u: omega * u
-        energy = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2))
-    else:
-        grad = lambda u: omega * u + nl_grad(u)
-        energy = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2)) + nl_val(u)
+        p6_grad = p6.gradient
+        grad = lambda u: omega * u + p6_grad(u)
+        energy = lambda u: quadratic(u) + float(p6(u))
 
     n_steps = max(1, int(round(T / dt)))
     h = T / n_steps
@@ -169,28 +117,19 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
 
     computed by exact convolution powers on the fine window.
     """
-    Mf = _check_symmetric_window(fine_ms)
+    Mf = fine_ms.M_param
+    if fine_ms.modes != tuple(range(-Mf, Mf + 1)):
+        raise ValueError("the fine window must be the symmetric window [-Mf, Mf]")
     if M >= Mf:
         raise ValueError("coarse window must be strictly inside the fine window")
     u_fine = np.asarray(u_fine, dtype=complex)
     if u_fine.shape != (fine_ms.size,):
         raise ValueError("state does not match the fine mode set")
-    N = next_fast_len(6 * Mf + 1, real=False)
-    pos = np.arange(0, Mf + 1)
-    neg = np.arange(N - Mf, N)
-
-    def quintic_full(u):
-        spec = np.zeros(N, dtype=complex)
-        spec[pos] = u[Mf:]
-        spec[neg] = u[:Mf]
-        w = np.fft.ifft(spec) * N
-        zc = np.fft.fft(np.abs(w) ** 4 * w) / N
-        return np.concatenate([zc[neg], zc[pos]])
+    idx, N = sextic_grid(fine_ms.modes)
 
     u_cut = u_fine.copy()
-    idx = np.abs(np.asarray(fine_ms.modes)) > M
-    u_cut[idx] = 0.0
-    diff = quintic_full(u_fine) - quintic_full(u_cut)
+    u_cut[np.abs(np.asarray(fine_ms.modes)) > M] = 0.0
+    diff = sextic_fft(u_fine, idx, N, True) - sextic_fft(u_cut, idx, N, True)
     center = fine_ms.index(0)
     return float(sigma) * float(c6) * diff[center - M: center + M + 1]
 
@@ -359,7 +298,6 @@ def strichartz_scan(M_list, sigma: int = 1, c6: float = 1.0, multistart: int = 4
                        iters=iters, seed=seed, extra_starts=extra)
         rows.append(ScanRow(M=M, lower=enc.lower, upper=upper, dominant_level=dominant))
         prev_witness = np.abs(np.asarray(enc.witness, dtype=complex))
-        prev_modes = ms.modes
     exponents = []
     for a, b in zip(rows, rows[1:]):
         exponents.append(float(math.log2(b.lower / a.lower) / math.log2(b.M / a.M)))

@@ -146,43 +146,29 @@ def lie_transform(z2_omega: FrequencySet, series: dict[int, HomPoly], chi: HomPo
     Returns the new series and the list of half-degrees at which nonzero
     brackets were truncated.
     """
+    if chi.q < 2:
+        raise ValueError("generator must have half-degree >= 2 to raise the degree")
     out: dict[int, HomPoly] = {}
     truncated: list[int] = []
-
-    def add(term: HomPoly):
-        if len(term.coeffs) == 0:
-            return
-        j = term.q
-        out[j] = out[j] + term if j in out else term
-
-    c = chi.q
-    chains = []
-    if len(chi.coeffs) > 0:
-        chains.append((-1.0, ad_z2(chi, z2_omega)))  # {chi, Z2} = -{Z2, chi}
-    for j in sorted(series):
-        chains.append((1.0, series[j]))
-
-    for sign, head in chains:
-        term = sign * head
-        n = 0 if sign > 0 else 1   # the Z2 chain starts at ad^1
-        # the n = 0 entry of the Z2 chain is Z2 itself, which stays outside the series
-        if n == 1:
-            if term.q > j_max:
-                truncated.append(term.q)
-                continue
-            add(term * (1.0 / math.factorial(1)))
-        else:
-            add(term)
-        while len(term.coeffs) > 0 and len(chi.coeffs) > 0:
-            nxt_q = term.q + c - 1
-            if nxt_q == term.q:
-                break  # chi quadratic would loop forever; not used in practice
-            if nxt_q > j_max:
-                truncated.append(nxt_q)
+    # (power n of ad_chi, term); {chi, Z2} = -{Z2, chi} is the n = 1 term of
+    # the Z2 chain, whose n = 0 term Z2 stays outside the series
+    chains = [(1, -1.0 * ad_z2(chi, z2_omega))] if chi.coeffs else []
+    chains += [(0, series[j]) for j in sorted(series)]
+    for n, term in chains:
+        q = term.q
+        while q <= j_max:
+            if q > term.q:      # the next term of the chain is one more bracket
+                term = poisson(chi, term)
+                n += 1
+            if not term.coeffs:
                 break
-            term = poisson(chi, term)
-            n += 1
-            add(term * (1.0 / math.factorial(n)))
+            scaled = term if n < 2 else term * (1.0 / math.factorial(n))
+            out[q] = out[q] + scaled if q in out else scaled
+            if not chi.coeffs:
+                break
+            q += chi.q - 1
+        else:
+            truncated.append(q)
     return out, sorted(set(truncated))
 
 
@@ -290,6 +276,31 @@ class KRGammaReport:
         return not self.violations
 
 
+def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
+                    max_pairs: int | None = None):
+    """Tables of |Omega| between multisets of equal size q = 1..r.
+
+    For each q the multisets of q modes are listed with their frequency sums
+    and their multiplicities of mode k; the table |sums[i] - sums[j]| is then
+    yielded in blocks of 4096 rows as (multis, sums, mult_k, rows, diff).
+    BudgetError is raised before any table whose pairs would take the running
+    total past max_pairs.
+    """
+    w = {m: omega.value(m) for m in mode_set.modes}
+    pairs = 0
+    for q in range(1, r + 1):
+        n = math.comb(mode_set.size + q - 1, q)
+        pairs += n * n
+        if max_pairs is not None and pairs > max_pairs:
+            raise BudgetError("enumeration budget exceeded in check_krgamma")
+        multis = list(combinations_with_replacement(mode_set.modes, q))
+        sums = np.array([sum(w[m] for m in t) for t in multis])
+        mult_k = np.array([t.count(k) for t in multis])
+        for i0 in range(0, n, 4096):
+            rows = slice(i0, min(i0 + 4096, n))
+            yield multis, sums, mult_k, rows, np.abs(sums[rows, None] - sums[None, :])
+
+
 def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
                   safety: float = 0.5, cap: float = 0.999,
                   scope: str = "all") -> float:
@@ -302,20 +313,13 @@ def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     whose two sides carry unequal multiplicity of mode k (a larger gamma, but
     the generator may then divide by smaller divisors on commuting keys).
     """
-    w = {m: omega.value(m) for m in mode_set.modes}
     best = math.inf
-    for q in range(1, r + 1):
-        multis = list(combinations_with_replacement(mode_set.modes, q))
-        sums = np.array([sum(w[m] for m in t) for t in multis])
-        mult_k = np.array([t.count(k) for t in multis])
-        for i0 in range(0, len(multis), 4096):
-            i1 = min(i0 + 4096, len(multis))
-            diff = np.abs(sums[i0:i1, None] - sums[None, :])
-            if scope == "mode":
-                diff[mult_k[i0:i1, None] == mult_k[None, :]] = np.inf
-            else:
-                diff[diff == 0.0] = np.inf
-            best = min(best, float(diff.min()))
+    for _, _, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r):
+        if scope == "mode":
+            diff[mult_k[rows, None] == mult_k[None, :]] = np.inf
+        else:
+            diff[diff == 0.0] = np.inf
+        best = min(best, float(diff.min()))
     return min(safety * best, cap)
 
 
@@ -329,25 +333,13 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     """
     if k not in mode_set:
         raise ValueError("mode k outside the mode set")
-    w = {m: omega.value(m) for m in mode_set.modes}
     report = KRGammaReport(mode=k, r=r, gamma=gamma, pairs_checked=0)
-    for q in range(1, r + 1):
-        multis = list(combinations_with_replacement(mode_set.modes, q))
-        n = len(multis)
-        if report.pairs_checked + n * n > max_pairs:
-            raise BudgetError("enumeration budget exceeded in check_krgamma")
-        sums = np.array([sum(w[m] for m in t) for t in multis])
-        mult_k = np.array([t.count(k) for t in multis])
-        block = 4096
-        for i0 in range(0, n, block):
-            i1 = min(i0 + block, n)
-            diff = np.abs(sums[i0:i1, None] - sums[None, :])
-            bad = (diff <= gamma) & (mult_k[i0:i1, None] != mult_k[None, :])
-            for bi, bj in zip(*np.nonzero(bad)):
-                if len(report.violations) < max_report:
-                    i = i0 + int(bi)
-                    j = int(bj)
-                    report.violations.append(
-                        (multis[i], multis[j], float(sums[i] - sums[j])))
-        report.pairs_checked += n * n
+    for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r,
+                                                           max_pairs):
+        bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])
+        for bi, bj in zip(*np.nonzero(bad)):
+            if len(report.violations) < max_report:
+                i, j = rows.start + int(bi), int(bj)
+                report.violations.append((multis[i], multis[j], float(sums[i] - sums[j])))
+        report.pairs_checked += diff.size
     return report

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 # a canonical monomial key: (sorted holomorphic modes, sorted antiholomorphic modes)
 MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -222,9 +223,7 @@ class HomPoly:
 
         Returns a float when the reality condition holds, complex otherwise.
         """
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (self.mode_set.size,):
-            raise ValueError("mode-set mismatch between state and polynomial")
+        u = self._state(u)
         if not self.coeffs:
             return 0.0 if self.is_real else 0j
         idx_k, idx_l, cvec, wvec = self._np()
@@ -236,6 +235,13 @@ class HomPoly:
                 raise ArithmeticError("real-flagged polynomial produced a complex value")
             return val.real
         return val
+
+    def _state(self, u) -> np.ndarray:
+        """u as a complex state vector on this polynomial's mode set."""
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (self.mode_set.size,):
+            raise ValueError("mode-set mismatch between state and polynomial")
+        return u
 
     def _partials(self, u: np.ndarray):
         """(d/du_j P, d/dconj(u_j) P) as vectors over the mode set."""
@@ -265,42 +271,6 @@ class HomPoly:
         _, dub = self._partials(u)
         return 2.0 * dub
 
-    def hessian_apply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Directional derivative of the gradient field, d(grad P)(u)(v)."""
-        if not self.is_real:
-            raise ValueError("hessian_apply is only defined for real-valued polynomials")
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        if u.shape != (self.mode_set.size,) or v.shape != u.shape:
-            raise ValueError("mode-set mismatch between states and polynomial")
-        out = np.zeros_like(u)
-        if not self.coeffs:
-            return out
-        idx_k, idx_l, cvec, wvec = self._np()
-        Uk = u[idx_k]
-        Ul = np.conj(u)[idx_l]
-        base = cvec * wvec
-        prod_k = np.prod(Uk, axis=1)
-        vk = v[idx_k]
-        vlb = np.conj(v)[idx_l]
-        q = self.q
-        for s in range(q):
-            excl_l_s = _prod_excluding(Ul, s)
-            # mixed term: one u-slot differentiated in direction v
-            mixed = np.zeros(len(base), dtype=complex)
-            for t in range(q):
-                mixed += _prod_excluding(Uk, t) * vk[:, t]
-            np.add.at(out, idx_l[:, s], base * mixed * excl_l_s)
-            # antiholomorphic pair: a second conj(u)-slot differentiated
-            if q >= 2:
-                pair = np.zeros(len(base), dtype=complex)
-                for t in range(q):
-                    if t == s:
-                        continue
-                    pair += _prod_excluding_pair(Ul, s, t) * vlb[:, t]
-                np.add.at(out, idx_l[:, s], base * prod_k * pair)
-        return 2.0 * out
-
 
 def _prod_excluding(A: np.ndarray, s: int) -> np.ndarray:
     """Row products of A excluding column s."""
@@ -308,14 +278,6 @@ def _prod_excluding(A: np.ndarray, s: int) -> np.ndarray:
     if q == 1:
         return np.ones(n, dtype=A.dtype)
     cols = [t for t in range(q) if t != s]
-    return np.prod(A[:, cols], axis=1)
-
-
-def _prod_excluding_pair(A: np.ndarray, s: int, t: int) -> np.ndarray:
-    n, q = A.shape
-    cols = [r for r in range(q) if r != s and r != t]
-    if not cols:
-        return np.ones(n, dtype=A.dtype)
     return np.prod(A[:, cols], axis=1)
 
 
@@ -398,29 +360,61 @@ def build_z2(mode_set: ModeSet, omega) -> HomPoly:
     return HomPoly(mode_set, 1, coeffs, validate=False, is_real=True)
 
 
-def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> HomPoly:
+def sextic_grid(modes) -> tuple[np.ndarray, int]:
+    """FFT slots ``modes % N`` of a window and a length N large enough that
+    cubic and quintic convolution powers on the window do not alias."""
+    modes = np.asarray(modes)
+    N = next_fast_len(3 * int(modes.max() - modes.min()) + 1)
+    return modes % N, N
+
+
+def sextic_fft(u: np.ndarray, idx: np.ndarray, N: int, gradient: bool):
+    """With w the N-point inverse FFT of u placed at the slots idx: the
+    Fourier coefficients of |w|^4 w on the window (gradient=True) or the
+    mean of |w|^6 (gradient=False)."""
+    spec = np.zeros(N, dtype=complex)
+    spec[idx] = u
+    w = np.fft.ifft(spec) * N
+    if gradient:
+        return (np.fft.fft(np.abs(w) ** 4 * w) / N)[idx]
+    return float(np.mean(np.abs(w) ** 6))
+
+
+class Sextic(HomPoly):
+    """The sextic interaction of build_p6.  Its coefficient table is an
+    ordinary HomPoly's and arithmetic on it returns a plain HomPoly; only its
+    value sigma*c6/6 * mean_x |u(x)|^6 and its gradient sigma*c6*|u|^4 u are
+    evaluated by FFT on the window."""
+
+    def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
+        if sigma not in (1, -1):
+            raise ValueError("sigma must be +1 or -1")
+        if c6 <= 0:
+            raise ValueError("c6 must be positive")
+        coeff = sigma * c6 / 6.0
+        buckets = defaultdict(list)
+        for trip in combinations_with_replacement(mode_set.modes, 3):
+            buckets[sum(trip)].append(trip)
+        coeffs = {(k, l): coeff for group in buckets.values() for k in group for l in group}
+        super().__init__(mode_set, 3, coeffs, validate=False, is_real=True)
+        self.sigma, self.c6 = sigma, c6
+        self.idx, self.N = sextic_grid(mode_set.modes)
+
+    def __call__(self, u: np.ndarray) -> float:
+        return self.sigma * self.c6 / 6.0 * sextic_fft(self._state(u), self.idx, self.N, False)
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        return self.sigma * self.c6 * sextic_fft(self._state(u), self.idx, self.N, True)
+
+
+def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:
     """Sextic interaction with coefficient sigma*c6/6 on every ordered tuple
     satisfying momentum conservation k1+k2+k3 = l1+l2+l3.
 
     Its gradient is sigma*c6 * (|u|^4 u) as a discrete convolution power
-    restricted to the window.
+    restricted to the window, evaluated by FFT on any window.
     """
-    if sigma not in (1, -1):
-        raise ValueError("sigma must be +1 or -1")
-    if c6 <= 0:
-        raise ValueError("c6 must be positive")
-    coeff = sigma * c6 / 6.0
-    buckets = defaultdict(list)
-    for trip in combinations_with_replacement(mode_set.modes, 3):
-        buckets[sum(trip)].append(trip)
-    coeffs = {}
-    for group in buckets.values():
-        for k in group:
-            for l in group:
-                coeffs[(k, l)] = coeff
-    P = HomPoly(mode_set, 3, coeffs, validate=False, is_real=True)
-    P.conv_structure = (sigma, c6)  # marks the standard convolution form
-    return P
+    return Sextic(mode_set, sigma, c6)
 
 
 # ------------------------------------------------------------- serialization

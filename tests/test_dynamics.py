@@ -8,7 +8,7 @@ from qnls.dynamics import (action_drift, gamma_from_certificate, integrate,
                            remainder_scaling, sobolev_profile_state,
                            strichartz_scan)
 from qnls.errors import BudgetError
-from qnls.poly import ModeSet, build_p6, build_z2
+from qnls.poly import HomPoly, ModeSet, build_p6, build_z2
 from qnls.spectral import freqs_conv
 from qnls.resonance import sample_conv_potential
 from conftest import random_state
@@ -70,12 +70,12 @@ def test_integrate_gauge_covariance(rng):
 
 
 def test_integrate_generic_vs_fast_gradient(rng):
-    # stripping the convolution tag must not change the dynamics
+    # the FFT sextic and its generic copy must give the same dynamics
     ms, fs, z2, p6 = _system(2, seed=3)
     u0 = random_state(ms, rng, norm=0.3)
     t1 = integrate(z2, p6, u0, T=2.0, dt=0.01)
-    p6_generic = 1.0 * p6  # scalar multiply drops the conv_structure tag
-    assert not hasattr(p6_generic, "conv_structure")
+    p6_generic = 1.0 * p6  # arithmetic returns a plain HomPoly
+    assert type(p6_generic) is HomPoly
     t2 = integrate(z2, p6_generic, u0, T=2.0, dt=0.01)
     assert np.max(np.abs(t1.states - t2.states)) < 1e-11
 
@@ -217,9 +217,12 @@ def test_action_derivative_symbolic_vs_fd():
 
 
 def test_sextic_value_matches_polynomial(rng):
-    from qnls.dynamics import sextic_value
-    ms = ModeSet.symmetric(3)
-    p6 = build_p6(ms, sigma=-1, c6=1.7)
-    for _ in range(3):
-        u = random_state(ms, rng, norm=0.8)
-        assert sextic_value(ms, u, -1, 1.7) == pytest.approx(float(p6(u)), rel=1e-12)
+    # FFT value and gradient of build_p6 against the generic sparse kernels
+    windows = [ModeSet.symmetric(M) for M in range(4)] + [ModeSet.dirichlet(4)]
+    for ms in windows:
+        for sigma, c6 in ((1, 1.3), (-1, 1.7)):
+            p6 = build_p6(ms, sigma=sigma, c6=c6)
+            u = random_state(ms, rng, norm=0.8)
+            assert p6(u) == pytest.approx(HomPoly.__call__(p6, u), rel=1e-12)
+            g = HomPoly.gradient(p6, u)
+            assert np.linalg.norm(p6.gradient(u) - g) <= 1e-12 * np.linalg.norm(g)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnls import flows
+from qnls.errors import BudgetError
 from qnls.nf import (NormalFormConfig, ad_z2, birkhoff, check_krgamma,
                      epsilon_r, lie_transform, solve_cohomological,
                      suggest_gamma, transform_state)
@@ -90,6 +91,14 @@ def test_lie_transform_identity_cases(setup_m1, rng):
     out2, _ = lie_transform(fs, {2: actions}, chi_act, j_max=8)
     assert coeff_close(out2[2], actions, rtol=1e-13)
     assert all(j == 2 or is_zero(p, 1.0, rtol=1e-13) for j, p in out2.items())
+
+
+def test_lie_transform_rejects_quadratic_generator(setup_m1, rng):
+    # a half-degree-1 generator keeps the degree, so its chains never end
+    ms, fs, _, _ = setup_m1
+    chi = HomPoly(ms, 1, {((0,), (0,)): 0.5})
+    with pytest.raises(ValueError):
+        lie_transform(fs, {3: random_balanced(ms, 3, rng)}, chi, j_max=6)
 
 
 def test_lie_transform_against_exponential_oracle(setup_m1, rng):
@@ -245,7 +254,10 @@ def test_check_krgamma(setup_m1):
     fs5 = freqs_conv(V, ms5)
     g = suggest_gamma(ms5, fs5, k=1, r=3)
     rep2 = check_krgamma(ms5, fs5, k=1, r=3, gamma=g)
-    assert rep2.certified and rep2.pairs_checked > 0
+    assert rep2.certified and rep2.pairs_checked == 7 ** 2 + 28 ** 2 + 84 ** 2
+    # the budget guard fires at q=2, where the running total reaches 833 pairs
+    with pytest.raises(BudgetError):
+        check_krgamma(ms5, fs5, k=1, r=3, gamma=g, max_pairs=800)
 
 
 def test_chi_c_norm_bound(setup_m1):

@@ -76,30 +76,6 @@ def test_gradient_requires_real(rng):
         P.gradient(np.ones(2, dtype=complex))
 
 
-def test_hessian_examples(rng):
-    ms = ModeSet.dirichlet(1)
-    # quadratic: hessian action independent of u
-    Z = build_z2(ms, [0.7])
-    u, v = np.array([1.1 - 0.3j]), np.array([0.4 + 2j])
-    assert np.allclose(Z.hessian_apply(u, v), [0.7 * v[0]])
-    # (1/2)|u1|^4 at u = 1 in the real direction: second derivative 6
-    P = HomPoly(ms, 2, {((1, 1), (1, 1)): 0.5})
-    out = P.hessian_apply(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-    assert np.allclose(out, [6.0], atol=1e-13)
-
-
-def test_hessian_fd_oracle(rng):
-    ms = ModeSet.symmetric(2)
-    for q in (2, 3):
-        P = random_balanced(ms, q, rng)
-        u = random_state(ms, rng)
-        v = random_state(ms, rng)
-        h = 1e-5
-        fd = (P.gradient(u + h * v) - P.gradient(u - h * v)) / (2 * h)
-        hv = P.hessian_apply(u, v)
-        assert np.max(np.abs(fd - hv)) < 1e-6 * max(1.0, np.max(np.abs(hv)))
-
-
 def test_poisson_diagonal_action(rng):
     ms = ModeSet.symmetric(2)
     omega = rng.standard_normal(5)
