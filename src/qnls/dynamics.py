@@ -54,9 +54,12 @@ class Trajectory:
 
 
 def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: float,
-              flow_tol: float = 1e-14, max_samples: int = 2048) -> Trajectory:
+              flow_tol: float = 1e-14,
+              max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
+    u0 is one state (n,), giving a Trajectory, or a stack (B, n), giving a
+    list of B trajectories advanced together by one midpoint solve per step.
     The sextic built by build_p6 evaluates its value and gradient by FFT; any
     other polynomial uses the generic sparse kernels.  Norm and energy are
     recorded at every stored sample.
@@ -66,7 +69,7 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     ms = z2.mode_set
     omega = _omega_from_z2(z2)
     u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (ms.size,):
+    if u0.ndim not in (1, 2) or u0.shape[-1] != ms.size:
         raise ValueError("initial state does not match the mode set")
 
     quadratic = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2))
@@ -84,16 +87,22 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     times, states = [0.0], [u0.copy()]
     u = u0.copy()
     for step in range(1, n_steps + 1):
-        u = flows.midpoint_step(grad, u, h, tol=flow_tol)
+        u = flows.midpoint_step(grad, u, h, tol=flow_tol, omega=omega)
         if step % stride == 0 or step == n_steps:
             times.append(step * h)
             states.append(u.copy())
-    states = np.array(states)
-    actions = np.abs(states) ** 2
-    return Trajectory(mode_set=ms, times=np.array(times), states=states,
-                      norm_sq=actions.sum(axis=1),
-                      energy=np.array([energy(s) for s in states]),
-                      actions=actions)
+    times, states = np.array(times), np.array(states)
+
+    def trajectory(states):
+        actions = np.abs(states) ** 2
+        return Trajectory(mode_set=ms, times=times, states=states,
+                          norm_sq=actions.sum(axis=1),
+                          energy=np.array([energy(s) for s in states]),
+                          actions=actions)
+
+    if u0.ndim == 1:
+        return trajectory(states)
+    return [trajectory(states[:, b]) for b in range(u0.shape[0])]
 
 
 def linear_comparison(omega: FrequencySet, z2: HomPoly, p6: HomPoly | None,
@@ -203,13 +212,13 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: f
     """
     ms = z2.mode_set
     ki = ms.index(k)
-    rows = []
     cfg = nf_result.config if nf_result is not None else None
     shared = None
     if share_direction:
         rng = np.random.default_rng([seed, 0])
         shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
         shared /= np.linalg.norm(shared)
+    u0s, horizons = [], []
     for i, eps in enumerate(eps_list):
         if shared is None:
             rng = np.random.default_rng([seed, i])
@@ -217,9 +226,18 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: f
             u0 *= eps / np.linalg.norm(u0)
         else:
             u0 = eps * shared
+        u0s.append(u0)
         # planned horizons are exponential in 1/eps; desk runs cap the clock
-        T_eps = min(float(T(eps)) if callable(T) else float(T), 1e5)
-        traj = integrate(z2, p6, u0, T_eps, dt, max_samples=max_samples)
+        horizons.append(min(float(T(eps)) if callable(T) else float(T), 1e5))
+    # eps values sharing a horizon advance together as one stack
+    trajs = [None] * len(u0s)
+    for T_eps in dict.fromkeys(horizons):
+        group = [i for i, t in enumerate(horizons) if t == T_eps]
+        for i, traj in zip(group, integrate(z2, p6, np.array([u0s[i] for i in group]),
+                                            T_eps, dt, max_samples=max_samples)):
+            trajs[i] = traj
+    rows = []
+    for eps, T_eps, traj in zip(eps_list, horizons, trajs):
         raw = float(np.max(np.abs(traj.actions[:, ki] - traj.actions[0, ki])))
         transformed = None
         if transform and nf_result is not None:

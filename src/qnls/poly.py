@@ -202,8 +202,9 @@ class HomPoly:
         """Cached (idx_k, idx_l, coeffs, class_sizes) arrays for numpy kernels."""
         if self._arrays is None:
             n = len(self.coeffs)
-            idx_k = np.empty((n, self.q), dtype=np.intp)
-            idx_l = np.empty((n, self.q), dtype=np.intp)
+            # column-major, so that each slot's column is contiguous
+            idx_k = np.empty((n, self.q), dtype=np.intp, order="F")
+            idx_l = np.empty((n, self.q), dtype=np.intp, order="F")
             cvec = np.empty(n, dtype=complex)
             wvec = np.empty(n, dtype=float)
             index = self.mode_set.index
@@ -224,6 +225,8 @@ class HomPoly:
         Returns a float when the reality condition holds, complex otherwise.
         """
         u = self._state(u)
+        if u.ndim != 1:
+            raise ValueError("a HomPoly is evaluated at one state at a time")
         if not self.coeffs:
             return 0.0 if self.is_real else 0j
         idx_k, idx_l, cvec, wvec = self._np()
@@ -237,48 +240,46 @@ class HomPoly:
         return val
 
     def _state(self, u) -> np.ndarray:
-        """u as a complex state vector on this polynomial's mode set."""
+        """u as complex states (..., n) on this polynomial's mode set."""
         u = np.asarray(u, dtype=complex)
-        if u.shape != (self.mode_set.size,):
+        if u.shape[-1:] != (self.mode_set.size,):
             raise ValueError("mode-set mismatch between state and polynomial")
         return u
 
-    def _partials(self, u: np.ndarray):
-        """(d/du_j P, d/dconj(u_j) P) as vectors over the mode set."""
-        nmodes = self.mode_set.size
-        du = np.zeros(nmodes, dtype=complex)
-        dub = np.zeros(nmodes, dtype=complex)
+    def _partial(self, u: np.ndarray, side: str) -> np.ndarray:
+        """d/du_j P (side="k") or d/dconj(u_j) P (side="l") at one state."""
+        n, q = self.mode_set.size, self.q
         if not self.coeffs:
-            return du, dub
+            return np.zeros(n, dtype=complex)
         idx_k, idx_l, cvec, wvec = self._np()
-        Uk = u[idx_k]
-        Ul = np.conj(u)[idx_l]
+        own, other = (idx_k, idx_l) if side == "k" else (idx_l, idx_k)
+        own_u, other_u = (u, np.conj(u)) if side == "k" else (np.conj(u), u)
         base = cvec * wvec
-        prod_k = np.prod(Uk, axis=1)
-        prod_l = np.prod(Ul, axis=1)
-        for s in range(self.q):
-            excl_k = _prod_excluding(Uk, s)
-            np.add.at(du, idx_k[:, s], base * excl_k * prod_l)
-            excl_l = _prod_excluding(Ul, s)
-            np.add.at(dub, idx_l[:, s], base * prod_k * excl_l)
-        return du, dub
+        for t in range(q):
+            base = base * other_u[other[:, t]]
+        cols = [own_u[own[:, t]] for t in range(q)]
+        # slot s of a term: its weight times every column of this side but s
+        contrib = np.empty((q, base.size), dtype=complex)
+        for s in range(q):
+            contrib[s] = base
+            for t in range(q):
+                if t != s:
+                    contrib[s] *= cols[t]
+        slots = own.T.ravel()
+        re = np.bincount(slots, weights=contrib.real.ravel(), minlength=n)
+        im = np.bincount(slots, weights=contrib.imag.ravel(), minlength=n)
+        return re + 1j * im
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Euclidean gradient 2*d/dconj(u) P(u) of a real-valued polynomial."""
+        """Euclidean gradient 2*d/dconj(u) P(u) of a real-valued polynomial,
+        at one state (n,) or at each state of a stack (..., n)."""
         if not self.is_real:
             raise ValueError("gradient is only defined for real-valued polynomials")
-        u = np.asarray(u, dtype=complex)
-        _, dub = self._partials(u)
-        return 2.0 * dub
-
-
-def _prod_excluding(A: np.ndarray, s: int) -> np.ndarray:
-    """Row products of A excluding column s."""
-    n, q = A.shape
-    if q == 1:
-        return np.ones(n, dtype=A.dtype)
-    cols = [t for t in range(q) if t != s]
-    return np.prod(A[:, cols], axis=1)
+        u = self._state(u)
+        # one state at a time: on 3510 keys and 3 states a kernel over the
+        # whole stack ran more than 2x slower than this loop
+        rows = [self._partial(v, "l") for v in u.reshape(-1, u.shape[-1])]
+        return 2.0 * np.array(rows).reshape(u.shape)
 
 
 # ----------------------------------------------------------------- brackets
@@ -369,15 +370,15 @@ def sextic_grid(modes) -> tuple[np.ndarray, int]:
 
 
 def sextic_fft(u: np.ndarray, idx: np.ndarray, N: int, gradient: bool):
-    """With w the N-point inverse FFT of u placed at the slots idx: the
-    Fourier coefficients of |w|^4 w on the window (gradient=True) or the
-    mean of |w|^6 (gradient=False)."""
-    spec = np.zeros(N, dtype=complex)
-    spec[idx] = u
+    """With w the N-point inverse FFT of u placed at the slots idx (along the
+    last axis of u): the Fourier coefficients of |w|^4 w on the window
+    (gradient=True) or the mean of |w|^6 (gradient=False)."""
+    spec = np.zeros(u.shape[:-1] + (N,), dtype=complex)
+    spec[..., idx] = u
     w = np.fft.ifft(spec) * N
     if gradient:
-        return (np.fft.fft(np.abs(w) ** 4 * w) / N)[idx]
-    return float(np.mean(np.abs(w) ** 6))
+        return (np.fft.fft(np.abs(w) ** 4 * w) / N)[..., idx]
+    return np.mean(np.abs(w) ** 6, axis=-1)
 
 
 class Sextic(HomPoly):

@@ -202,7 +202,7 @@ def _complex_ascent(P: HomPoly, starts: np.ndarray, iters: int) -> tuple[float, 
         f = abs(val)
         eta = 0.25
         for _ in range(iters):
-            du, dub = P._partials(z)
+            du, dub = P._partial(z, "k"), P._partial(z, "l")
             grad = 2.0 * (dub * np.conj(val) + val * np.conj(du))
             cand = z + eta * grad
             n = np.linalg.norm(cand)

@@ -80,6 +80,35 @@ def test_integrate_generic_vs_fast_gradient(rng):
     assert np.max(np.abs(t1.states - t2.states)) < 1e-11
 
 
+
+@pytest.mark.parametrize("case", ["sextic", "linear", "zero_row"])
+def test_integrate_stack_matches_single_rows(case):
+    ms, fs, z2, p6 = _system(5, seed=2, scale=1.0)
+    rng = np.random.default_rng(3)
+    u0 = np.array([random_state(ms, rng, norm=eps) for eps in (0.1, 0.07, 0.05)])
+    if case == "zero_row":
+        u0[1] = 0.0
+    if case == "linear":
+        p6 = None
+    trajs = integrate(z2, p6, u0, T=10.0, dt=0.005, max_samples=40)
+    assert len(trajs) == 3
+    for u, traj in zip(u0, trajs):
+        single = integrate(z2, p6, u, T=10.0, dt=0.005, max_samples=40)
+        assert np.array_equal(traj.times, single.times)
+        scale = max(np.abs(single.states).max(), 1e-300)
+        assert np.abs(traj.states - single.states).max() <= 1e-12 * scale
+        for got, want in ((traj.norm_sq, single.norm_sq), (traj.energy, single.energy)):
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    if case == "zero_row":
+        assert not np.any(trajs[1].states)
+
+
+def test_integrate_rejects_misshaped_state():
+    ms, fs, z2, p6 = _system(1)
+    for bad in (np.zeros(ms.size + 1), np.zeros((2, 2, ms.size))):
+        with pytest.raises(ValueError):
+            integrate(z2, p6, bad, T=0.1, dt=0.01)
+
 def test_trajectory_csv(tmp_path, rng):
     ms, fs, z2, p6 = _system(1, seed=2)
     traj = integrate(z2, p6, random_state(ms, rng, norm=0.2), T=1.0, dt=0.01)
@@ -153,6 +182,26 @@ def test_action_drift_linear_is_zero(rng):
                        dt=0.01, transform=False)
     assert all(r.drift_raw < 1e-13 for r in res.rows)
 
+
+
+@pytest.mark.parametrize("share_direction", [True, False])
+def test_action_drift_horizon_groups_keep_eps_order(share_direction):
+    # 0.1 and 0.07 share a horizon and advance as one stack; every row must
+    # equal a one-state run from its own initial state
+    ms, fs, z2, p6 = _system(2, seed=3)
+    eps_list = [0.1, 0.05, 0.07]
+    horizon = lambda eps: 1.0 if eps > 0.06 else 0.5
+    res = action_drift(None, z2, p6, k=1, eps_list=eps_list, T=horizon, dt=0.01,
+                       seed=4, transform=False, share_direction=share_direction)
+    assert [r.eps for r in res.rows] == eps_list
+    assert [r.T for r in res.rows] == [1.0, 0.5, 1.0]
+    ki = ms.index(1)
+    for i, (eps, row) in enumerate(zip(eps_list, res.rows)):
+        rng = np.random.default_rng([4, 0 if share_direction else i])
+        u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
+        u0 *= eps / np.linalg.norm(u0)
+        I = integrate(z2, p6, u0, T=row.T, dt=0.01).actions[:, ki]
+        assert row.drift_raw == pytest.approx(np.max(np.abs(I - I[0])), rel=1e-12)
 
 def test_plan_examples():
     plan = plan_parameters(1e-2, nu=1.0, alpha=1.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, class_size,
                        poisson, poly_from_json, poly_to_json)
@@ -67,6 +68,50 @@ def test_gradient_fd_oracle(rng):
         ip = float(np.sum(P.gradient(u) * np.conj(v)).real)
         assert abs(fd - ip) < 1e-7 * max(1.0, abs(fd))
 
+
+
+def _reference_partials(P, u):
+    """(d/du P, d/dconj(u) P) by per-slot row products and np.add.at, kept as
+    the oracle of the column-product kernel."""
+    du = np.zeros(P.mode_set.size, dtype=complex)
+    dub = np.zeros(P.mode_set.size, dtype=complex)
+    if not P.coeffs:
+        return du, dub
+    idx_k, idx_l, cvec, wvec = P._np()
+    Uk, Ul = u[idx_k], np.conj(u)[idx_l]
+    base = cvec * wvec
+
+    def excl(A, s):
+        return np.prod(A[:, [t for t in range(P.q) if t != s]], axis=1)
+
+    for s in range(P.q):
+        np.add.at(du, idx_k[:, s], base * excl(Uk, s) * np.prod(Ul, axis=1))
+        np.add.at(dub, idx_l[:, s], base * np.prod(Uk, axis=1) * excl(Ul, s))
+    return du, dub
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
+       q=st.integers(1, 4), n_keys=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_kernel_matches_reference(window, M, q, n_keys, seed):
+    rng = np.random.default_rng(seed)
+    ms = getattr(ModeSet, window)(M)
+    P = random_balanced(ms, q, rng, n_keys=n_keys)
+    U = np.array([random_state(ms, rng, norm=rng.uniform(0.2, 2.0)) for _ in range(3)])
+    grads = P.gradient(U)
+    assert grads.shape == U.shape
+    for u, g in zip(U, grads):
+        du, dub = _reference_partials(P, u)
+        # rounding scale: the same sums taken over absolute values
+        scale = max(np.abs(_reference_partials(P.modulus(), np.abs(u))[0]).max(), 1e-300)
+        for got, want in ((P._partial(u, "k"), du), (P._partial(u, "l"), dub),
+                          (P.gradient(u), 2.0 * dub), (g, 2.0 * dub)):
+            assert np.abs(got - want).max() <= 1e-13 * scale
+        v = random_state(ms, rng)
+        h = 1e-6
+        fd = (P(u + h * v) - P(u - h * v)) / (2 * h)
+        ip = float(np.sum(g * np.conj(v)).real)
+        assert abs(fd - ip) <= 1e-6 * max(1.0, 2.0 * scale)
 
 def test_gradient_requires_real(rng):
     ms = ModeSet.dirichlet(2)
