@@ -36,7 +36,7 @@ print(f"{{P6, ||.||^2}} has {len(br)} keys  (expect 0)")
 # antisymmetry on a nontrivial pair
 b1 = poisson(z2, p6)
 b2 = poisson(p6, z2)
-worst = max(abs(b1.coeffs[k] + b2.coeffs[k]) for k in b1.coeffs)
+worst = np.abs((b1 + b2).coef).max(initial=0.0)
 print(f"antisymmetry defect: {worst:.2e}")
 
 # canonical JSON serialization is stable and sorted

@@ -9,8 +9,7 @@ inspect the generator, and verify the conjugation identity H = NF o tau.
 import numpy as np
 
 from qnls import (ModeSet, NormalFormConfig, birkhoff, build_p6, build_z2,
-                  freqs_conv, sample_conv_potential, small_divisor,
-                  transform_state)
+                  freqs_conv, sample_conv_potential, transform_state)
 
 ms = ModeSet.symmetric(2)
 V = sample_conv_potential(s_star=1.0, M=2, seed=9)
@@ -27,7 +26,7 @@ chi = res.generators[0]
 print(f"generator: {len(chi)} keys, l1 = {chi.l1():.4g}")
 
 # every surviving sextic key is gamma-resonant
-worst = max(abs(small_divisor(fs, key)) for key in res.resonant[3].coeffs)
+worst = np.abs(res.resonant[3].divisors(fs)).max()
 print(f"largest surviving divisor: {worst:.4g} < gamma")
 
 # the transform conjugates H to the normal form, within the truncation tail

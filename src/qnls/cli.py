@@ -2,7 +2,9 @@
 manifest and artifact persistence.
 
 Exit codes: 0 success, 2 assertion failure inside a run, 3 budget guard,
-4 configuration error.
+4 configuration error.  Each command checks its parameters before the
+computations that use them; a ValueError raised inside a computation is a
+fault of the library and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,27 +40,40 @@ def _manifest(out: Path, args: argparse.Namespace, outputs: list[str]):
     })
 
 
-def _frequencies(args, M: int):
-    ms = ModeSet.symmetric(M)
-    if getattr(args, "potential", None):
-        doc = json.loads(Path(args.potential).read_text())
-        V = np.asarray(doc["V"] if isinstance(doc, dict) else doc, dtype=float)
-        if V.shape != (ms.size,):
-            raise ConfigError(f"potential file must carry {ms.size} real coefficients")
-    elif getattr(args, "free", False):
-        V = np.zeros(ms.size)
-    else:
-        V = resonance.sample_conv_potential(args.s_star, M, args.seed)
-    return ms, freqs_conv(V, ms)
+@contextmanager
+def _parameters():
+    """Scope of a command's parameter checks: a ValueError raised here is a
+    configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _system(args):
+    """Window, frequencies, Z2 and P6 of the truncated system on --modes."""
+    with _parameters():
+        ms = ModeSet.symmetric(args.modes)
+        if args.potential:
+            doc = json.loads(Path(args.potential).read_text())
+            V = np.asarray(doc["V"] if isinstance(doc, dict) else doc, dtype=float)
+            if V.shape != (ms.size,):
+                raise ConfigError(f"potential file must carry {ms.size} real coefficients")
+        else:
+            V = resonance.sample_conv_potential(args.s_star, args.modes, args.seed)
+        omega = freqs_conv(V, ms)
+        p6 = build_p6(ms, args.sigma, args.c6)
+    return ms, omega, build_z2(ms, omega), p6
 
 
 # ----------------------------------------------------------------- commands
 
 
 def cmd_plan(args, out: Path) -> int:
-    plan = dynamics.plan_parameters(args.eps, args.nu, args.alpha, s=args.s,
-                                    beta_s=args.beta_s, rho=args.rho,
-                                    kappa=args.kappa, c=args.c, k=args.k)
+    with _parameters():
+        plan = dynamics.plan_parameters(args.eps, args.nu, args.alpha, s=args.s,
+                                        beta_s=args.beta_s, rho=args.rho,
+                                        kappa=args.kappa, c=args.c, k=args.k)
     _write_json(out / "plan.json", plan.to_dict())
     _manifest(out, args, ["plan.json"])
     print(f"plan: r={plan.r} gamma={plan.gamma:.3e} M={plan.M} "
@@ -66,13 +82,16 @@ def cmd_plan(args, out: Path) -> int:
 
 
 def cmd_certify(args, out: Path) -> int:
-    window = ModeSet.symmetric(args.hmax)
-    if args.free:
-        omega = {k: float(k * k) for k in window.modes}
-    else:
-        V = resonance.sample_conv_potential(args.s_star, args.hmax, args.seed)
-        omega = freqs_conv(V, window)
-    bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
+    with _parameters():
+        window = ModeSet.symmetric(args.hmax)
+        if args.free:
+            omega = {k: float(k * k) for k in window.modes}
+        else:
+            V = resonance.sample_conv_potential(args.s_star, args.hmax, args.seed)
+            omega = freqs_conv(V, window)
+        bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
+        if args.kind == "strong" and args.alpha <= 0:
+            raise ConfigError("alpha must be positive")
     if args.kind == "strong":
         cert = resonance.certify_strong(omega, bounds, alpha=args.alpha)
     else:
@@ -88,7 +107,8 @@ def cmd_certify(args, out: Path) -> int:
 
 
 def cmd_sturm(args, out: Path) -> int:
-    W = resonance.sample_mult_potential(args.s_star, 4 * args.nmax, args.seed)
+    with _parameters():
+        W = resonance.sample_mult_potential(args.s_star, 4 * args.nmax, args.seed)
     basis = sturm.dirichlet_eig(W, n_max=args.nmax)
     c_est = sturm.verify_ev_asymptotics(basis)
     decay = sturm.verify_ef_decay(basis)
@@ -108,14 +128,13 @@ def cmd_sturm(args, out: Path) -> int:
 
 
 def cmd_normal_form(args, out: Path) -> int:
-    ms, omega = _frequencies(args, args.modes)
-    z2 = build_z2(ms, omega)
-    p6 = build_p6(ms, args.sigma, args.c6)
+    ms, omega, z2, p6 = _system(args)
     gamma = args.gamma
     if gamma is None:
         gamma = nf.suggest_gamma(ms, omega, k=args.k, r=args.order)
-    cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max,
-                              seed=args.seed, norm_multistart=args.multistart)
+    with _parameters():
+        cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max,
+                                  seed=args.seed, norm_multistart=args.multistart)
     result = nf.birkhoff(z2, p6, omega, cfg)
     doc = {
         "eps_r": result.eps_r,
@@ -136,9 +155,9 @@ def cmd_normal_form(args, out: Path) -> int:
 
 
 def cmd_simulate(args, out: Path) -> int:
-    ms, omega = _frequencies(args, args.modes)
-    z2 = build_z2(ms, omega)
-    p6 = build_p6(ms, args.sigma, args.c6)
+    ms, omega, z2, p6 = _system(args)
+    if args.dt <= 0:
+        raise ConfigError("dt must be positive")
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     u0 *= args.eps / np.linalg.norm(u0)
@@ -151,9 +170,13 @@ def cmd_simulate(args, out: Path) -> int:
 
 
 def cmd_drift(args, out: Path) -> int:
-    ms, omega = _frequencies(args, args.modes)
-    z2 = build_z2(ms, omega)
-    p6 = build_p6(ms, args.sigma, args.c6)
+    ms, omega, z2, p6 = _system(args)
+    with _parameters():
+        eps_list = [float(x) for x in str(args.eps_list).split(",")]
+    if args.k not in ms:
+        raise ConfigError("mode k outside the window")
+    if args.dt <= 0:
+        raise ConfigError("dt must be positive")
     gamma = args.gamma
     if gamma is None:
         gamma = nf.suggest_gamma(ms, omega, k=args.k, r=args.order)
@@ -162,9 +185,9 @@ def cmd_drift(args, out: Path) -> int:
         print(f"drift: (k={args.k}, r={args.order}, gamma={gamma:.3e}) "
               f"is resonant; {len(report.violations)} offending keys")
         return EXIT_ASSERT
-    cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max, seed=args.seed)
+    with _parameters():
+        cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max, seed=args.seed)
     result = nf.birkhoff(z2, p6, omega, cfg)
-    eps_list = [float(x) for x in args.eps_list.split(",")]
     drift = dynamics.action_drift(result, z2, p6, args.k, eps_list, args.T,
                                   args.dt, seed=args.seed)
     doc = {
@@ -189,7 +212,10 @@ def cmd_drift(args, out: Path) -> int:
 
 
 def cmd_strichartz(args, out: Path) -> int:
-    m_list = [int(x) for x in args.m_list.split(",")]
+    with _parameters():
+        m_list = [int(x) for x in str(args.m_list).split(",")]
+        if min(m_list) < 0:
+            raise ConfigError("window sizes M must be non-negative")
     scan = dynamics.strichartz_scan(m_list, sigma=args.sigma, c6=args.c6,
                                     multistart=args.multistart, seed=args.seed)
     doc = {
@@ -345,9 +371,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (AssertionError, ArithmeticError, flows.FlowConvergenceError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT

@@ -12,16 +12,15 @@ import numpy as np
 
 from .errors import BudgetError
 from . import flows, nf
-from .poly import HomPoly, ModeSet, build_p6, sextic_fft, sextic_grid
+from .poly import HomPoly, ModeSet, build_p6, momentum_buckets, sextic_fft, sextic_grid
 from .spectral import FrequencySet, japanese, split_levels, sup_norm
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
+    if z2.q != 1 or np.any(z2.idx_k != z2.idx_l):
+        raise ValueError("z2 must be a diagonal quadratic")
     omega = np.zeros(z2.mode_set.size)
-    for (k, l), c in z2.coeffs.items():
-        if k != l or len(k) != 1:
-            raise ValueError("z2 must be a diagonal quadratic")
-        omega[z2.mode_set.index(k[0])] = 2.0 * c.real
+    omega[z2.idx_k[:, 0]] = 2.0 * z2.coef.real
     return omega
 
 
@@ -259,14 +258,6 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: f
 # ------------------------------------------------------------ Strichartz scan
 
 
-def _p6_key_count(ms: ModeSet) -> int:
-    """Canonical key count of the sextic on this window, without building it."""
-    from collections import Counter
-    from itertools import combinations_with_replacement
-    sums = Counter(sum(t) for t in combinations_with_replacement(ms.modes, 3))
-    return sum(n * n for n in sums.values())
-
-
 @dataclass
 class ScanRow:
     M: int
@@ -299,7 +290,8 @@ def strichartz_scan(M_list, sigma: int = 1, c6: float = 1.0, multistart: int = 4
     prev_witness = None
     for M in sorted(M_list):
         ms = ModeSet.symmetric(M)
-        if _p6_key_count(ms) > budget_keys:
+        # the sextic's key count, without building it
+        if sum(len(b) ** 2 for b in momentum_buckets(ms)) > budget_keys:
             raise BudgetError(f"strichartz_scan budget exceeded at M={M}")
         P = build_p6(ms, sigma, c6)
         levels = split_levels(P, np.asarray(ms.modes, dtype=float) ** 2)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetError
 from . import flows
-from .poly import HomPoly, ModeSet, poisson
+from .poly import HomPoly, ModeSet, coeff_close, complex_div, complex_mul, poisson
 from .spectral import FrequencySet, NormEnclosure, japanese, norm_h
 
 
@@ -92,22 +92,11 @@ def epsilon_r(cfg: NormalFormConfig, normP_H: float, omega: FrequencySet) -> flo
     return (cfg.gamma / den) ** (1.0 / (2 * cfg.p - 2))
 
 
-def _divisors_of(P: HomPoly, omega: FrequencySet) -> np.ndarray:
-    if P.mode_set != omega.mode_set:
-        raise ValueError("mode-set mismatch between polynomial and frequencies")
-    if len(P.coeffs) == 0:
-        return np.zeros(0)
-    idx_k, idx_l, _, _ = P._np()
-    w = omega.omega
-    return w[idx_k].sum(axis=1) - w[idx_l].sum(axis=1)
-
-
 def ad_z2(P: HomPoly, omega: FrequencySet) -> HomPoly:
     """{Z2, P} computed exactly through the diagonal action i*Omega per key."""
-    div = _divisors_of(P, omega)
-    keys = list(P.coeffs.keys())
-    coeffs = {k: 1j * d * P.coeffs[k] for k, d in zip(keys, div) if d != 0.0}
-    return HomPoly(P.mode_set, P.q, coeffs, validate=False)
+    div = P.divisors(omega)
+    keep = div != 0.0
+    return P.restrict(keep, complex_mul(complex_mul(1j, div[keep]), P.coef[keep]))
 
 
 def solve_cohomological(Q: HomPoly, omega: FrequencySet, gamma: float
@@ -120,21 +109,14 @@ def solve_cohomological(Q: HomPoly, omega: FrequencySet, gamma: float
     """
     if not Q.is_real:
         raise ValueError("cohomological equation expects a real-valued polynomial")
-    div = _divisors_of(Q, omega)
-    chi, res = {}, {}
-    for (key, c), d in zip(Q.coeffs.items(), div):
-        if abs(d) >= gamma:
-            chi[key] = c / (1j * d)
-        else:
-            res[key] = c
-    chi_p = HomPoly(Q.mode_set, Q.q, chi, validate=False, is_real=True)
-    res_p = HomPoly(Q.mode_set, Q.q, res, validate=False, is_real=True)
+    div = Q.divisors(omega)
+    remove = np.abs(div) >= gamma
+    chi_p = Q.restrict(remove, complex_div(Q.coef[remove], complex_mul(1j, div[remove])),
+                       is_real=True)
+    res_p = Q.restrict(~remove, is_real=True)
     # verify Q + {chi, Z2} == q_res coefficientwise
-    check = Q + (-ad_z2(chi_p, omega))
-    scale = max((abs(c) for c in Q.coeffs.values()), default=1.0)
-    for key in set(check.coeffs) | set(res_p.coeffs):
-        if abs(check.coeffs.get(key, 0j) - res_p.coeffs.get(key, 0j)) > 1e-12 * scale:
-            raise AssertionError("cohomological identity failed")
+    if not coeff_close(Q - ad_z2(chi_p, omega), res_p, ref=Q):
+        raise AssertionError("cohomological identity failed")
     return chi_p, res_p
 
 
@@ -152,7 +134,7 @@ def lie_transform(z2_omega: FrequencySet, series: dict[int, HomPoly], chi: HomPo
     truncated: list[int] = []
     # (power n of ad_chi, term); {chi, Z2} = -{Z2, chi} is the n = 1 term of
     # the Z2 chain, whose n = 0 term Z2 stays outside the series
-    chains = [(1, -1.0 * ad_z2(chi, z2_omega))] if chi.coeffs else []
+    chains = [(1, -1.0 * ad_z2(chi, z2_omega))] if len(chi) else []
     chains += [(0, series[j]) for j in sorted(series)]
     for n, term in chains:
         q = term.q
@@ -160,11 +142,11 @@ def lie_transform(z2_omega: FrequencySet, series: dict[int, HomPoly], chi: HomPo
             if q > term.q:      # the next term of the chain is one more bracket
                 term = poisson(chi, term)
                 n += 1
-            if not term.coeffs:
+            if not len(term):
                 break
             scaled = term if n < 2 else term * (1.0 / math.factorial(n))
             out[q] = out[q] + scaled if q in out else scaled
-            if not chi.coeffs:
+            if not len(chi):
                 break
             q += chi.q - 1
         else:
@@ -199,31 +181,25 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
     truncated: list[int] = []
     for jp in range(cfg.p, cfg.r + 1):
         Q = series.get(jp)
-        if Q is None or len(Q.coeffs) == 0:
-            generators.append(HomPoly(P.mode_set, jp, {}, validate=False, is_real=True))
+        if Q is None or not len(Q):
+            generators.append(HomPoly(P.mode_set, jp, is_real=True))
             continue
         chi, q_res = solve_cohomological(Q, omega, cfg.gamma)
         generators.append(chi)
-        if len(chi.coeffs) == 0:
+        if not len(chi):
             series[jp] = q_res
             continue
         series, trunc = lie_transform(omega, series, chi, cfg.J_max)
         truncated.extend(trunc)
         # the transform reproduces q_res at degree jp up to exact cancellation
-        got = series.get(jp, HomPoly(P.mode_set, jp, {}, validate=False))
-        scale = max((abs(c) for c in q_res.coeffs.values()), default=1.0)
-        for key in set(got.coeffs) | set(q_res.coeffs):
-            if abs(got.coeffs.get(key, 0j) - q_res.coeffs.get(key, 0j)) > 1e-12 * scale:
-                raise AssertionError("lie transform disagrees with the cohomological step")
+        got = series.get(jp, HomPoly(P.mode_set, jp))
+        if not coeff_close(got, q_res, ref=q_res):
+            raise AssertionError("lie transform disagrees with the cohomological step")
         series[jp] = q_res
 
     # gamma-resonance is exact per key for every normalized degree
     for j in range(cfg.p, cfg.r + 1):
-        Qj = series.get(j)
-        if Qj is None:
-            continue
-        div = _divisors_of(Qj, omega)
-        if np.any(np.abs(div) >= cfg.gamma):
+        if j in series and np.any(np.abs(series[j].divisors(omega)) >= cfg.gamma):
             raise AssertionError(f"degree {2 * j} kept a non-resonant key")
 
     tail = []
@@ -254,7 +230,7 @@ def transform_state(u: np.ndarray, generators, direction: str = "forward",
         raise ValueError("direction must be 'forward' or 'inverse'")
     v = np.asarray(u, dtype=complex).copy()
     for chi in gens:
-        if len(chi.coeffs) == 0:
+        if not len(chi):
             continue
         v = flows.flow(chi.gradient, v, t, flow_dt, tol=flow_tol)
     return v

@@ -4,26 +4,43 @@ A polynomial of half-degree q is a sum over ordered tuples
 
     P(u) = sum_{k, l in M^q} P_{k,l} u_{k_1}..u_{k_q} conj(u_{l_1})..conj(u_{l_q})
 
-with coefficients invariant under permutations of k and of l.  Only one
-canonical representative per symmetry class is stored: the key is a pair of
-sorted q-tuples of mode indices, the value is the shared symmetric
-coefficient, and the number of distinct ordered tuples in the class
-(``class_size``) is cached for evaluation.
+with coefficients invariant under permutations of k and of l.  One canonical
+representative per symmetry class is stored, as arrays and nothing else:
+
+    idx_k, idx_l   (n, q) window indices of the holomorphic and the
+                   antiholomorphic modes of each key, every row sorted,
+                   column-major so that each slot's column is contiguous;
+    coef           (n,) complex symmetric coefficients, none exactly zero;
+    csize          (n,) float class sizes: the number of ordered (k, l) tuples
+                   a key stands for, from the run lengths of its rows.
+
+Rows keep construction order, not sorted order: a sum keeps the left
+operand's keys first, then the right operand's new keys; masks and level
+splits keep relative order; a bracket emits its keys in order of first
+appearance.  The bracket, sums and scalings also repeat the floating-point
+operations of Python's complex arithmetic one for one (numpy's own complex
+kernels may fuse a multiply and an add), so which sums cancel to exactly 0.0,
+hence every key count, is reproducible bit for bit.  ``coeffs`` is a derived
+read-only mapping {(k, l) mode tuples: coefficient}, rebuilt on each access.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 import numpy as np
 from scipy.fft import next_fast_len
 
 # a canonical monomial key: (sorted holomorphic modes, sorted antiholomorphic modes)
 MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+# bracket pairs expanded at a time: bounds the transient memory of poisson
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,58 +85,124 @@ class ModeSet:
         return mode in self._index_map
 
 
-def canonical_key(k, l) -> MonomialKey:
-    """Sort both slots of a monomial key into canonical form."""
-    return (tuple(sorted(k)), tuple(sorted(l)))
+# ------------------------------------------------------- exact array kernels
 
 
-def _perm_count(t: tuple[int, ...]) -> int:
-    n = math.factorial(len(t))
-    for c in Counter(t).values():
-        n //= math.factorial(c)
-    return n
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
-def class_size(key: MonomialKey) -> int:
-    """Number of distinct ordered (k, l) tuples represented by a canonical key."""
-    return _perm_count(key[0]) * _perm_count(key[1])
+def complex_mul(a, b) -> np.ndarray:
+    """a * b elementwise with the operations of Python's complex product
+    (a real operand counts as x + 0j), written out so that no multiply-add
+    is fused."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def complex_div(a, b) -> np.ndarray:
+    """a / b elementwise with the operations of Python's complex quotient
+    (Smith's scaling by the larger part of b); b must be nonzero."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    by_re = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, b.imag / b.real, b.real / b.imag)
+    denom = np.where(by_re, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    re = np.where(by_re, a.real + a.imag * ratio, a.real * ratio + a.imag)
+    im = np.where(by_re, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    return _complex(re / denom, im / denom)
+
+
+def _perm_counts(rows: np.ndarray) -> np.ndarray:
+    """Distinct orderings q! / prod(run length!) of each sorted row; the
+    product of the factorials is the product of every entry's rank in its run."""
+    denom = np.ones(rows.shape[0], dtype=np.int64)
+    run = denom.copy()
+    for t in range(1, rows.shape[1]):
+        run = np.where(rows[:, t] == rows[:, t - 1], run + 1, 1)
+        denom *= run
+    return math.factorial(rows.shape[1]) // denom
+
+
+def _class_sizes(idx_k: np.ndarray, idx_l: np.ndarray) -> np.ndarray:
+    return _perm_counts(idx_k).astype(float) * _perm_counts(idx_l)
+
+
+def _key_codes(idx_k: np.ndarray, idx_l: np.ndarray, n: int) -> np.ndarray:
+    """A distinct int64 per key, rank(k) * S + rank(l): a sorted row a of q
+    of the n modes has rank sum_t C(a_t + t, t + 1) in 0..S-1, S = C(n+q-1, q)
+    (the combinatorial number system), which grows far slower than n**q."""
+    q = idx_k.shape[1]
+    S = math.comb(n + q - 1, q)
+    if S * S >= 2 ** 63:
+        raise OverflowError(f"keys of half-degree {q} on {n} modes overflow an int64 code")
+    table = np.array([[math.comb(x, t + 1) for t in range(q)] for x in range(n + q - 1)],
+                     dtype=np.int64).reshape(n + q - 1, q)
+    t = np.arange(q)
+    return table[idx_k + t, t].sum(axis=1) * S + table[idx_l + t, t].sum(axis=1)
+
+
+def _find(hay: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Position of each needle among the distinct codes hay, -1 where absent."""
+    if hay.size == 0:
+        return np.full(needles.size, -1)
+    order = np.argsort(hay)
+    pos = order[np.minimum(np.searchsorted(hay, needles, sorter=order), hay.size - 1)]
+    return np.where(hay[pos] == needles, pos, -1)
+
+
+# --------------------------------------------------------------- polynomials
 
 
 class HomPoly:
     """Homogeneous polynomial of degree 2q on C^modes, balanced (hence
-    commuting with the Euclidean norm), stored as canonical-key -> symmetric
-    coefficient.  Instances are treated as immutable after construction."""
+    commuting with the Euclidean norm), stored as canonical key rows with
+    symmetric coefficients.  Instances are treated as immutable."""
 
-    def __init__(self, mode_set: ModeSet, q: int, coeffs=None, *, validate: bool = True,
-                 is_real: bool | None = None):
+    def __init__(self, mode_set: ModeSet, q: int, coeffs=None, *, is_real: bool | None = None):
+        """From a mapping {(k, l): coefficient} of mode tuples in any order;
+        equal keys are summed and exact zeros dropped."""
         if q < 1:
             raise ValueError("half-degree must be >= 1")
-        self.mode_set = mode_set
-        self.q = q
         data = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                c = complex(c)
-                if c == 0:
-                    continue
-                if validate:
-                    key = canonical_key(*key)
-                    if len(key[0]) != q or len(key[1]) != q:
-                        raise ValueError(f"key {key} does not have half-degree {q}")
-                    for m in key[0] + key[1]:
-                        if m not in mode_set:
-                            raise ValueError(f"mode {m} outside the mode set")
-                    s = data.get(key, 0j) + c
-                    if s == 0:
-                        data.pop(key, None)
-                    else:
-                        data[key] = s
-                else:
-                    data[key] = c
-        self.coeffs = data
+        for (k, l), c in (coeffs or {}).items():
+            c = complex(c)
+            if c == 0:
+                continue
+            key = (tuple(sorted(k)), tuple(sorted(l)))
+            if len(key[0]) != q or len(key[1]) != q:
+                raise ValueError(f"key {key} does not have half-degree {q}")
+            for m in key[0] + key[1]:
+                if m not in mode_set:
+                    raise ValueError(f"mode {m} outside the mode set")
+            s = data.get(key, 0j) + c
+            if s == 0:
+                data.pop(key, None)
+            else:
+                data[key] = s
+        idx = np.array([[mode_set.index(m) for m in k + l] for k, l in data],
+                       dtype=np.intp).reshape(len(data), 2 * q)
+        self._set(mode_set, q, idx[:, :q], idx[:, q:],
+                  np.array(list(data.values()), dtype=complex), is_real)
+
+    def _set(self, mode_set, q, idx_k, idx_l, coef, is_real):
+        nonzero = coef != 0
+        if not nonzero.all():
+            idx_k, idx_l, coef = idx_k[nonzero], idx_l[nonzero], coef[nonzero]
+        self.mode_set, self.q = mode_set, q
+        self.idx_k = np.asfortranarray(idx_k, dtype=np.intp)
+        self.idx_l = np.asfortranarray(idx_l, dtype=np.intp)
+        self.coef = coef
+        self.csize = _class_sizes(self.idx_k, self.idx_l)
         self._is_real = is_real
-        self._class_sizes = None
-        self._arrays = None
+
+    def restrict(self, keep, coef=None, *, is_real: bool | None = None) -> "HomPoly":
+        """The keys selected by keep (a mask or index array), in their order,
+        with their own coefficients or with coef; exact zeros are dropped."""
+        return _from_arrays(self.mode_set, self.q, self.idx_k[keep], self.idx_l[keep],
+                            self.coef[keep] if coef is None else coef, is_real)
 
     # ------------------------------------------------------------------ basics
 
@@ -128,26 +211,33 @@ class HomPoly:
         return 2 * self.q
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.coef.size
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {(k, l): coefficient} view in key order, built on each access."""
+        modes = np.asarray(self.mode_set.modes)
+        keys = zip(map(tuple, modes[self.idx_k].tolist()), map(tuple, modes[self.idx_l].tolist()))
+        return MappingProxyType(dict(zip(keys, self.coef.tolist())))
 
     @property
     def is_real(self) -> bool:
         """True iff the reality condition P_{l,k} = conj(P_{k,l}) holds."""
         if self._is_real is None:
-            scale = max((abs(c) for c in self.coeffs.values()), default=0.0)
-            tol = 1e-12 * scale
-            ok = True
-            for (k, l), c in self.coeffs.items():
-                if abs(self.coeffs.get((l, k), 0j) - c.conjugate()) > tol:
-                    ok = False
-                    break
-            self._is_real = ok
+            swapped = _from_arrays(self.mode_set, self.q, self.idx_l, self.idx_k,
+                                   np.conj(self.coef))
+            self._is_real = coeff_close(self, swapped, ref=self)
         return self._is_real
 
-    def class_sizes(self) -> dict[MonomialKey, int]:
-        if self._class_sizes is None:
-            self._class_sizes = {key: class_size(key) for key in self.coeffs}
-        return self._class_sizes
+    def divisors(self, w) -> np.ndarray:
+        """Small divisor sum_k w - sum_l w of every key, for per-mode values w
+        (of a FrequencySet: its full frequencies, on the same mode set)."""
+        if getattr(w, "mode_set", self.mode_set) != self.mode_set:
+            raise ValueError("mode-set mismatch between polynomial and frequencies")
+        w = np.asarray(getattr(w, "omega", w))
+        if w.shape != (self.mode_set.size,):
+            raise ValueError("frequency vector does not match the polynomial's mode set")
+        return w[self.idx_k].sum(axis=1) - w[self.idx_l].sum(axis=1)
 
     def _check_same_space(self, other: "HomPoly"):
         if self.mode_set != other.mode_set:
@@ -159,18 +249,19 @@ class HomPoly:
         self._check_same_space(other)
         if self.q != other.q:
             raise ValueError("cannot add polynomials of different degree")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, 0j) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HomPoly(self.mode_set, self.q, out, validate=False)
+        n = self.mode_set.size
+        at = _find(_key_codes(self.idx_k, self.idx_l, n), _key_codes(other.idx_k, other.idx_l, n))
+        shared, new = at >= 0, at < 0
+        coef = self.coef.copy()
+        coef[at[shared]] += other.coef[shared]
+        # a key new to the sum starts as 0j + c, which turns a -0.0 part into 0.0
+        return _from_arrays(self.mode_set, self.q,
+                            np.concatenate([self.idx_k, other.idx_k[new]]),
+                            np.concatenate([self.idx_l, other.idx_l[new]]),
+                            np.concatenate([coef, 0j + other.coef[new]]))
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.mode_set, self.q, {k: -c for k, c in self.coeffs.items()},
-                       validate=False, is_real=self._is_real)
+        return self.restrict(slice(None), -self.coef, is_real=self._is_real)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
@@ -178,44 +269,23 @@ class HomPoly:
     def __mul__(self, scalar) -> "HomPoly":
         scalar = complex(scalar)
         if scalar == 0:
-            return HomPoly(self.mode_set, self.q, {}, validate=False, is_real=True)
+            return self.restrict(slice(0), is_real=True)
         real = self._is_real if scalar.imag == 0 else None
-        return HomPoly(self.mode_set, self.q,
-                       {k: scalar * c for k, c in self.coeffs.items()},
-                       validate=False, is_real=real)
+        return self.restrict(slice(None), complex_mul(scalar, self.coef), is_real=real)
 
     __rmul__ = __mul__
 
     def modulus(self) -> "HomPoly":
         """Coefficientwise absolute value |P_{k,l}| (idempotent)."""
-        return HomPoly(self.mode_set, self.q,
-                       {k: abs(c) for k, c in self.coeffs.items()}, validate=False)
+        return self.restrict(slice(None), self._abs().astype(complex))
 
     def l1(self) -> float:
         """Sum of |coefficient| over ordered tuples; upper bound for sup |P| on the ball."""
-        cs = self.class_sizes()
-        return float(sum(abs(c) * cs[key] for key, c in self.coeffs.items()))
+        return float((self._abs() * self.csize).sum())
 
-    # ---------------------------------------------------------- vectorization
-
-    def _np(self):
-        """Cached (idx_k, idx_l, coeffs, class_sizes) arrays for numpy kernels."""
-        if self._arrays is None:
-            n = len(self.coeffs)
-            # column-major, so that each slot's column is contiguous
-            idx_k = np.empty((n, self.q), dtype=np.intp, order="F")
-            idx_l = np.empty((n, self.q), dtype=np.intp, order="F")
-            cvec = np.empty(n, dtype=complex)
-            wvec = np.empty(n, dtype=float)
-            index = self.mode_set.index
-            cs = self.class_sizes()
-            for i, (key, c) in enumerate(self.coeffs.items()):
-                idx_k[i] = [index(m) for m in key[0]]
-                idx_l[i] = [index(m) for m in key[1]]
-                cvec[i] = c
-                wvec[i] = cs[key]
-            self._arrays = (idx_k, idx_l, cvec, wvec)
-        return self._arrays
+    def _abs(self) -> np.ndarray:
+        # hypot is what Python's abs(complex) computes; np.abs can differ in the last bit
+        return np.hypot(self.coef.real, self.coef.imag)
 
     # ------------------------------------------------------------- evaluation
 
@@ -227,10 +297,10 @@ class HomPoly:
         u = self._state(u)
         if u.ndim != 1:
             raise ValueError("a HomPoly is evaluated at one state at a time")
-        if not self.coeffs:
+        if not len(self):
             return 0.0 if self.is_real else 0j
-        idx_k, idx_l, cvec, wvec = self._np()
-        terms = (cvec * wvec) * np.prod(u[idx_k], axis=1) * np.prod(np.conj(u)[idx_l], axis=1)
+        terms = ((self.coef * self.csize) * np.prod(u[self.idx_k], axis=1)
+                 * np.prod(np.conj(u)[self.idx_l], axis=1))
         val = complex(terms.sum())
         if self.is_real:
             scale = float(np.abs(terms).sum())
@@ -249,12 +319,11 @@ class HomPoly:
     def _partial(self, u: np.ndarray, side: str) -> np.ndarray:
         """d/du_j P (side="k") or d/dconj(u_j) P (side="l") at one state."""
         n, q = self.mode_set.size, self.q
-        if not self.coeffs:
+        if not len(self):
             return np.zeros(n, dtype=complex)
-        idx_k, idx_l, cvec, wvec = self._np()
-        own, other = (idx_k, idx_l) if side == "k" else (idx_l, idx_k)
+        own, other = (self.idx_k, self.idx_l) if side == "k" else (self.idx_l, self.idx_k)
         own_u, other_u = (u, np.conj(u)) if side == "k" else (np.conj(u), u)
-        base = cvec * wvec
+        base = self.coef * self.csize
         for t in range(q):
             base = base * other_u[other[:, t]]
         cols = [own_u[own[:, t]] for t in range(q)]
@@ -282,66 +351,96 @@ class HomPoly:
         return 2.0 * np.array(rows).reshape(u.shape)
 
 
+def _from_arrays(mode_set, q, idx_k, idx_l, coef, is_real=None) -> HomPoly:
+    """A plain HomPoly on canonical index rows; exact zeros are dropped."""
+    out = HomPoly.__new__(HomPoly)
+    out._set(mode_set, q, idx_k, idx_l, coef, is_real)
+    return out
+
+
+def coeff_close(P: HomPoly, Q: HomPoly, rtol: float = 1e-12, ref: HomPoly | None = None) -> bool:
+    """True when every coefficient of P - Q has modulus at most rtol times the
+    largest coefficient modulus of ref (1.0 if ref is zero), or by default of
+    P and Q."""
+    if ref is None:
+        scale = max(np.abs(P.coef).max(initial=0.0), np.abs(Q.coef).max(initial=0.0), 1e-300)
+    else:
+        scale = np.abs(ref.coef).max() if len(ref) else 1.0
+    return not np.any(np.abs((P - Q).coef) > rtol * scale)
+
+
 # ----------------------------------------------------------------- brackets
 
 
-def _slot_derivative(P: HomPoly, side: str):
-    """Tables for d/du_j (side='k') or d/dconj(u_j) (side='l') of P.
+def _entries(P: HomPoly, side: str):
+    """d/du_j P (side "k") or d/dconj(u_j) P (side "l") as one entry per
+    distinct j of each key, in key order and j ascending: (j, other-side rows,
+    own rows less one j, weight coefficient * class size * multiplicity of j).
+    Rows are stored in the smallest integer type that holds the window."""
+    own, other = (P.idx_k, P.idx_l) if side == "k" else (P.idx_l, P.idx_k)
+    first = np.ones(own.shape, dtype=bool)
+    first[:, 1:] = own[:, 1:] != own[:, :-1]
+    rows, slots = np.nonzero(first)
+    j = own[rows, slots]
+    mult = (own[rows] == j[:, None]).sum(axis=1)
+    cols = np.arange(P.q - 1)
+    reduced = own[rows[:, None], cols + (cols >= slots[:, None])]
+    small = np.min_scalar_type(P.mode_set.size)
+    weight = complex_mul(complex_mul(P.coef, P.csize)[rows], mult)
+    return j, other[rows].astype(small), reduced.astype(small), weight
 
-    Returns mode -> list of (other-side tuple, reduced same-side tuple, weight)
-    at the level of ordered-sum totals: weight = coeff * class_size * multiplicity.
-    """
-    table = defaultdict(list)
-    cs = P.class_sizes()
-    for (k, l), c in P.coeffs.items():
-        w = c * cs[(k, l)]
-        own, other = (k, l) if side == "k" else (l, k)
-        for j, mult in Counter(own).items():
-            reduced = list(own)
-            reduced.remove(j)
-            table[j].append((other, tuple(reduced), w * mult))
-    return table
+
+def _pairs(jP: np.ndarray, jQ: np.ndarray):
+    """(P entry, Q entry) index pairs with equal j, in the order of loops over
+    j (first appearance in P), then P entries, then Q entries; at most
+    _BLOCK pairs at a time."""
+    _, first = np.unique(jP, return_index=True)
+    for j in jP[np.sort(first)]:
+        ps, qs = np.flatnonzero(jP == j), np.flatnonzero(jQ == j)
+        for r in range(0, ps.size * qs.size, _BLOCK):
+            r = np.arange(r, min(r + _BLOCK, ps.size * qs.size))
+            yield ps[r // qs.size], qs[r % qs.size]
 
 
 def poisson(P: HomPoly, Q: HomPoly) -> HomPoly:
     """Poisson bracket {P, Q} = 2i sum_j (dP/dconj(u_j) dQ/du_j - dP/du_j dQ/dconj(u_j)).
 
     Both inputs must be balanced on the same mode set; the result has
-    half-degree q + q' - 1 and canonical symmetric coefficients.
+    half-degree q + q' - 1 and canonical symmetric coefficients.  Each
+    product of a P entry and a Q entry is added, in loop order, to the total
+    of its output key; the pairs are expanded in blocks whose sums continue
+    from the running totals, so the totals are the same sums in the same order.
     """
     P._check_same_space(Q)
-    q_out = P.q + Q.q - 1
-    totals = defaultdict(complex)
-
-    dP_ub = _slot_derivative(P, "l")   # d/dconj(u_j) P : (k_P, l_P \ j)
-    dQ_u = _slot_derivative(Q, "k")    # d/du_j Q       : (l_Q, k_Q \ j)
-    for j, plist in dP_ub.items():
-        qlist = dQ_u.get(j)
-        if not qlist:
-            continue
-        for kP, lP_red, wP in plist:
-            for lQ, kQ_red, wQ in qlist:
-                key = (tuple(sorted(kP + kQ_red)), tuple(sorted(lP_red + lQ)))
-                totals[key] += wP * wQ
-
-    dP_u = _slot_derivative(P, "k")
-    dQ_ub = _slot_derivative(Q, "l")
-    for j, plist in dP_u.items():
-        qlist = dQ_ub.get(j)
-        if not qlist:
-            continue
-        for lP, kP_red, wP in plist:
-            for kQ, lQ_red, wQ in qlist:
-                key = (tuple(sorted(kP_red + kQ)), tuple(sorted(lP + lQ_red)))
-                totals[key] -= wP * wQ
-
-    coeffs = {}
-    for key, tot in totals.items():
-        if tot == 0:
-            continue
-        coeffs[key] = 2j * tot / class_size(key)
-    real = True if (P.is_real and Q.is_real) else None
-    return HomPoly(P.mode_set, q_out, coeffs, validate=False, is_real=real)
+    n, q = P.mode_set.size, P.q + Q.q - 1
+    codes = np.zeros(0, dtype=np.int64)     # output keys in order of first appearance
+    rows, tot = [], np.zeros((2, 0))        # their rows; real and imaginary totals
+    for sign, sides in ((1.0, "lk"), (-1.0, "kl")):
+        jP, otherP, redP, wP = _entries(P, sides[0])
+        jQ, otherQ, redQ, wQ = _entries(Q, sides[1])
+        for ip, iq in _pairs(jP, jQ):
+            a = np.sort(np.concatenate([otherP[ip], redQ[iq]], axis=1), axis=1)
+            b = np.sort(np.concatenate([redP[ip], otherQ[iq]], axis=1), axis=1)
+            # dP/dconj(u_j) dQ/du_j has keys (a, b); dP/du_j dQ/dconj(u_j) has (b, a)
+            k, l = (a, b) if sign > 0 else (b, a)
+            uniq, first, inv = np.unique(_key_codes(k, l, n), return_index=True,
+                                         return_inverse=True)
+            ids = _find(codes, uniq)
+            new = np.flatnonzero(ids < 0)
+            new = new[np.argsort(first[new])]
+            ids[new] = codes.size + np.arange(new.size)
+            codes = np.concatenate([codes, uniq[new]])
+            rows.append(np.concatenate([k[first[new]], l[first[new]]], axis=1))
+            tot = np.concatenate([tot, np.zeros((2, new.size))], axis=1)
+            # each key's running total first, then the block's terms in order
+            seq = np.concatenate([np.arange(uniq.size), inv])
+            prod = complex_mul(wP[ip], wQ[iq])
+            for part, w in zip(tot, (prod.real, prod.imag)):
+                part[ids] = np.bincount(seq, np.concatenate([part[ids], sign * w]))
+    rows = np.concatenate(rows) if rows else np.zeros((0, 2 * q), dtype=np.intp)
+    k, l = rows[:, :q], rows[:, q:]
+    coef = complex_div(complex_mul(2j, _complex(*tot)), _class_sizes(k, l))
+    return _from_arrays(P.mode_set, q, k, l, coef, True if (P.is_real and Q.is_real) else None)
 
 
 # -------------------------------------------------------------- constructors
@@ -356,9 +455,17 @@ def build_z2(mode_set: ModeSet, omega) -> HomPoly:
     omega = np.asarray(getattr(omega, "omega", omega), dtype=float)
     if omega.shape != (mode_set.size,):
         raise ValueError("frequency vector does not match the mode set")
-    coeffs = {((m,), (m,)): 0.5 * omega[i] for i, m in enumerate(mode_set.modes)
-              if omega[i] != 0.0}
-    return HomPoly(mode_set, 1, coeffs, validate=False, is_real=True)
+    diag = np.arange(mode_set.size)[:, None]
+    return _from_arrays(mode_set, 1, diag, diag, (0.5 * omega).astype(complex), is_real=True)
+
+
+def momentum_buckets(mode_set: ModeSet) -> list[np.ndarray]:
+    """Index triples i1 <= i2 <= i3 of the window grouped by their momentum
+    k1 + k2 + k3, buckets in order of first appearance, each an (m, 3) array."""
+    m, buckets = mode_set.modes, defaultdict(list)
+    for i, j, k in combinations_with_replacement(range(len(m)), 3):
+        buckets[m[i] + m[j] + m[k]].append((i, j, k))
+    return [np.array(b, dtype=np.intp) for b in buckets.values()]
 
 
 def sextic_grid(modes) -> tuple[np.ndarray, int]:
@@ -382,9 +489,9 @@ def sextic_fft(u: np.ndarray, idx: np.ndarray, N: int, gradient: bool):
 
 
 class Sextic(HomPoly):
-    """The sextic interaction of build_p6.  Its coefficient table is an
-    ordinary HomPoly's and arithmetic on it returns a plain HomPoly; only its
-    value sigma*c6/6 * mean_x |u(x)|^6 and its gradient sigma*c6*|u|^4 u are
+    """The sextic interaction of build_p6.  Its key table is an ordinary
+    HomPoly's and arithmetic on it returns a plain HomPoly; only its value
+    sigma*c6/6 * mean_x |u(x)|^6 and its gradient sigma*c6*|u|^4 u are
     evaluated by FFT on the window."""
 
     def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
@@ -392,12 +499,11 @@ class Sextic(HomPoly):
             raise ValueError("sigma must be +1 or -1")
         if c6 <= 0:
             raise ValueError("c6 must be positive")
-        coeff = sigma * c6 / 6.0
-        buckets = defaultdict(list)
-        for trip in combinations_with_replacement(mode_set.modes, 3):
-            buckets[sum(trip)].append(trip)
-        coeffs = {(k, l): coeff for group in buckets.values() for k in group for l in group}
-        super().__init__(mode_set, 3, coeffs, validate=False, is_real=True)
+        # every (k, l) pair of triples within one momentum bucket, k outer
+        buckets = momentum_buckets(mode_set)
+        k = np.concatenate([np.repeat(b, len(b), axis=0) for b in buckets])
+        l = np.concatenate([np.tile(b, (len(b), 1)) for b in buckets])
+        self._set(mode_set, 3, k, l, np.full(len(k), complex(sigma * c6 / 6.0)), True)
         self.sigma, self.c6 = sigma, c6
         self.idx, self.N = sextic_grid(mode_set.modes)
 

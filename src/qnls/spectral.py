@@ -76,53 +76,25 @@ def freqs_conv(V, mode_set: ModeSet) -> FrequencySet:
     return FrequencySet(mode_set, omega_int + omega_frac, omega_int, omega_frac)
 
 
-def _omega_lookup(omega, mode_set: ModeSet | None):
-    if isinstance(omega, FrequencySet):
-        return omega.omega, omega.mode_set
-    if isinstance(omega, dict):
-        modes = tuple(sorted(omega))
-        ms = ModeSet(modes, max(abs(m) for m in modes))
-        return np.array([float(omega[m]) for m in modes]), ms
-    if mode_set is None:
-        raise ValueError("raw frequency arrays need an explicit mode set")
-    return np.asarray(omega, dtype=float), mode_set
-
-
 def small_divisor(omega, key: MonomialKey, mode_set: ModeSet | None = None) -> float:
-    """Signed frequency sum Omega(k, l) = sum omega_k - sum omega_l of a key."""
-    vals, ms = _omega_lookup(omega, mode_set)
-    idx = ms.index
-    return float(sum(vals[idx(m)] for m in key[0]) - sum(vals[idx(m)] for m in key[1]))
-
-
-def _int_divisors(P: HomPoly, omega_int) -> np.ndarray:
-    """Integer small divisor of every stored key (in coeffs iteration order)."""
-    w = np.asarray(omega_int)
-    if w.shape != (P.mode_set.size,):
-        raise ValueError("omega_int does not match the polynomial's mode set")
-    w = np.rint(w).astype(np.int64)
-    idx_k, idx_l, _, _ = P._np()
-    if len(P.coeffs) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return w[idx_k].sum(axis=1) - w[idx_l].sum(axis=1)
+    """Signed frequency sum Omega(k, l) = sum omega_k - sum omega_l of a
+    balanced key; a raw frequency array needs its mode set."""
+    ms = getattr(omega, "mode_set", mode_set)
+    if ms is None:
+        raise ValueError("raw frequency arrays need an explicit mode set")
+    return float(HomPoly(ms, len(key[0]), {key: 1.0}).divisors(omega)[0])
 
 
 def project(P: HomPoly, omega_int, a: int) -> HomPoly:
     """Spectral projection keeping exactly the keys with integer divisor a."""
-    div = _int_divisors(P, omega_int)
-    keys = list(P.coeffs.keys())
-    sel = {keys[i]: P.coeffs[keys[i]] for i in np.flatnonzero(div == int(a))}
-    return HomPoly(P.mode_set, P.q, sel, validate=False)
+    return P.restrict(P.divisors(np.rint(omega_int).astype(np.int64)) == int(a))
 
 
 def split_levels(P: HomPoly, omega_int) -> dict[int, HomPoly]:
     """Partition of P into its spectral levels; summing the parts restores P."""
-    div = _int_divisors(P, omega_int)
-    keys = list(P.coeffs.keys())
-    groups: dict[int, dict] = {}
-    for i, a in enumerate(div):
-        groups.setdefault(int(a), {})[keys[i]] = P.coeffs[keys[i]]
-    return {a: HomPoly(P.mode_set, P.q, g, validate=False) for a, g in groups.items()}
+    div = P.divisors(np.rint(omega_int).astype(np.int64))
+    levels, first = np.unique(div, return_index=True)
+    return {int(a): P.restrict(div == a) for a in levels[np.argsort(first)]}
 
 
 # ------------------------------------------------------------------ enclosures
@@ -234,15 +206,13 @@ def sup_norm(P: HomPoly, multistart: int = 64, iters: int = 500, seed: int = 0,
     l1 norm over ordered tuples.
     """
     nmodes = P.mode_set.size
-    if len(P.coeffs) == 0:
+    if not len(P):
         return NormEnclosure(0.0, 0.0, np.zeros(nmodes, dtype=complex))
     upper = P.l1()
     rng = np.random.default_rng(seed)
-    nonneg = all(c.imag == 0 and c.real >= 0 for c in P.coeffs.values())
-    if nonneg:
-        idx_k, idx_l, cvec, wvec = P._np()
-        slots = np.concatenate([idx_k, idx_l], axis=1)
-        w = cvec.real * wvec
+    if np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
+        slots = np.concatenate([P.idx_k, P.idx_l], axis=1)
+        w = P.coef.real * P.csize
         starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
                   np.ones((1, nmodes)),
                   np.eye(nmodes) + 1e-3]

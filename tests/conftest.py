@@ -24,19 +24,8 @@ def random_state(ms: ModeSet, rng, norm: float = 1.0) -> np.ndarray:
     return u * (norm / np.linalg.norm(u))
 
 
-def coeff_close(P: HomPoly, Q: HomPoly, rtol: float = 1e-12) -> bool:
-    """Coefficientwise comparison with a relative tolerance against the
-    largest coefficient involved."""
-    scale = max([abs(c) for c in P.coeffs.values()] +
-                [abs(c) for c in Q.coeffs.values()] + [1e-300])
-    for key in set(P.coeffs) | set(Q.coeffs):
-        if abs(P.coeffs.get(key, 0j) - Q.coeffs.get(key, 0j)) > rtol * scale:
-            return False
-    return True
-
-
 def is_zero(P: HomPoly, scale: float, rtol: float = 1e-12) -> bool:
-    return all(abs(c) <= rtol * scale for c in P.coeffs.values())
+    return bool(np.all(np.abs(P.coef) <= rtol * scale))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from qnls.dynamics import (action_drift, gamma_from_certificate,
                            remainder_scaling, strichartz_scan)
 from qnls.nf import (NormalFormConfig, birkhoff, check_krgamma, suggest_gamma,
                      transform_state)
-from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, poisson
+from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.resonance import NRBounds, certify_strong, sample_conv_potential, \
     sample_mult_potential
 from qnls.spectral import (freqs_conv, norm_c, norm_h, split_levels,
@@ -23,7 +23,7 @@ from qnls.spectral import (freqs_conv, norm_c, norm_h, split_levels,
 from qnls.sturm import (dirichlet_eig, sobolev_ratio, verify_ef_decay,
                         verify_ev_asymptotics)
 from qnls import flows
-from conftest import coeff_close, is_zero, random_balanced, random_state
+from conftest import is_zero, random_balanced, random_state
 
 
 @contextmanager
@@ -87,7 +87,7 @@ def test_criterion_2_diagonal_action():
         Z = build_z2(ms, omega)
         w = {m: omega[i] for i, m in enumerate(ms.modes)}
         for key, c in P6.coeffs.items():
-            mono = HomPoly(ms, 3, {key: c}, validate=False)
+            mono = HomPoly(ms, 3, {key: c})
             br = poisson(Z, mono)
             Om = sum(w[m] for m in key[0]) - sum(w[m] for m in key[1])
             want = 1j * Om * c

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qnls import nf
 from qnls.cli import (EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main)
 
 
@@ -135,3 +136,30 @@ def test_parse_errors_are_config_errors(tmp_path):
     assert main(["simulate", "--modes", "-1", "--out", str(tmp_path)]) == EXIT_CONFIG
     with pytest.raises(SystemExit):
         main(["--help"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--modes", "-1"],
+    ["normal-form", "--modes", "1", "--order", "3", "--gamma", "2"],
+    ["normal-form", "--modes", "1", "--order", "1"],                  # r < p - 1
+    ["drift", "--modes", "2", "--eps-list", "0.1,abc"],
+    ["drift", "--modes", "2", "--k", "9"],
+    ["strichartz", "--m-list", "1,two"],
+    ["strichartz", "--m-list", "1,-2"],
+    ["plan", "--eps", "2", "--nu", "1", "--alpha", "1"],
+    ["certify", "--qmax", "0"],
+    ["certify", "--alpha", "-1"],
+    ["simulate", "--modes", "1", "--dt", "0"],
+])
+def test_invalid_parameters_exit_config(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside the computation")
+
+    monkeypatch.setattr(nf, "birkhoff", broken)
+    with pytest.raises(ValueError, match="inside the computation"):
+        main(["normal-form", "--modes", "1", "--order", "3", "--gamma", "0.5",
+              "--j-max", "5", "--out", str(tmp_path)])

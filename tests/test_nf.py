@@ -8,10 +8,10 @@ from qnls.errors import BudgetError
 from qnls.nf import (NormalFormConfig, ad_z2, birkhoff, check_krgamma,
                      epsilon_r, lie_transform, solve_cohomological,
                      suggest_gamma, transform_state)
-from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, poisson
+from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.spectral import freqs_conv, small_divisor
 from qnls.resonance import sample_conv_potential
-from conftest import coeff_close, is_zero, random_balanced, random_state
+from conftest import is_zero, random_balanced, random_state
 
 
 @pytest.fixture

@@ -1,13 +1,185 @@
 import json
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, class_size,
-                       poisson, poly_from_json, poly_to_json)
-from conftest import coeff_close, is_zero, random_balanced, random_state
+from qnls.nf import solve_cohomological
+from qnls.resonance import sample_conv_potential
+from qnls.spectral import freqs_conv
+from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson,
+                       poly_from_json, poly_to_json)
+from conftest import is_zero, random_balanced, random_state
+
+WINDOWS = st.sampled_from([ModeSet.symmetric(1), ModeSet.symmetric(2), ModeSet.symmetric(3),
+                           ModeSet.dirichlet(2), ModeSet.dirichlet(4)])
+
+
+def draw_poly(data, ms, q=None, real=None, max_keys=10):
+    """A random balanced polynomial from hypothesis-drawn size, degree and seed."""
+    q = data.draw(st.integers(1, 4)) if q is None else q
+    real = data.draw(st.booleans()) if real is None else real
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    return random_balanced(ms, q, rng, n_keys=data.draw(st.integers(0, max_keys)), real=real)
+
+
+# ------------------------------------------------- dict oracles of the kernels
+
+
+def _perm_count(t) -> int:
+    n = math.factorial(len(t))
+    for c in Counter(t).values():
+        n //= math.factorial(c)
+    return n
+
+
+def _class_size(key) -> int:
+    return _perm_count(key[0]) * _perm_count(key[1])
+
+
+def _slot_derivative(P, side):
+    """mode j -> [(other-side tuple, same-side tuple less one j,
+    coefficient * class size * multiplicity of j)], in key order."""
+    table = defaultdict(list)
+    for (k, l), c in P.coeffs.items():
+        w = c * _class_size((k, l))
+        own, other = (k, l) if side == "k" else (l, k)
+        for j, mult in Counter(own).items():
+            reduced = list(own)
+            reduced.remove(j)
+            table[j].append((other, tuple(reduced), w * mult))
+    return table
+
+
+def dict_poisson(P, Q) -> dict:
+    """The bracket as Python dict loops over keys: the reference the array
+    kernel must reproduce bit for bit, key order included."""
+    totals = defaultdict(complex)
+    dP_ub, dQ_u = _slot_derivative(P, "l"), _slot_derivative(Q, "k")
+    for j, plist in dP_ub.items():
+        for kP, lP_red, wP in plist:
+            for lQ, kQ_red, wQ in dQ_u.get(j, []):
+                totals[(tuple(sorted(kP + kQ_red)), tuple(sorted(lP_red + lQ)))] += wP * wQ
+    dP_u, dQ_ub = _slot_derivative(P, "k"), _slot_derivative(Q, "l")
+    for j, plist in dP_u.items():
+        for lP, kP_red, wP in plist:
+            for kQ, lQ_red, wQ in dQ_ub.get(j, []):
+                totals[(tuple(sorted(kP_red + kQ)), tuple(sorted(lP + lQ_red)))] -= wP * wQ
+    out = {key: 2j * tot / _class_size(key) for key, tot in totals.items() if tot != 0}
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def dict_add(P, Q) -> dict:
+    out = dict(P.coeffs)
+    for key, c in Q.coeffs.items():
+        s = out.get(key, 0j) + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def assert_bits(P: HomPoly, want: dict):
+    """Same keys in the same order, and every coefficient equal bit for bit
+    (the sign of a zero part included)."""
+    got = P.coeffs
+    assert list(got) == list(want)
+    bits = lambda d: np.array(list(d.values()), dtype=complex).view(np.int64)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_poisson_matches_dict_oracle(data):
+    ms = data.draw(WINDOWS)
+    P, Q = draw_poly(data, ms), draw_poly(data, ms)
+    assert_bits(poisson(P, Q), dict_poisson(P, Q))
+
+
+@pytest.mark.parametrize("pair", ["p6_p6", "chi_p6"])
+def test_poisson_matches_dict_oracle_on_sextic(pair):
+    ms = ModeSet.symmetric(3)
+    P6 = build_p6(ms)
+    if pair == "p6_p6":
+        P = P6
+    else:
+        fs = freqs_conv(sample_conv_potential(1.0, 3, 0), ms)
+        P, _ = solve_cohomological(P6, fs, gamma=0.5)
+        assert len(P) > 0
+    assert_bits(poisson(P, P6), dict_poisson(P, P6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_add_matches_dict_oracle(data):
+    ms = data.draw(WINDOWS)
+    P = draw_poly(data, ms)
+    Q = draw_poly(data, ms, q=P.q)
+    # coefficients on an axis carry signed zeros, which a sum keeps, or resets
+    # where a key is new, as the dict did
+    axis = data.draw(st.sampled_from([None, 1, 1j, -1j, -1]))
+    if axis is not None:
+        P, Q = -(axis * P.modulus()), -(axis * Q.modulus())
+    # cancel some of P's keys exactly
+    drop = set(data.draw(st.lists(st.sampled_from(list(P.coeffs)), max_size=4))) if len(P) else set()
+    Q = (Q.restrict(np.array([key not in drop for key in Q.coeffs], dtype=bool))
+         + -P.restrict(np.array([key in drop for key in P.coeffs], dtype=bool)))
+    assert_bits(P + Q, dict_add(P, Q))
+    assert_bits(Q + P, dict_add(Q, P))
+    assert not drop & set((P + Q).coeffs)
+
+
+def test_no_silent_overflow():
+    # 11 modes and q = 5 + 6 - 1 = 10: n**(2q) is far past 2**63
+    ms = ModeSet.symmetric(5)
+    rng = np.random.default_rng(3)
+    A, B = random_balanced(ms, 5, rng, n_keys=6), random_balanced(ms, 6, rng, n_keys=6)
+    C, D = random_balanced(ms, 5, rng, n_keys=6), random_balanced(ms, 6, rng, n_keys=6)
+    assert ms.size ** (2 * 10) >= 2 ** 63
+    AB, CD = poisson(A, B), poisson(C, D)
+    assert_bits(AB, dict_poisson(A, B))
+    assert_bits(CD, dict_poisson(C, D))
+    assert_bits(AB + CD, dict_add(AB, CD))
+    assert_bits(AB + (-AB), {})
+    # where even the multiset codes cannot fit, the kernels say so
+    big = HomPoly(ModeSet.symmetric(20), 15, {((0,) * 15, (0,) * 15): 1.0})
+    with pytest.raises(OverflowError):
+        big + big
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=1, max_size=8),
+       data=st.data())
+def test_class_size(rows, data):
+    q = len(rows[0])
+    keys = {(tuple(sorted(r[:q] + [0] * (q - len(r)))),
+             tuple(sorted(data.draw(st.lists(st.integers(0, 4), min_size=q, max_size=q)))))
+            for r in rows}
+    P = HomPoly(ModeSet.dirichlet(5), q, {(tuple(m + 1 for m in k), tuple(m + 1 for m in l)): 1.0
+                                          for k, l in keys})
+    multinomial = lambda t: math.factorial(len(t)) // math.prod(
+        math.factorial(c) for c in Counter(t).values())
+    for key, cs in zip(P.coeffs, P.csize):
+        assert cs == multinomial(key[0]) * multinomial(key[1])
+    assert HomPoly(ModeSet.dirichlet(3), 3, {((1, 2, 3), (1, 1, 2)): 1.0}).csize[0] == 6 * 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_is_real_matches_definition(data):
+    ms = data.draw(WINDOWS)
+    P = draw_poly(data, ms)
+    if len(P) and data.draw(st.booleans()):
+        # break or keep the symmetry of one coefficient by a drawn amount
+        key = data.draw(st.sampled_from(list(P.coeffs)))
+        P = P + HomPoly(ms, P.q, {key: data.draw(st.sampled_from([1e-15, 1e-6, 1j]))})
+    c = P.coeffs
+    tol = 1e-12 * max((abs(v) for v in c.values()), default=0.0)
+    want = all(abs(c.get((l, k), 0j) - v.conjugate()) <= tol for (k, l), v in c.items())
+    assert HomPoly(ms, P.q, c).is_real == want
 
 
 def test_mode_set_invariants():
@@ -18,12 +190,6 @@ def test_mode_set_invariants():
         ModeSet((1, 1, 2), 2)
     with pytest.raises(ValueError):
         ModeSet((), 0)
-
-
-def test_class_size():
-    assert class_size(((0, 0, 0), (0, 0, 0))) == 1
-    assert class_size(((0, 1, 2), (0, 0, 1))) == 6 * 3
-    assert class_size(((1,), (2,))) == 1
 
 
 def test_eval_examples():
@@ -75,11 +241,11 @@ def _reference_partials(P, u):
     the oracle of the column-product kernel."""
     du = np.zeros(P.mode_set.size, dtype=complex)
     dub = np.zeros(P.mode_set.size, dtype=complex)
-    if not P.coeffs:
+    if not len(P):
         return du, dub
-    idx_k, idx_l, cvec, wvec = P._np()
+    idx_k, idx_l = P.idx_k, P.idx_l
     Uk, Ul = u[idx_k], np.conj(u)[idx_l]
-    base = cvec * wvec
+    base = P.coef * P.csize
 
     def excl(A, s):
         return np.prod(A[:, [t for t in range(P.q) if t != s]], axis=1)
@@ -162,38 +328,44 @@ def test_poisson_value_oracle(rng):
         assert complex(br(u)).real == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def test_poisson_antisymmetry_bilinearity(rng):
-    ms = ModeSet.symmetric(2)
-    P = random_balanced(ms, 2, rng)
-    Q = random_balanced(ms, 2, rng)
-    R = random_balanced(ms, 2, rng)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_poisson_antisymmetry_bilinearity(data):
+    ms = data.draw(WINDOWS)
+    P = draw_poly(data, ms)
+    Q = draw_poly(data, ms)
+    R = draw_poly(data, ms, q=P.q)
     assert coeff_close(poisson(P, Q), -1.0 * poisson(Q, P), rtol=1e-13)
     lhs = poisson(P + 2.5 * R, Q)
     rhs = poisson(P, Q) + 2.5 * poisson(R, Q)
     assert coeff_close(lhs, rhs, rtol=1e-13)
 
 
-def test_poisson_jacobi(rng):
-    ms = ModeSet.symmetric(3)
-    P = random_balanced(ms, 2, rng, n_keys=4)
-    Q = random_balanced(ms, 2, rng, n_keys=4)
-    R = random_balanced(ms, 1, rng, n_keys=4)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poisson_jacobi(data):
+    ms = data.draw(WINDOWS)
+    P = draw_poly(data, ms, q=data.draw(st.integers(1, 3)), max_keys=5)
+    Q = draw_poly(data, ms, q=data.draw(st.integers(1, 3)), max_keys=5)
+    R = draw_poly(data, ms, q=data.draw(st.integers(1, 2)), max_keys=5)
     total = (poisson(P, poisson(Q, R)) + poisson(Q, poisson(R, P))
              + poisson(R, poisson(P, Q)))
-    scale = max(abs(c) for S in (P, Q, R) for c in S.coeffs.values()) ** 3
+    scale = max([np.abs(S.coef).max(initial=0.0) for S in (P, Q, R)] + [1e-100]) ** 3
     assert is_zero(total, 100 * scale, rtol=1e-10)
 
 
-def test_poisson_balance_and_norm_commutation(rng):
-    ms = ModeSet.symmetric(2)
-    P = random_balanced(ms, 3, rng)
-    norm_sq = build_z2(ms, 2.0 * np.ones(5))  # ||u||^2
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_poisson_balance_and_norm_commutation(data):
+    ms = data.draw(WINDOWS)
+    P = draw_poly(data, ms)
+    norm_sq = build_z2(ms, 2.0 * np.ones(ms.size))  # ||u||^2
     br = poisson(P, norm_sq)
-    assert is_zero(br, max(abs(c) for c in P.coeffs.values()), rtol=1e-13)
-    Q = random_balanced(ms, 2, rng)
+    assert is_zero(br, np.abs(P.coef).max(initial=0.0), rtol=1e-13)
+    Q = draw_poly(data, ms)
     out = poisson(P, Q)
     assert all(len(k) == len(l) == P.q + Q.q - 1 for k, l in out.coeffs)
-    assert out.is_real
+    assert out.is_real or not (P.is_real and Q.is_real)
 
 
 def test_modulus():
@@ -210,14 +382,13 @@ def test_modulus_domination(rng):
     ms = ModeSet.symmetric(2)
     P = random_balanced(ms, 2, rng, real=False)
     M = P.modulus()
-    cs = P.class_sizes()
     for _ in range(5):
         u = random_state(ms, rng)
         bound = 0.0
         for (k, l), c in P.coeffs.items():
             amps = np.abs(u)
             prod = np.prod([amps[ms.index(m)] for m in k + l])
-            bound += abs(c) * cs[(k, l)] * prod
+            bound += abs(c) * _class_size((k, l)) * prod
         assert abs(complex(M(u))) <= bound * (1 + 1e-12)
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, poisson
+from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.spectral import (NormEnclosure, freqs_conv, japanese,
                            level_enclosures, norm_c, norm_h, project,
                            small_divisor, split_levels,
                            strichartz_identity_check, sup_norm)
-from conftest import coeff_close, random_balanced, random_state
+from conftest import random_balanced, random_state
 
 SQ2PI = math.sqrt(2 * math.pi)
 
