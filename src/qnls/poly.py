@@ -529,13 +529,13 @@ def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:
 
 def poly_to_json(P: HomPoly) -> str:
     """Canonical JSON document {degree, modes, entries}, sorted by key."""
-    entries = [
-        {"k": [int(m) for m in key[0]], "l": [int(m) for m in key[1]],
-         "re": float(c.real), "im": float(c.imag)}
-        for key, c in sorted(P.coeffs.items())
-    ]
-    doc = {"degree": P.degree, "modes": [int(m) for m in P.mode_set.modes],
-           "entries": entries}
+    # window indices follow mode order, so sorting the index rows sorts the keys
+    order = np.lexsort(np.concatenate([P.idx_k, P.idx_l], axis=1).T[::-1])
+    modes = np.asarray(P.mode_set.modes)
+    entries = [{"k": k, "l": l, "re": re, "im": im} for k, l, re, im in zip(
+        modes[P.idx_k[order]].tolist(), modes[P.idx_l[order]].tolist(),
+        P.coef.real[order].tolist(), P.coef.imag[order].tolist())]
+    doc = {"degree": P.degree, "modes": modes.tolist(), "entries": entries}
     return json.dumps(doc, separators=(",", ":"))
 
 

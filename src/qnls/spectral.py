@@ -119,48 +119,59 @@ class NormEnclosure:
         return {"lower": self.lower, "upper": self.upper, "witness": w}
 
 
-def _excl_prods(Y: np.ndarray) -> np.ndarray:
-    """prod over the last axis excluding each column in turn (prefix*suffix)."""
-    pre = np.ones_like(Y)
-    np.cumprod(Y[..., :-1], axis=-1, out=pre[..., 1:])
-    suf = np.ones_like(Y)
-    np.cumprod(Y[..., :0:-1], axis=-1, out=suf[..., -2::-1])
-    return pre * suf
-
-
 def _posy_ascent(slots: np.ndarray, w: np.ndarray, nmodes: int, starts: np.ndarray,
                  iters: int) -> tuple[float, np.ndarray]:
-    """Maximize sum_i w_i * prod_s y[slots_i_s] over the nonnegative unit sphere."""
+    """Maximize sum_i w_i * prod_s y[slots_i_s] over the nonnegative unit sphere
+    by projected-gradient ascent from each row of starts.  Values are summed
+    over a start-contiguous array of the key terms; a row's gradient, recomputed
+    only after the row moves, sums each mode's terms in (key, slot) order."""
     Y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    B = Y.shape[0]
+    B, (K, width) = Y.shape[0], slots.shape
+    cols, bins = slots.T.copy(), (np.arange(B)[:, None, None] * nmodes + slots).ravel()
+    # arrays reused by every iteration, as fresh ones cost a page fault per
+    # 4 KiB; pre[:, s] is the product of the slots before s, one at a time
+    ys, pre, ys_b, pre_b = (np.empty((B, width, K)) for _ in range(4))
+    pre[:, 0] = 1.0
+    prefix = [(pre[:, s - 1], ys[:, s - 1], pre[:, s]) for s in range(1, width)]
+    contrib, terms, suf = np.empty((B, K, width)), np.empty((K, B)), np.empty((B, K))
 
     def value(yb):
-        return (w * np.prod(yb[:, slots], axis=2)).sum(axis=1)
+        yb.take(cols, axis=1, out=ys, mode="clip")      # ys[:, s] = yb[:, slots[:, s]]
+        for a, b, out in prefix:
+            np.multiply(a, b, out=out)
+        np.multiply(pre[:, -1].T, ys[:, -1].T, out=terms)
+        return np.multiply(terms, w[:, None], out=terms).T.sum(axis=1)
 
-    f = value(Y)
+    def gradient(rows):  # at these rows of the point last passed to value
+        n = rows.size
+        y = ys.take(rows, axis=0, out=ys_b[:n], mode="clip")
+        p = pre.take(rows, axis=0, out=pre_b[:n], mode="clip")
+        sf = suf[:n]
+        sf[...] = y[:, -1]
+        for s in range(width - 2, -1, -1):      # p[:, s] times the slots after s
+            np.multiply(p[:, s], sf, out=p[:, s])
+            np.multiply(sf, y[:, s], out=sf)
+        contrib[:n] = np.multiply(p, w, out=p).transpose(0, 2, 1)
+        return np.bincount(bins[:p.size], contrib[:n].ravel(), n * nmodes).reshape(n, nmodes)
+
+    f, G = value(Y), gradient(np.arange(B))
     eta = np.full(B, 0.25)
-    rows = np.repeat(np.arange(B), slots.size)
     for _ in range(iters):
-        Ys = Y[:, slots]                       # (B, n, 2q)
-        excl = _excl_prods(Ys)
-        contrib = (w[None, :, None] * excl).reshape(B, -1)
-        cols = np.broadcast_to(slots.ravel(), (B, slots.size)).ravel()
-        G = np.bincount(rows * nmodes + cols, weights=contrib.ravel(),
-                        minlength=B * nmodes).reshape(B, nmodes)
         cand = np.maximum(Y + eta[:, None] * G, 0.0)
-        nrm = np.linalg.norm(cand, axis=1)
+        nrm = np.sqrt((cand * cand).sum(axis=1))   # np.linalg.norm(cand, axis=1), inlined
         dead = nrm == 0
-        if np.any(dead):
+        if dead.any():
             cand[dead] = Y[dead]
             nrm[dead] = 1.0
         cand /= nrm[:, None]
         fc = value(cand)
         better = fc > f
-        Y[better] = cand[better]
+        np.copyto(Y, cand, where=better[:, None])
         f = np.where(better, fc, f)
-        eta = np.where(better, eta * 1.2, eta * 0.5)
+        eta *= np.where(better, 1.2, 0.5)
         if eta.max() < 1e-16:
             break
+        G[better] = gradient(better.nonzero()[0])
     i = int(np.argmax(f))
     return float(f[i]), Y[i]
 

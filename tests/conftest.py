@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qnls.poly import HomPoly, ModeSet
+
+# the same examples on every run, and a failure prints the blob that replays
+# it (@reproduce_failure), so a failing property test reproduces from its log
+settings.register_profile("qnls", derandomize=True, print_blob=True)
+settings.load_profile("qnls")
 
 
 def random_balanced(ms: ModeSet, q: int, rng, n_keys: int = 6,

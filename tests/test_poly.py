@@ -441,6 +441,31 @@ def test_serialization_roundtrip(rng):
     assert doc["degree"] == 4 and doc["modes"] == list(ms.modes)
 
 
+def sorted_dict_to_json(P: HomPoly) -> str:
+    """The serializer that sorts the items of the coeffs mapping, kept as the
+    oracle of poly_to_json."""
+    entries = [
+        {"k": [int(m) for m in key[0]], "l": [int(m) for m in key[1]],
+         "re": float(c.real), "im": float(c.imag)}
+        for key, c in sorted(P.coeffs.items())
+    ]
+    doc = {"degree": P.degree, "modes": [int(m) for m in P.mode_set.modes],
+           "entries": entries}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_poly_to_json_matches_sorted_dict(data):
+    ms = data.draw(WINDOWS)
+    P = draw_poly(data, ms, max_keys=30)
+    # parts on an axis carry signed zeros, which both must write as -0.0
+    axis = data.draw(st.sampled_from([None, 1, -1, 1j, -1j, 0.5 - 2j]))
+    if axis is not None:
+        P = -(axis * P.modulus())
+    assert poly_to_json(P) == sorted_dict_to_json(P)
+
+
 def test_add_degree_mismatch():
     ms = ModeSet.dirichlet(2)
     A = HomPoly(ms, 1, {((1,), (1,)): 1.0})

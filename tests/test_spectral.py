@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qnls import spectral
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.spectral import (NormEnclosure, freqs_conv, japanese,
                            level_enclosures, norm_c, norm_h, project,
@@ -239,3 +241,92 @@ def test_refined_bracket_bound(rng):
 def test_enclosure_validation():
     with pytest.raises(ValueError):
         NormEnclosure(2.0, 1.0, None)
+
+
+# ------------------------------------------------ reference of the orthant ascent
+
+
+def _excl_prods(Y):
+    """prod over the last axis excluding each column in turn (prefix*suffix)."""
+    pre = np.ones_like(Y)
+    np.cumprod(Y[..., :-1], axis=-1, out=pre[..., 1:])
+    suf = np.ones_like(Y)
+    np.cumprod(Y[..., :0:-1], axis=-1, out=suf[..., -2::-1])
+    return pre * suf
+
+
+def reference_posy_ascent(slots, w, nmodes, starts, iters):
+    """The orthant ascent with the gradient of every start rebuilt on every
+    iteration, kept as the oracle that the kernel must reproduce bit for bit.
+    Given column-major slots, as sup_norm passes them, it sums its values over
+    a start-contiguous array."""
+    Y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    B = Y.shape[0]
+
+    def value(yb):
+        return (w * np.prod(yb[:, slots], axis=2)).sum(axis=1)
+
+    f = value(Y)
+    eta = np.full(B, 0.25)
+    rows = np.repeat(np.arange(B), slots.size)
+    for _ in range(iters):
+        Ys = Y[:, slots]
+        excl = _excl_prods(Ys)
+        contrib = (w[None, :, None] * excl).reshape(B, -1)
+        cols = np.broadcast_to(slots.ravel(), (B, slots.size)).ravel()
+        G = np.bincount(rows * nmodes + cols, weights=contrib.ravel(),
+                        minlength=B * nmodes).reshape(B, nmodes)
+        cand = np.maximum(Y + eta[:, None] * G, 0.0)
+        nrm = np.linalg.norm(cand, axis=1)
+        dead = nrm == 0
+        if np.any(dead):
+            cand[dead] = Y[dead]
+            nrm[dead] = 1.0
+        cand /= nrm[:, None]
+        fc = value(cand)
+        better = fc > f
+        Y[better] = cand[better]
+        f = np.where(better, fc, f)
+        eta = np.where(better, eta * 1.2, eta * 0.5)
+        if eta.max() < 1e-16:
+            break
+    i = int(np.argmax(f))
+    return float(f[i]), Y[i]
+
+
+# a few iterations hit the cap; most ascents meet the step-size test before 2000
+ITERS = st.sampled_from([1, 2, 3, 7, 2000])
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
+       width=st.integers(2, 10), n_keys=st.integers(1, 30), n_starts=st.integers(1, 12),
+       iters=ITERS, seed=st.integers(0, 2 ** 32 - 1))
+def test_posy_ascent_matches_reference(window, M, width, n_keys, n_starts, iters, seed):
+    rng = np.random.default_rng(seed)
+    nmodes = getattr(ModeSet, window)(M).size
+    slots = np.asfortranarray(np.sort(rng.integers(0, nmodes, (n_keys, width)), axis=1))
+    w = rng.uniform(0.1, 2.0, n_keys) * rng.integers(1, 20, n_keys)
+    starts = np.abs(rng.standard_normal((n_starts, nmodes))) + 1e-9
+    f, y = spectral._posy_ascent(slots, w, nmodes, starts.copy(), iters)
+    f_ref, y_ref = reference_posy_ascent(slots, w, nmodes, starts.copy(), iters)
+    assert f == f_ref
+    assert np.array_equal(y, y_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
+       q=st.integers(1, 4), n_keys=st.integers(1, 12), n_extra=st.integers(0, 2),
+       iters=ITERS, seed=st.integers(0, 2 ** 32 - 1))
+def test_sup_norm_matches_reference_ascent(window, M, q, n_keys, n_extra, iters, seed):
+    rng = np.random.default_rng(seed)
+    ms = getattr(ModeSet, window)(M)
+    P = random_balanced(ms, q, rng, n_keys=n_keys).modulus()
+    extra = rng.standard_normal((n_extra, ms.size)) if n_extra else None
+    kw = dict(multistart=8, iters=iters, seed=seed % 1000, extra_starts=extra)
+    got = sup_norm(P, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_posy_ascent", reference_posy_ascent)
+        want = sup_norm(P, **kw)
+    assert (got.lower, got.upper) == (want.lower, want.upper)
+    assert np.array_equal(got.witness, want.witness)
