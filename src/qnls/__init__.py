@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .poly import (HomPoly, ModeSet, MonomialKey, build_p6, build_z2, poisson,
                    poly_from_json, poly_to_json)
 from .spectral import (FrequencySet, NormEnclosure, freqs_conv, japanese,
-                       level_enclosures, norm_c, norm_h, project, small_divisor,
-                       split_levels, strichartz_identity_check, sup_norm)
+                       level_enclosures, norm_c, norm_h, project, split_levels,
+                       strichartz_identity_check, sup_norm)
 from .nf import (NormalFormConfig, NormalFormResult, birkhoff, check_krgamma,
                  epsilon_r, lie_transform, solve_cohomological, suggest_gamma,
                  transform_state)
@@ -18,6 +18,6 @@ from .sturm import (SLBasis, dirichlet_eig, freqs_mult, p6_decay_constant,
                     p6_eigen_coeffs, sobolev_ratio, verify_ef_decay,
                     verify_ev_asymptotics)
 from .dynamics import (DriftResult, Plan, ScanResult, Trajectory, action_drift,
-                       integrate, linear_comparison, plan_parameters,
-                       remainder_g, remainder_scaling, strichartz_scan)
+                       integrate, plan_parameters, remainder_g,
+                       remainder_scaling, strichartz_scan)
 from .errors import BudgetError, ConfigError

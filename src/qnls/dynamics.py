@@ -1,6 +1,6 @@
 """Hamiltonian time integration of the truncated system and the experiments
-built on it: linear comparison, truncation remainder, action-drift scaling,
-Strichartz-constant scans, and the parameter planner.
+built on it: truncation remainder, action-drift scaling, Strichartz-constant
+scans, and the parameter planner.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BudgetError
 from . import flows, nf
 from .poly import HomPoly, ModeSet, build_p6, momentum_buckets, sextic_fft, sextic_grid
-from .spectral import FrequencySet, japanese, split_levels, sup_norm
+from .spectral import japanese, split_levels, sup_norm
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -102,16 +102,6 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     if u0.ndim == 1:
         return trajectory(states)
     return [trajectory(states[:, b]) for b in range(u0.shape[0])]
-
-
-def linear_comparison(omega: FrequencySet, z2: HomPoly, p6: HomPoly | None,
-                      u0: np.ndarray, T: float, dt: float) -> float:
-    """max_t ||u(t) - exp(-i t omega) u0|| over the stored samples."""
-    traj = integrate(z2, p6, u0, T, dt)
-    w = omega.omega
-    diffs = [np.linalg.norm(s - np.exp(-1j * w * t) * u0)
-             for t, s in zip(traj.times, traj.states)]
-    return float(max(diffs))
 
 
 # ----------------------------------------------------------------- remainder

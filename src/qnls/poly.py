@@ -30,6 +30,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
@@ -73,13 +74,9 @@ class ModeSet:
     def index(self, mode: int) -> int:
         return self._index_map[mode]
 
-    @property
+    @cached_property
     def _index_map(self) -> dict[int, int]:
-        m = self.__dict__.get("_index_cache")
-        if m is None:
-            m = {mode: i for i, mode in enumerate(self.modes)}
-            object.__setattr__(self, "_index_cache", m)
-        return m
+        return {mode: i for i, mode in enumerate(self.modes)}
 
     def __contains__(self, mode: int) -> bool:
         return mode in self._index_map
@@ -316,25 +313,24 @@ class HomPoly:
             raise ValueError("mode-set mismatch between state and polynomial")
         return u
 
-    def _partial(self, u: np.ndarray, side: str) -> np.ndarray:
-        """d/du_j P (side="k") or d/dconj(u_j) P (side="l") at one state."""
+    def _partial(self, u: np.ndarray) -> np.ndarray:
+        """d/dconj(u_j) P at one state."""
         n, q = self.mode_set.size, self.q
         if not len(self):
             return np.zeros(n, dtype=complex)
-        own, other = (self.idx_k, self.idx_l) if side == "k" else (self.idx_l, self.idx_k)
-        own_u, other_u = (u, np.conj(u)) if side == "k" else (np.conj(u), u)
         base = self.coef * self.csize
         for t in range(q):
-            base = base * other_u[other[:, t]]
-        cols = [own_u[own[:, t]] for t in range(q)]
-        # slot s of a term: its weight times every column of this side but s
+            base = base * u[self.idx_k[:, t]]
+        cu = np.conj(u)
+        cols = [cu[self.idx_l[:, t]] for t in range(q)]
+        # slot s of a term: its weight times every conj column but s
         contrib = np.empty((q, base.size), dtype=complex)
         for s in range(q):
             contrib[s] = base
             for t in range(q):
                 if t != s:
                     contrib[s] *= cols[t]
-        slots = own.T.ravel()
+        slots = self.idx_l.T.ravel()
         re = np.bincount(slots, weights=contrib.real.ravel(), minlength=n)
         im = np.bincount(slots, weights=contrib.imag.ravel(), minlength=n)
         return re + 1j * im
@@ -347,7 +343,7 @@ class HomPoly:
         u = self._state(u)
         # one state at a time: on 3510 keys and 3 states a kernel over the
         # whole stack ran more than 2x slower than this loop
-        rows = [self._partial(v, "l") for v in u.reshape(-1, u.shape[-1])]
+        rows = [self._partial(v) for v in u.reshape(-1, u.shape[-1])]
         return 2.0 * np.array(rows).reshape(u.shape)
 
 

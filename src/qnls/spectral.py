@@ -7,8 +7,9 @@ The three norms on balanced polynomials are
     C-norm        sup_a <a> * || |proj_a P| ||_sup,
 
 where proj_a keeps the monomials whose integer small divisor equals a and
-<a> = 1 + |a|.  Sup-norms are returned as enclosures: a witnessed lower bound
-from multistart projected-gradient ascent and a rigorous l1 upper bound.
+<a> = 1 + |a|.  Sup-norms are taken of moduli (nonnegative coefficients) and
+returned as enclosures: a witnessed lower bound from multistart
+projected-gradient ascent and a rigorous l1 upper bound.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, ModeSet, MonomialKey, build_p6
+from .poly import HomPoly, ModeSet, build_p6
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -74,15 +75,6 @@ def freqs_conv(V, mode_set: ModeSet) -> FrequencySet:
     omega_int = (modes ** 2)
     omega_frac = SQRT_2PI * V
     return FrequencySet(mode_set, omega_int + omega_frac, omega_int, omega_frac)
-
-
-def small_divisor(omega, key: MonomialKey, mode_set: ModeSet | None = None) -> float:
-    """Signed frequency sum Omega(k, l) = sum omega_k - sum omega_l of a
-    balanced key; a raw frequency array needs its mode set."""
-    ms = getattr(omega, "mode_set", mode_set)
-    if ms is None:
-        raise ValueError("raw frequency arrays need an explicit mode set")
-    return float(HomPoly(ms, len(key[0]), {key: 1.0}).divisors(omega)[0])
 
 
 def project(P: HomPoly, omega_int, a: int) -> HomPoly:
@@ -176,68 +168,31 @@ def _posy_ascent(slots: np.ndarray, w: np.ndarray, nmodes: int, starts: np.ndarr
     return float(f[i]), Y[i]
 
 
-def _complex_ascent(P: HomPoly, starts: np.ndarray, iters: int) -> tuple[float, np.ndarray]:
-    """Maximize |P(z)| over the complex unit sphere (one start per row)."""
-    best_f, best_z = 0.0, starts[0] / np.linalg.norm(starts[0])
-    for z0 in starts:
-        z = z0 / np.linalg.norm(z0)
-        val = complex(P(z))
-        f = abs(val)
-        eta = 0.25
-        for _ in range(iters):
-            du, dub = P._partial(z, "k"), P._partial(z, "l")
-            grad = 2.0 * (dub * np.conj(val) + val * np.conj(du))
-            cand = z + eta * grad
-            n = np.linalg.norm(cand)
-            if n == 0:
-                eta *= 0.5
-                continue
-            cand /= n
-            fv = complex(P(cand))
-            fc = abs(fv)
-            if fc > f:
-                z, f, val = cand, fc, fv
-                eta *= 1.2
-            else:
-                eta *= 0.5
-                if eta < 1e-16:
-                    break
-        if f > best_f:
-            best_f, best_z = f, z
-    return best_f, best_z
-
-
 def sup_norm(P: HomPoly, multistart: int = 64, iters: int = 500, seed: int = 0,
              extra_starts=None) -> NormEnclosure:
-    """Enclosure of sup_{||u||<=1} |P(u)|.
+    """Enclosure of sup_{||u||<=1} P(u) for a modulus polynomial P (real,
+    nonnegative coefficients), such as P.modulus() of any polynomial.
 
-    For polynomials with nonnegative coefficients the ascent runs over the
-    nonnegative orthant of the sphere (valid since |P(u)| <= P(|u|)
-    componentwise); otherwise over the complex sphere.  The upper bound is the
+    The ascent runs over the nonnegative orthant of the sphere, which holds
+    the maximum since |P(u)| <= P(|u|) componentwise.  The upper bound is the
     l1 norm over ordered tuples.
     """
+    if not np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
+        raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
     nmodes = P.mode_set.size
     if not len(P):
         return NormEnclosure(0.0, 0.0, np.zeros(nmodes, dtype=complex))
-    upper = P.l1()
     rng = np.random.default_rng(seed)
-    if np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
-        slots = np.concatenate([P.idx_k, P.idx_l], axis=1)
-        w = P.coef.real * P.csize
-        starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
-                  np.ones((1, nmodes)),
-                  np.eye(nmodes) + 1e-3]
-        if extra_starts is not None:
-            starts.append(np.abs(np.asarray(extra_starts, dtype=float)).reshape(-1, nmodes) + 1e-12)
-        lower, y = _posy_ascent(slots, w, nmodes, np.vstack(starts), iters)
-        witness = y.astype(complex)
-    else:
-        starts = rng.standard_normal((multistart, nmodes)) + 1j * rng.standard_normal((multistart, nmodes))
-        if extra_starts is not None:
-            starts = np.vstack([starts, np.asarray(extra_starts, dtype=complex).reshape(-1, nmodes)])
-        lower, witness = _complex_ascent(P, starts, iters)
-    lower = min(lower, upper)  # guard against roundoff at tight enclosures
-    return NormEnclosure(lower, upper, witness)
+    slots = np.concatenate([P.idx_k, P.idx_l], axis=1)
+    starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
+              np.ones((1, nmodes)),
+              np.eye(nmodes) + 1e-3]
+    if extra_starts is not None:
+        starts.append(np.abs(np.asarray(extra_starts, dtype=float)).reshape(-1, nmodes) + 1e-12)
+    lower, y = _posy_ascent(slots, P.coef.real * P.csize, nmodes, np.vstack(starts), iters)
+    upper = P.l1()
+    # min guards against roundoff at tight enclosures
+    return NormEnclosure(min(lower, upper), upper, y.astype(complex))
 
 
 def level_enclosures(P: HomPoly, omega_int, multistart: int = 32, iters: int = 400,

@@ -30,6 +30,13 @@ def random_state(ms: ModeSet, rng, norm: float = 1.0) -> np.ndarray:
     return u * (norm / np.linalg.norm(u))
 
 
+def divisor(omega, key, ms: ModeSet | None = None) -> float:
+    """Signed frequency sum Omega(k, l) of one balanced key; a raw frequency
+    array needs its mode set."""
+    ms = getattr(omega, "mode_set", ms)
+    return float(HomPoly(ms, len(key[0]), {key: 1.0}).divisors(omega)[0])
+
+
 def is_zero(P: HomPoly, scale: float, rtol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(P.coef) <= rtol * scale))
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from qnls.dynamics import (action_drift, gamma_from_certificate, integrate,
-                           linear_comparison, plan_parameters, remainder_g,
-                           remainder_scaling, sobolev_profile_state,
-                           strichartz_scan)
+                           plan_parameters, remainder_g, remainder_scaling,
+                           sobolev_profile_state, strichartz_scan)
 from qnls.errors import BudgetError
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2
 from qnls.spectral import freqs_conv
@@ -117,6 +116,13 @@ def test_trajectory_csv(tmp_path, rng):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,norm_sq,H," + ",".join(f"I_{m}" for m in ms.modes)
     assert len(lines) == traj.times.size + 1
+
+
+def linear_comparison(fs, z2, p6, u0, T, dt):
+    """max_t ||u(t) - exp(-i t omega) u0|| over the stored samples."""
+    traj = integrate(z2, p6, u0, T, dt)
+    return max(np.linalg.norm(s - np.exp(-1j * fs.omega * t) * u0)
+               for t, s in zip(traj.times, traj.states))
 
 
 def test_linear_comparison_trivial_cases(rng):

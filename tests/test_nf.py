@@ -9,9 +9,9 @@ from qnls.nf import (NormalFormConfig, ad_z2, birkhoff, check_krgamma,
                      epsilon_r, lie_transform, solve_cohomological,
                      suggest_gamma, transform_state)
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
-from qnls.spectral import freqs_conv, small_divisor
+from qnls.spectral import freqs_conv
 from qnls.resonance import sample_conv_potential
-from conftest import is_zero, random_balanced, random_state
+from conftest import divisor, is_zero, random_balanced, random_state
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def test_solve_cohomological_single_key(setup_m1):
     c = 0.7
     Q = HomPoly(ms, 3, {key: c, (key[1], key[0]): c})
     chi, res = solve_cohomological(Q, fs, gamma=1.0)
-    Om = small_divisor(fs, key)
+    Om = divisor(fs, key)
     assert abs(Om) > 1.0
     assert chi.coeffs[key] == pytest.approx(c / (1j * Om), rel=1e-14)
     assert len(res) == 0
@@ -67,7 +67,7 @@ def test_cohomological_identity(setup_m1, rng):
     assert coeff_close(check, res, rtol=1e-12)
     # the resonant part keeps exactly the small-divisor keys, unchanged
     for key, c in Q.coeffs.items():
-        if abs(small_divisor(fs, key)) < 0.4:
+        if abs(divisor(fs, key)) < 0.4:
             assert res.coeffs[key] == c
         else:
             assert key not in res.coeffs
@@ -165,7 +165,7 @@ def test_birkhoff_m1_exhaustive(setup_m1):
     # with omega ~ k^2 + small and gamma = 0.5, the a != 0 keys all go
     kept = res.resonant[3]
     for key in P6.coeffs:
-        Om = small_divisor(fs, key)
+        Om = divisor(fs, key)
         if abs(Om) < 0.5:
             assert key in kept.coeffs
         else:
@@ -174,7 +174,7 @@ def test_birkhoff_m1_exhaustive(setup_m1):
     # so the surviving keys are exactly the level-0 ones
     for key in kept.coeffs:
         w2 = np.asarray(ms.modes, float) ** 2
-        assert small_divisor(w2, key, ms) == 0.0
+        assert divisor(w2, key, ms) == 0.0
     assert 5 in res.resonant and len(res.resonant[5]) > 0
     assert res.eps_r > 0
 
@@ -185,7 +185,7 @@ def test_birkhoff_gamma_resonance_exact(setup_m1):
     res = birkhoff(z2, P6, fs, cfg)
     for j in range(3, 6):
         for key in res.resonant.get(j, HomPoly(ms, j, {})).coeffs:
-            assert abs(small_divisor(fs, key)) < 0.5
+            assert abs(divisor(fs, key)) < 0.5
     assert res.tail_ok
 
 

@@ -8,9 +8,8 @@ from qnls import spectral
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.spectral import (NormEnclosure, freqs_conv, japanese,
                            level_enclosures, norm_c, norm_h, project,
-                           small_divisor, split_levels,
-                           strichartz_identity_check, sup_norm)
-from conftest import random_balanced, random_state
+                           split_levels, strichartz_identity_check, sup_norm)
+from conftest import divisor, random_balanced, random_state
 
 SQ2PI = math.sqrt(2 * math.pi)
 
@@ -39,11 +38,11 @@ def test_frequency_split_exact():
 def test_small_divisor_examples():
     ms = ModeSet.symmetric(7)
     fs = freqs_conv(np.zeros(15), ms)
-    assert small_divisor(fs, ((1,), (1,))) == 0.0
+    assert divisor(fs, ((1,), (1,))) == 0.0
     key = ((0, 1, 2), (-1, 1, 3))
-    assert small_divisor(fs, key) == pytest.approx(-6.0)
+    assert divisor(fs, key) == pytest.approx(-6.0)
     # exact free resonance 1 + 49 - 2*25 = 0
-    assert small_divisor(fs, ((1, 7), (5, 5))) == pytest.approx(0.0, abs=1e-14)
+    assert divisor(fs, ((1, 7), (5, 5))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_project_partition_and_support():
@@ -103,9 +102,20 @@ def test_sup_norm_cross_term():
 def test_sup_norm_signed():
     ms = ModeSet.dirichlet(2)
     Z = build_z2(ms, [1.0, -3.0])
-    enc = sup_norm(Z, multistart=16, iters=300)
+    enc = sup_norm(Z.modulus(), multistart=16, iters=300)
     assert enc.lower == pytest.approx(1.5, abs=1e-8)
     assert enc.lower <= enc.upper
+    # the signed polynomial itself attains the bound at the witness
+    assert abs(Z(enc.witness)) >= enc.lower - 1e-12
+
+
+def test_sup_norm_takes_moduli_only():
+    ms = ModeSet.dirichlet(2)
+    signed = build_z2(ms, [1.0, -3.0])
+    imaginary = HomPoly(ms, 1, {((1,), (2,)): 1j, ((2,), (1,)): -1j})
+    for P in (signed, imaginary):
+        with pytest.raises(ValueError, match="modulus"):
+            sup_norm(P)
 
 
 def test_sup_norm_witness_contract(rng):
@@ -190,12 +200,11 @@ def test_sandwich_inequalities():
 def test_gradient_norm_bound(rng):
     ms = ModeSet.symmetric(2)
     P = random_balanced(ms, 2, rng)
-    enc = sup_norm(P, multistart=16, iters=200)
     d = 2 * P.q
     for _ in range(5):
         u = random_state(ms, rng, norm=rng.uniform(0.3, 2.0))
         g = np.linalg.norm(P.gradient(u))
-        assert g <= d * enc.upper * np.linalg.norm(u) ** (d - 1) * (1 + 1e-10)
+        assert g <= d * P.l1() * np.linalg.norm(u) ** (d - 1) * (1 + 1e-10)
 
 
 def test_strichartz_identity(rng):
