@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetError
 from . import flows
 from .poly import HomPoly, ModeSet, coeff_close, complex_div, complex_mul, poisson
-from .spectral import FrequencySet, NormEnclosure, japanese, norm_h
+from .spectral import FrequencySet, NormEnclosure, check_lower_levels, japanese, norm_h
 
 
 @dataclass
@@ -49,6 +49,7 @@ class NormalFormConfig:
             self.J_max = 2 * self.r
         if self.J_max < self.r + 1:
             raise ValueError("J_max must be at least r + 1")
+        check_lower_levels(self.norm_lower_levels)
 
 
 @dataclass
@@ -204,9 +205,7 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
 
     tail = []
     for j in sorted(series):
-        enc = norm_h(series[j], omega.omega_int, multistart=cfg.norm_multistart,
-                     iters=cfg.norm_iters, seed=cfg.seed,
-                     lower_levels=cfg.norm_lower_levels)
+        enc = norm_h(series[j], omega.omega_int, lower_levels=0)   # reads upper bounds only
         bound = eps ** (-2.0 * (j - cfg.p)) * norm_p.upper
         tail.append(TailEntry(j, enc.upper, bound, enc.upper > bound * (1 + 1e-9)))
 

@@ -7,9 +7,9 @@ The three norms on balanced polynomials are
     C-norm        sup_a <a> * || |proj_a P| ||_sup,
 
 where proj_a keeps the monomials whose integer small divisor equals a and
-<a> = 1 + |a|.  Sup-norms are taken of moduli (nonnegative coefficients) and
-returned as enclosures: a witnessed lower bound from multistart
-projected-gradient ascent and a rigorous l1 upper bound.
+<a> = 1 + |a|.  Sup-norms of moduli (nonnegative coefficients) are enclosed by
+a rigorous l1 upper bound and a lower bound witnessed by multistart projected-
+gradient ascent; all the levels of one H- or C-norm ascend together.
 """
 
 from __future__ import annotations
@@ -111,61 +111,102 @@ class NormEnclosure:
         return {"lower": self.lower, "upper": self.upper, "witness": w}
 
 
-def _posy_ascent(slots: np.ndarray, w: np.ndarray, nmodes: int, starts: np.ndarray,
-                 iters: int) -> tuple[float, np.ndarray]:
-    """Maximize sum_i w_i * prod_s y[slots_i_s] over the nonnegative unit sphere
-    by projected-gradient ascent from each row of starts.  Values are summed
-    over a start-contiguous array of the key terms; a row's gradient, recomputed
-    only after the row moves, sums each mode's terms in (key, slot) order."""
-    Y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    B, (K, width) = Y.shape[0], slots.shape
-    cols, bins = slots.T.copy(), (np.arange(B)[:, None, None] * nmodes + slots).ravel()
-    # arrays reused by every iteration, as fresh ones cost a page fault per
-    # 4 KiB; pre[:, s] is the product of the slots before s, one at a time
-    ys, pre, ys_b, pre_b = (np.empty((B, width, K)) for _ in range(4))
-    pre[:, 0] = 1.0
-    prefix = [(pre[:, s - 1], ys[:, s - 1], pre[:, s]) for s in range(1, width)]
-    contrib, terms, suf = np.empty((B, K, width)), np.empty((K, B)), np.empty((B, K))
+def _posy_ascent(problems, nmodes: int, iters: int) -> list[tuple[float, np.ndarray]]:
+    """Projected-gradient ascent of sum_i w_i * prod_s y[slots_i_s] on the
+    nonnegative unit sphere from each row of starts, for problems (slots, w,
+    starts) of one slot width, all together; returns each problem's best (f, y).
+    A start's value sums its terms in key order (numpy's pairwise sum for a lone
+    start); its gradient, rebuilt only after it moves, sums each mode's terms in
+    (key, slot) order.  A problem stops once all its steps are below 1e-16: its
+    starts freeze and its pairs leave.  Steps are capped at 1e50, above the
+    0.25 * 1.2**600 < 1e47 of the 600 iterations that callers run at most."""
+    nb, nk = [len(st) for _, _, st in problems], [len(w) for _, w, _ in problems]
+    Y = np.vstack([st for _, _, st in problems])
+    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    first = np.cumsum([0] + nb[:-1])                # first start of each problem
+    # pairs, key-major in each problem: start, index into Y.ravel() per slot, weight
+    prow = np.concatenate([np.tile(np.arange(r, r + b), k) for r, b, k in zip(first, nb, nk)])
+    gT = np.vstack([np.repeat(s, b, axis=0) for (s, _, _), b in zip(problems, nb)])
+    gT += prow[:, None] * nmodes
+    pw = np.concatenate([np.repeat(w, b) for (_, w, _), b in zip(problems, nb)])
+    width, done, blocks = gT.shape[1], np.zeros(len(Y), bool), list(zip(nk, nb, first))
+    # arrays reused by every iteration, as fresh ones cost a page fault per 4 KiB
+    flat, vec = np.empty((3, gT.size)), np.empty((2, len(pw)))
 
     def value(yb):
-        yb.take(cols, axis=1, out=ys, mode="clip")      # ys[:, s] = yb[:, slots[:, s]]
-        for a, b, out in prefix:
-            np.multiply(a, b, out=out)
-        np.multiply(pre[:, -1].T, ys[:, -1].T, out=terms)
-        return np.multiply(terms, w[:, None], out=terms).T.sum(axis=1)
+        yb.ravel().take(gidx, out=ys, mode="clip")          # ys[s, i] = y[gT[i, s]]
+        pre[0] = 1.0                            # pre[s]: the product of the slots before s
+        for s in range(1, width):
+            np.multiply(pre[s - 1], ys[s - 1], out=pre[s])
+        terms = np.multiply(pre[-1], ys[-1], out=vec[0, :len(pw)])
+        np.multiply(terms, pw, out=terms)
+        fv, a = np.zeros(len(yb)), 0
+        for k, b, r in blocks:                  # each start's terms, summed over keys
+            terms[a:a + k * b].reshape(k, b).sum(axis=0, out=fv[r:r + b])
+            a += k * b
+        return fv
 
-    def gradient(rows):  # at these rows of the point last passed to value
-        n = rows.size
-        y = ys.take(rows, axis=0, out=ys_b[:n], mode="clip")
-        p = pre.take(rows, axis=0, out=pre_b[:n], mode="clip")
-        sf = suf[:n]
-        sf[...] = y[:, -1]
-        for s in range(width - 2, -1, -1):      # p[:, s] times the slots after s
-            np.multiply(p[:, s], sf, out=p[:, s])
-            np.multiply(sf, y[:, s], out=sf)
-        contrib[:n] = np.multiply(p, w, out=p).transpose(0, 2, 1)
-        return np.bincount(bins[:p.size], contrib[:n].ravel(), n * nmodes).reshape(n, nmodes)
+    def gradient(moving):  # at these starts, of the point last passed to value
+        sel = None if (moving | done).all() else np.flatnonzero(moving[prow])
+        if sel is None:                         # every pair, in place
+            y, p, wsel, out = ys, pre, pw, flat[2]
+        else:       # the moved starts' pairs; value rewrites ys and pre
+            n = sel.size
+            p = pre.take(sel, axis=1, out=flat[2, :width * n].reshape(width, n), mode="clip")
+            y = ys.take(sel, axis=1, out=flat[1, :width * n].reshape(width, n), mode="clip")
+            wsel, out = pw.take(sel, out=vec[1, :n], mode="clip"), flat[0]
+        for s in range(width - 2, -1, -1):      # y[s + 1]: the product of the slots after s
+            np.multiply(p[s], y[s + 1], out=p[s])
+            if s:
+                np.multiply(y[s], y[s + 1], out=y[s])
+        contrib = out[:p.size].reshape(-1, width)
+        contrib[...] = np.multiply(p, wsel, out=p).T
+        bins = gT if sel is None else gT.take(   # into the spent rows of y
+            sel, axis=0, out=flat[1, :p.size].view(np.intp).reshape(-1, width), mode="clip")
+        return np.bincount(bins.ravel(), contrib.ravel(), moving.size * nmodes).reshape(-1, nmodes)
 
-    f, G = value(Y), gradient(np.arange(B))
-    eta = np.full(B, 0.25)
+    gidx, (ys, pre) = gT.T.copy(), (a[:gT.size].reshape(width, -1) for a in flat[:2])
+    f, eta, G = value(Y), np.full(len(Y), 0.25), gradient(np.ones(len(Y), bool))
     for _ in range(iters):
         cand = np.maximum(Y + eta[:, None] * G, 0.0)
         nrm = np.sqrt((cand * cand).sum(axis=1))   # np.linalg.norm(cand, axis=1), inlined
         dead = nrm == 0
         if dead.any():
-            cand[dead] = Y[dead]
-            nrm[dead] = 1.0
+            cand[dead], nrm[dead] = Y[dead], 1.0
         cand /= nrm[:, None]
         fc = value(cand)
         better = fc > f
         np.copyto(Y, cand, where=better[:, None])
         f = np.where(better, fc, f)
-        eta *= np.where(better, 1.2, 0.5)
-        if eta.max() < 1e-16:
-            break
-        G[better] = gradient(better.nonzero()[0])
-    i = int(np.argmax(f))
-    return float(f[i]), Y[i]
+        eta = np.minimum(eta * np.where(better, 1.2, 0.5), 1e50)
+        stop = np.repeat(np.maximum.reduceat(eta, first) < 1e-16, nb) & ~done
+        moving = better & ~stop
+        G[moving] = gradient(moving)[moving]
+        if stop.any():
+            done |= stop
+            if done.all():
+                break
+            alive = ~done[prow]
+            prow, pw, gT = prow[alive], pw[alive], gT[alive]
+            blocks = [(k, b, r) for k, b, r in blocks if not done[r]]
+            gidx, (ys, pre) = gT.T.copy(), (a[:gT.size].reshape(width, -1) for a in flat[:2])
+    return [(float(f[i]), Y[i]) for i in [r + np.argmax(f[r:r + b]) for b, r in zip(nb, first)]]
+
+
+def _enclosures(mods, seeds, multistart: int, iters: int, extra_starts=None):
+    """Enclosures of modulus polynomials from one ascent call, each from its seed's starts."""
+    nmodes, problems = mods[0].mode_set.size, []
+    for P, seed in zip(mods, seeds):
+        rng = np.random.default_rng(seed)
+        starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
+                  np.ones((1, nmodes)), np.eye(nmodes) + 1e-3]
+        if extra_starts is not None:
+            starts.append(np.abs(np.asarray(extra_starts, float)).reshape(-1, nmodes) + 1e-12)
+        problems.append((np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize,
+                         np.vstack(starts)))
+    # min guards against roundoff at tight enclosures
+    return [NormEnclosure(min(lower, upper), upper, y.astype(complex)) for upper, (lower, y)
+            in zip([P.l1() for P in mods], _posy_ascent(problems, nmodes, iters))]
 
 
 def sup_norm(P: HomPoly, multistart: int = 64, iters: int = 500, seed: int = 0,
@@ -179,20 +220,15 @@ def sup_norm(P: HomPoly, multistart: int = 64, iters: int = 500, seed: int = 0,
     """
     if not np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
         raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
-    nmodes = P.mode_set.size
     if not len(P):
-        return NormEnclosure(0.0, 0.0, np.zeros(nmodes, dtype=complex))
-    rng = np.random.default_rng(seed)
-    slots = np.concatenate([P.idx_k, P.idx_l], axis=1)
-    starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
-              np.ones((1, nmodes)),
-              np.eye(nmodes) + 1e-3]
-    if extra_starts is not None:
-        starts.append(np.abs(np.asarray(extra_starts, dtype=float)).reshape(-1, nmodes) + 1e-12)
-    lower, y = _posy_ascent(slots, P.coef.real * P.csize, nmodes, np.vstack(starts), iters)
-    upper = P.l1()
-    # min guards against roundoff at tight enclosures
-    return NormEnclosure(min(lower, upper), upper, y.astype(complex))
+        return NormEnclosure(0.0, 0.0, np.zeros(P.mode_set.size, dtype=complex))
+    return _enclosures([P], [seed], multistart, iters, extra_starts)[0]
+
+
+def check_lower_levels(k) -> None:
+    """Raise ValueError unless k is "all" or an int >= 0."""
+    if not (isinstance(k, str) and k == "all" or type(k) is int and k >= 0):
+        raise ValueError(f"lower_levels must be 'all' or an int >= 0, not {k!r}")
 
 
 def level_enclosures(P: HomPoly, omega_int, multistart: int = 32, iters: int = 400,
@@ -201,23 +237,18 @@ def level_enclosures(P: HomPoly, omega_int, multistart: int = 32, iters: int = 4
 
     ``lower_levels`` selects which levels get an ascent lower bound: "all",
     or an integer K for the K levels with the largest l1 upper bound (the
-    remaining levels report lower = 0 with no witness).
+    remaining levels report lower = 0 with no witness).  The chosen levels
+    ascend together in one call of the ascent kernel, each from the starts
+    that sup_norm would use with seed + 2|a| + (a < 0).
     """
-    levels = split_levels(P, omega_int)
-    out = {}
-    if lower_levels == "all":
-        chosen = set(levels)
-    else:
-        ranked = sorted(levels, key=lambda a: levels[a].l1(), reverse=True)
-        chosen = set(ranked[: int(lower_levels)])
-    for a, part in levels.items():
-        mod = part.modulus()
-        if a in chosen:
-            out[a] = sup_norm(mod, multistart=multistart, iters=iters,
-                              seed=seed + 2 * abs(a) + (a < 0))
-        else:
-            out[a] = NormEnclosure(0.0, mod.l1(), None)
-    return out
+    check_lower_levels(lower_levels)
+    mods = {a: part.modulus() for a, part in split_levels(P, omega_int).items()}
+    ranked = sorted(mods, key=lambda a: mods[a].l1(), reverse=True)
+    chosen = [a for a in mods if lower_levels == "all" or a in ranked[:lower_levels]]
+    seeds = [seed + 2 * abs(a) + (a < 0) for a in chosen]
+    found = dict(zip(chosen, _enclosures([mods[a] for a in chosen], seeds, multistart, iters)
+                     if chosen else []))
+    return {a: found.get(a) or NormEnclosure(0.0, mod.l1(), None) for a, mod in mods.items()}
 
 
 def _combine(per_level: dict[int, NormEnclosure], weight=lambda a: 1.0) -> NormEnclosure:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qnls import flows
+from qnls import flows, spectral
 from qnls.errors import BudgetError
 from qnls.nf import (NormalFormConfig, ad_z2, birkhoff, check_krgamma,
                      epsilon_r, lie_transform, solve_cohomological,
                      suggest_gamma, transform_state)
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
-from qnls.spectral import freqs_conv
+from qnls.spectral import freqs_conv, split_levels
 from qnls.resonance import sample_conv_potential
 from conftest import divisor, is_zero, random_balanced, random_state
 
@@ -177,6 +177,35 @@ def test_birkhoff_m1_exhaustive(setup_m1):
         assert divisor(w2, key, ms) == 0.0
     assert 5 in res.resonant and len(res.resonant[5]) > 0
     assert res.eps_r > 0
+
+
+@pytest.mark.parametrize("lower_levels", ["all", 1, 0])
+def test_birkhoff_tail_report_reads_upper_bounds_only(setup_m1, monkeypatch, lower_levels):
+    ms, fs, z2, P6 = setup_m1
+    calls, ascent = [], spectral._posy_ascent
+
+    def counting(problems, *args):
+        calls.append(len(problems))
+        return ascent(problems, *args)
+
+    monkeypatch.setattr(spectral, "_posy_ascent", counting)
+    cfg = NormalFormConfig(r=3, gamma=0.5, J_max=5, norm_lower_levels=lower_levels)
+    res = birkhoff(z2, P6, fs, cfg)
+    # one batched ascent over the chosen levels of P for norm_p, none for the tail
+    n_levels = len(split_levels(P6, fs.omega_int))
+    assert calls == {"all": [n_levels], 1: [1], 0: []}[lower_levels]
+    assert [e.j for e in res.tail_report] == sorted(res.resonant)
+    for e in res.tail_report:
+        parts = split_levels(res.resonant[e.j], fs.omega_int).values()
+        assert e.norm_upper == max((part.modulus().l1() for part in parts), default=0.0)
+
+
+def test_config_lower_levels_validated():
+    for bad in (-1, 2.7, True, None, "top"):
+        with pytest.raises(ValueError, match="lower_levels"):
+            NormalFormConfig(r=5, gamma=0.5, norm_lower_levels=bad)
+    for good in ("all", 0, 3):
+        assert NormalFormConfig(r=5, gamma=0.5, norm_lower_levels=good).norm_lower_levels == good
 
 
 def test_birkhoff_gamma_resonance_exact(setup_m1):

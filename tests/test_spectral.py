@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnls import spectral
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
@@ -296,11 +297,24 @@ def reference_posy_ascent(slots, w, nmodes, starts, iters):
         better = fc > f
         Y[better] = cand[better]
         f = np.where(better, fc, f)
-        eta = np.where(better, eta * 1.2, eta * 0.5)
+        eta = np.minimum(np.where(better, eta * 1.2, eta * 0.5), 1e50)
         if eta.max() < 1e-16:
             break
     i = int(np.argmax(f))
     return float(f[i]), Y[i]
+
+
+def reference_grouped(problems, nmodes, iters):
+    """The oracle run on each problem alone, in the grouped kernel's signature."""
+    return [reference_posy_ascent(slots, w, nmodes, starts, iters)
+            for slots, w, starts in problems]
+
+
+def posy_problem(rng, nmodes, width, n_keys, n_starts):
+    """A random posynomial (column-major slots, weights) and its starts."""
+    slots = np.asfortranarray(np.sort(rng.integers(0, nmodes, (n_keys, width)), axis=1))
+    w = rng.uniform(0.1, 2.0, n_keys) * rng.integers(1, 20, n_keys)
+    return slots, w, np.abs(rng.standard_normal((n_starts, nmodes))) + 1e-9
 
 
 # a few iterations hit the cap; most ascents meet the step-size test before 2000
@@ -312,12 +326,9 @@ ITERS = st.sampled_from([1, 2, 3, 7, 2000])
        width=st.integers(2, 10), n_keys=st.integers(1, 30), n_starts=st.integers(1, 12),
        iters=ITERS, seed=st.integers(0, 2 ** 32 - 1))
 def test_posy_ascent_matches_reference(window, M, width, n_keys, n_starts, iters, seed):
-    rng = np.random.default_rng(seed)
     nmodes = getattr(ModeSet, window)(M).size
-    slots = np.asfortranarray(np.sort(rng.integers(0, nmodes, (n_keys, width)), axis=1))
-    w = rng.uniform(0.1, 2.0, n_keys) * rng.integers(1, 20, n_keys)
-    starts = np.abs(rng.standard_normal((n_starts, nmodes))) + 1e-9
-    f, y = spectral._posy_ascent(slots, w, nmodes, starts.copy(), iters)
+    slots, w, starts = posy_problem(np.random.default_rng(seed), nmodes, width, n_keys, n_starts)
+    [(f, y)] = spectral._posy_ascent([(slots, w, starts.copy())], nmodes, iters)
     f_ref, y_ref = reference_posy_ascent(slots, w, nmodes, starts.copy(), iters)
     assert f == f_ref
     assert np.array_equal(y, y_ref)
@@ -335,7 +346,121 @@ def test_sup_norm_matches_reference_ascent(window, M, q, n_keys, n_extra, iters,
     kw = dict(multistart=8, iters=iters, seed=seed % 1000, extra_starts=extra)
     got = sup_norm(P, **kw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_posy_ascent", reference_posy_ascent)
+        mp.setattr(spectral, "_posy_ascent", reference_grouped)
         want = sup_norm(P, **kw)
     assert (got.lower, got.upper) == (want.lower, want.upper)
     assert np.array_equal(got.witness, want.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
+       width=st.integers(2, 10),
+       shapes=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 12)), min_size=1, max_size=6),
+       iters=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_ascent_matches_reference(window, M, width, shapes, iters, seed):
+    # problems of different key and start counts ascend together; each must
+    # come out as the oracle run on it alone, whenever the others stop
+    rng = np.random.default_rng(seed)
+    nmodes = getattr(ModeSet, window)(M).size
+    problems = [posy_problem(rng, nmodes, width, k, b) for k, b in shapes]
+    got = spectral._posy_ascent([(sl, w, st.copy()) for sl, w, st in problems], nmodes, iters)
+    assert len(got) == len(problems)
+    for (f, y), (slots, w, starts) in zip(got, problems):
+        f_ref, y_ref = reference_posy_ascent(slots, w, nmodes, starts.copy(), iters)
+        assert f == f_ref
+        assert np.array_equal(y, y_ref)
+
+
+@settings(max_examples=25, deadline=None)
+@example(nmodes=6, width=6, n_keys=18, n_starts=6, seed=1)   # overflowed without the cap
+@given(nmodes=st.integers(2, 8), width=st.integers(2, 8), n_keys=st.integers(1, 20),
+       n_starts=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_posy_ascent_stays_finite(nmodes, width, n_keys, n_starts, seed):
+    slots, w, starts = posy_problem(np.random.default_rng(seed), nmodes, width, n_keys, n_starts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(f, y)] = spectral._posy_ascent([(slots, w, starts)], nmodes, 2000)
+    assert np.isfinite(f) and np.all(np.isfinite(y))
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+
+
+def level_enclosures_oracle(P, omega_int, multistart, iters, seed, lower_levels):
+    """One sup_norm call per chosen level, the loop level_enclosures replaced."""
+    levels = split_levels(P, omega_int)
+    chosen = set(levels)
+    if lower_levels != "all":
+        chosen = set(sorted(levels, key=lambda a: levels[a].l1(), reverse=True)[:lower_levels])
+    out = {}
+    for a, part in levels.items():
+        mod = part.modulus()
+        if a in chosen:
+            out[a] = sup_norm(mod, multistart=multistart, iters=iters,
+                              seed=seed + 2 * abs(a) + (a < 0))
+        else:
+            out[a] = NormEnclosure(0.0, mod.l1(), None)
+    return out
+
+
+def assert_same_enclosures(got, want):
+    assert list(got) == list(want)
+    for a in want:
+        assert (got[a].lower, got[a].upper) == (want[a].lower, want[a].upper)
+        if want[a].witness is None:
+            assert got[a].witness is None
+        else:
+            assert np.array_equal(got[a].witness, want[a].witness)
+
+
+@settings(max_examples=30, deadline=None)
+@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
+       q=st.integers(1, 3), n_keys=st.integers(1, 12),
+       lower_levels=st.sampled_from(["all", 0, 1, 2, 5]), iters=st.sampled_from([1, 7, 150]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_level_enclosures_matches_sup_norm_loop(window, M, q, n_keys, lower_levels, iters, seed):
+    rng = np.random.default_rng(seed)
+    ms = getattr(ModeSet, window)(M)
+    P = random_balanced(ms, q, rng, n_keys=n_keys)
+    w2 = np.asarray(ms.modes, float) ** 2
+    args = (8, iters, seed % 1000, lower_levels)
+    assert_same_enclosures(level_enclosures(P, w2, *args), level_enclosures_oracle(P, w2, *args))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_level_enclosures_of_sextic_match_sup_norm_loop(M):
+    ms = ModeSet.symmetric(M)
+    P = build_p6(ms)
+    w2 = np.asarray(ms.modes, float) ** 2
+    args = (16, 300, 0, "all")
+    assert_same_enclosures(level_enclosures(P, w2, *args), level_enclosures_oracle(P, w2, *args))
+
+
+def test_level_enclosures_ascend_once(monkeypatch):
+    ms = ModeSet.symmetric(2)
+    P = build_p6(ms)
+    w2 = np.asarray(ms.modes, float) ** 2
+    calls, ascent = [], spectral._posy_ascent
+
+    def counting(problems, *args):
+        calls.append(len(problems))
+        return ascent(problems, *args)
+
+    monkeypatch.setattr(spectral, "_posy_ascent", counting)
+    n_levels = len(split_levels(P, w2))
+    for lower_levels, want in (("all", n_levels), (3, 3), (0, None)):
+        calls.clear()
+        encs = level_enclosures(P, w2, multistart=4, iters=3, lower_levels=lower_levels)
+        assert calls == ([want] if want else [])
+        assert sum(e.witness is not None for e in encs.values()) == (want or 0)
+        assert all(e.upper == part.modulus().l1() for e, part in
+                   zip(encs.values(), split_levels(P, w2).values()))
+
+
+@pytest.mark.parametrize("bad", [-1, 2.7, True, None, "top", "ALL", [2]])
+def test_lower_levels_validated(bad):
+    ms = ModeSet.symmetric(1)
+    P = build_p6(ms)
+    w2 = np.asarray(ms.modes, float) ** 2
+    with pytest.raises(ValueError, match="lower_levels"):
+        level_enclosures(P, w2, lower_levels=bad)
+    with pytest.raises(ValueError, match="lower_levels"):
+        norm_h(P, w2, lower_levels=bad)
