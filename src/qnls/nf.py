@@ -216,7 +216,9 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
 
 def transform_state(u: np.ndarray, generators, direction: str = "forward",
                     flow_dt: float = 0.05, flow_tol: float = 1e-14) -> np.ndarray:
-    """Apply tau (forward) or tau^{-1} (inverse) to a state.
+    """Apply tau (forward) or tau^{-1} (inverse) to a state (n,), or to each
+    row of a stack (B, n): the rows flow on their own, so each equals the
+    one-state transform bit for bit.
 
     forward composes the unit-time generator flows in construction order;
     inverse composes the time-(-1) flows in reverse order.

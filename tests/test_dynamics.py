@@ -6,7 +6,9 @@ import pytest
 from qnls.dynamics import (action_drift, gamma_from_certificate, integrate,
                            plan_parameters, remainder_g, remainder_scaling,
                            sobolev_profile_state, strichartz_scan)
+from qnls import flows
 from qnls.errors import BudgetError
+from qnls.nf import NormalFormConfig, birkhoff, transform_state
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2
 from qnls.spectral import freqs_conv
 from qnls.resonance import sample_conv_potential
@@ -208,6 +210,51 @@ def test_action_drift_horizon_groups_keep_eps_order(share_direction):
         u0 *= eps / np.linalg.norm(u0)
         I = integrate(z2, p6, u0, T=row.T, dt=0.01).actions[:, ki]
         assert row.drift_raw == pytest.approx(np.max(np.abs(I - I[0])), rel=1e-12)
+
+
+def test_integrate_seeds_steps_from_previous_state(monkeypatch):
+    # the first step keeps the one-state guess; every later one is passed the
+    # state before it
+    ms, fs, z2, p6 = _system(2, seed=3)
+    u0 = random_state(ms, np.random.default_rng(1), norm=0.1)
+    seen, step = [], flows.midpoint_step
+
+    def spy(grad, u, dt, **kw):
+        out = step(grad, u, dt, **kw)
+        seen.append((u, kw["prev"], out))
+        return out
+
+    monkeypatch.setattr(flows, "midpoint_step", spy)
+    integrate(z2, p6, u0, T=0.1, dt=0.01)
+    assert len(seen) == 10 and seen[0][1] is None
+    for (u, _, out), (u_next, prev, _) in zip(seen, seen[1:]):
+        assert np.array_equal(u_next, out) and np.array_equal(prev, u)
+
+
+def test_action_drift_stacked_transform_matches_per_sample_loop():
+    # horizons of two lengths, so the stack splits into unequal trajectories
+    ms, fs, z2, p6 = _system(2, seed=3)
+    res = birkhoff(z2, p6, fs, NormalFormConfig(r=3, gamma=0.5, J_max=4))
+    cfg, ki = res.config, ms.index(1)
+    eps_list = [0.1, 0.05, 0.07]
+    horizon = lambda eps: 1.0 if eps > 0.06 else 0.5
+    got = action_drift(res, z2, p6, k=1, eps_list=eps_list, T=horizon, dt=0.01,
+                       max_samples=40, seed=4)
+    rng = np.random.default_rng([4, 0])
+    shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
+    shared /= np.linalg.norm(shared)
+    lengths = []
+    for group in ([0, 2], [1]):
+        u0 = np.array([eps_list[i] * shared for i in group])
+        for i, traj in zip(group, integrate(z2, p6, u0, horizon(eps_list[group[0]]),
+                                            0.01, max_samples=40)):
+            lengths.append(len(traj.states))
+            v = np.array([transform_state(s, res.generators, "forward",
+                                          flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
+                          for s in traj.states])
+            vk = np.abs(v[:, ki]) ** 2
+            assert got.rows[i].drift_transformed == float(np.max(np.abs(vk - vk[0])))
+    assert len(set(lengths)) == 2
 
 def test_plan_examples():
     plan = plan_parameters(1e-2, nu=1.0, alpha=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnls.dynamics import _omega_from_z2
-from qnls.flows import FlowConvergenceError, midpoint_step
+from qnls.flows import FlowConvergenceError, _row_norms, midpoint_step
 from qnls.poly import ModeSet, build_p6, build_z2
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
@@ -117,3 +117,99 @@ def test_midpoint_cayley_guess_saves_evaluations():
     assert evals(omega=omega) < evals()
     assert all(shape == stack.shape for shape in calls)
 
+
+
+def test_row_norms_match_norm_of_each_row():
+    rng = np.random.default_rng(2)
+    for n in (1, 7, 11, 33):
+        for _ in range(200):
+            a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+            a *= 10.0 ** rng.uniform(-20, 2, size=(3, 1))
+            assert np.array_equal(_row_norms(a), [np.linalg.norm(r) for r in a])
+
+
+def _linear_past(omega, u, dt):
+    """The state one step of the linear flow before u."""
+    return np.exp(1j * omega * dt) * u
+
+
+def test_midpoint_predictor_diverges_at_large_dt():
+    # the previous midpoint moves only the guess: dt=0.5 still diverges
+    omega, grad, stack = _drift_system(3)
+    for kw in ({}, {"omega": omega}):
+        for dt, fails in ((0.5, True), (0.05, False)):
+            prev = _linear_past(omega, stack, dt)
+            for u, p in [(stack, prev)] + list(zip(stack, prev)):
+                if fails:
+                    with pytest.raises(FlowConvergenceError):
+                        midpoint_step(grad, u, dt, prev=p, **kw)
+                else:
+                    midpoint_step(grad, u, dt, prev=p, **kw)
+
+
+def test_midpoint_predictor_zero_rows_stay_zero():
+    omega, grad, stack = _drift_system(5)
+    stack[1] = 0.0
+    prev = _linear_past(omega, stack, 0.005)
+    out = midpoint_step(grad, stack, 0.005, omega=omega, prev=prev)
+    assert not np.any(out[1]) and np.all(np.any(out[[0, 2]], axis=1))
+    zero = np.zeros(stack.shape[1], dtype=complex)
+    assert np.array_equal(midpoint_step(grad, zero, 0.005, omega=omega, prev=zero), zero)
+
+
+def test_midpoint_predictor_stack_rows_match_single_rows():
+    omega, grad, stack = _drift_system(5)
+    prev = stack
+    u = midpoint_step(grad, stack, 0.005, omega=omega)
+    for _ in range(20):
+        out = midpoint_step(grad, u, 0.005, omega=omega, prev=prev)
+        for row, ui, pi in zip(out, u, prev):
+            single = midpoint_step(grad, ui, 0.005, omega=omega, prev=pi)
+            assert np.abs(row - single).max() <= 1e-15 * np.linalg.norm(ui)
+        u, prev = out, u
+
+
+@pytest.fixture(scope="module")
+def drift_paths():
+    """2000 drift steps (M=5, dt=0.005) with and without the previous state
+    passed to midpoint_step, and their gradient evaluations per step."""
+    omega, grad, stack = _drift_system(5)
+    calls = [0]
+
+    def counted(u):
+        calls[0] += 1
+        return grad(u)
+
+    paths, per_step = {}, {}
+    for predict in (False, True):
+        calls[0] = 0
+        u, prev, path = stack, None, []
+        for _ in range(2000):
+            kw = {"prev": prev} if predict else {}
+            u, prev = midpoint_step(counted, u, 0.005, omega=omega, **kw), u
+            path.append(u)
+        paths[predict], per_step[predict] = np.array(path), calls[0] / 2000
+    return stack, paths, per_step
+
+
+def test_midpoint_predictor_same_path(drift_paths):
+    # the path without prev is the oracle: only the guess moved
+    stack, paths, _ = drift_paths
+    err = np.abs(paths[True] - paths[False]).max(axis=(0, 2))
+    assert np.all(err <= 1e-11 * np.linalg.norm(stack, axis=1))
+
+
+def test_midpoint_predictor_saves_evaluations(drift_paths):
+    _, _, per_step = drift_paths
+    assert per_step[False] == 8.0
+    assert per_step[True] <= 5.5
+
+
+def test_midpoint_nan_residual_raises():
+    # a NaN residual neither converges nor stalls: the iteration cap raises
+    omega, grad, stack = _drift_system(3)
+    bad = lambda u: grad(u) * np.nan
+    for u in (stack, stack[0]):
+        for kw in ({}, {"prev": u}):
+            with pytest.raises(FlowConvergenceError, match="did not converge"):
+                midpoint_step(bad, u, 0.005, omega=omega, **kw)

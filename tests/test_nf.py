@@ -257,6 +257,18 @@ def test_transform_state_norm_and_roundtrip(setup_m1, rng):
     assert np.linalg.norm(back - u) <= 1e-8
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_transform_state_stack_matches_rows(setup_m1, rng, direction):
+    # the rows of a stack flow on their own: bit for bit the one-state transform
+    ms, fs, z2, P6 = setup_m1
+    cfg = NormalFormConfig(r=3, gamma=0.5, J_max=5)
+    res = birkhoff(z2, P6, fs, cfg)
+    stack = np.array([random_state(ms, rng, norm=n) for n in (0.3, 0.0, 0.05, 0.2)])
+    got = transform_state(stack, res.generators, direction)
+    want = [transform_state(u, res.generators, direction) for u in stack]
+    assert np.array_equal(got, want)
+
+
 def test_flow_closeness_bound(rng):
     # ||Phi^t(u) - u|| <= 2 q |t| ||chi||_inf ||u||^{2q-1} with the l1 upper bound
     ms = ModeSet.symmetric(1)
