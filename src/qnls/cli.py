@@ -71,9 +71,8 @@ def _system(args):
 
 def cmd_plan(args, out: Path) -> int:
     with _parameters():
-        plan = dynamics.plan_parameters(args.eps, args.nu, args.alpha, s=args.s,
-                                        beta_s=args.beta_s, rho=args.rho,
-                                        kappa=args.kappa, c=args.c, k=args.k)
+        plan = dynamics.plan_parameters(args.eps, args.nu, args.alpha, beta_s=args.beta_s,
+                                        rho=args.rho, kappa=args.kappa, c=args.c, k=args.k)
     _write_json(out / "plan.json", plan.to_dict())
     _manifest(out, args, ["plan.json"])
     print(f"plan: r={plan.r} gamma={plan.gamma:.3e} M={plan.M} "
@@ -158,6 +157,8 @@ def cmd_simulate(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
     if args.dt <= 0:
         raise ConfigError("dt must be positive")
+    if args.T < 0:
+        raise ConfigError("T must be non-negative")
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     u0 *= args.eps / np.linalg.norm(u0)
@@ -173,10 +174,13 @@ def cmd_drift(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
     with _parameters():
         eps_list = [float(x) for x in str(args.eps_list).split(",")]
+        dynamics.check_eps_list(eps_list)
     if args.k not in ms:
         raise ConfigError("mode k outside the window")
     if args.dt <= 0:
         raise ConfigError("dt must be positive")
+    if args.T < 0:
+        raise ConfigError("T must be non-negative")
     gamma = args.gamma
     if gamma is None:
         gamma = nf.suggest_gamma(ms, omega, k=args.k, r=args.order)
@@ -203,7 +207,7 @@ def cmd_drift(args, out: Path) -> int:
         if all(r.drift_transformed is not None for r in drift.rows):
             series["transformed"] = (eps, [r.drift_transformed for r in drift.rows])
         svgplot.line_plot(out / "drift.svg", series, title="action drift",
-                          xlabel="log10 eps", ylabel="log10 drift", loglog=True)
+                          xlabel="log10 eps", ylabel="log10 drift")
         outputs.append("drift.svg")
     _manifest(out, args, outputs)
     print(f"drift: exponent={drift.exponent:.3f} "
@@ -214,10 +218,11 @@ def cmd_drift(args, out: Path) -> int:
 def cmd_strichartz(args, out: Path) -> int:
     with _parameters():
         m_list = [int(x) for x in str(args.m_list).split(",")]
-        if min(m_list) < 0:
-            raise ConfigError("window sizes M must be non-negative")
-    scan = dynamics.strichartz_scan(m_list, sigma=args.sigma, c6=args.c6,
-                                    multistart=args.multistart, seed=args.seed)
+        # the scan's exponents divide by log2 of the ratio of window sizes
+        if min(m_list) < 1 or len(set(m_list)) < len(m_list):
+            raise ConfigError("window sizes M must be distinct and at least 1")
+    scan = dynamics.strichartz_scan(m_list, c6=args.c6, multistart=args.multistart,
+                                    seed=args.seed)
     doc = {
         "rows": [vars(r) for r in scan.rows],
         "exponents": scan.exponents,
@@ -229,7 +234,7 @@ def cmd_strichartz(args, out: Path) -> int:
         svgplot.line_plot(out / "strichartz.svg",
                           {"S(M)": ([r.M for r in scan.rows], [r.lower for r in scan.rows])},
                           title="Strichartz constant scan", xlabel="log10 M",
-                          ylabel="log10 S", loglog=True)
+                          ylabel="log10 S")
         outputs.append("strichartz.svg")
     _manifest(out, args, outputs)
     print(f"strichartz: S={[round(r.lower, 6) for r in scan.rows]} "
@@ -242,7 +247,6 @@ def cmd_strichartz(args, out: Path) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="JSON file with defaults")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default="runs/latest")
 
 
@@ -254,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--s", type=float, default=0.45)
     p.add_argument("--beta-s", dest="beta_s", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=1.0)
@@ -322,13 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strichartz", help="scan the sextic level-sup norm over windows")
     p.add_argument("--m-list", dest="m_list", type=str, default="1,2,4,8,16")
     p.add_argument("--multistart", type=int, default=48)
-    p.add_argument("--sigma", type=int, default=1, choices=[1, -1])
     p.add_argument("--c6", type=float, default=1.0)
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_strichartz)
 
-    for sp in sub.choices.values():
+    for name, sp in sub.choices.items():
         _add_common(sp)
+        if name != "plan":      # the planner draws nothing
+            sp.add_argument("--seed", type=int, default=0)
     return ap
 
 

@@ -64,10 +64,12 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     only the starting guess, not the step equation.  The sextic built by
     build_p6 evaluates its value and gradient by FFT; any other polynomial
     uses the generic sparse kernels.  Norm and energy are recorded at every
-    stored sample.
+    stored sample.  T = 0 takes one step of size 0; T < 0 is rejected.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if T < 0:
+        raise ValueError("T must be non-negative")
     ms = z2.mode_set
     omega = _omega_from_z2(z2)
     u0 = np.asarray(u0, dtype=complex)
@@ -149,9 +151,9 @@ def sobolev_profile_state(M_fine: int, s: float, eps: float, seed: int) -> np.nd
 
 
 def remainder_scaling(M_list, s: float, fine_factor: int = 5, seed: int = 0,
-                      eps: float = 1.0, sigma: int = 1, c6: float = 1.0) -> dict:
+                      eps: float = 1.0, c6: float = 1.0) -> dict:
     """||g||_{l2} against M for one fixed spectral profile; returns the table
-    and the fitted log-log slope."""
+    and the fitted log-log slope.  The norm does not depend on the sign of g."""
     rows = []
     M_top = max(M_list) * fine_factor
     u_top = sobolev_profile_state(M_top, s, eps, seed)
@@ -160,7 +162,7 @@ def remainder_scaling(M_list, s: float, fine_factor: int = 5, seed: int = 0,
         Mf = fine_factor * M
         sel = np.abs(modes_top) <= Mf
         u_fine = u_top[sel]
-        g = remainder_g(u_fine, ModeSet.symmetric(Mf), M, sigma, c6)
+        g = remainder_g(u_fine, ModeSet.symmetric(Mf), M, c6=c6)
         rows.append({"M": int(M), "g_norm": float(np.linalg.norm(g))})
     logm = np.log([r["M"] for r in rows])
     logg = np.log([r["g_norm"] for r in rows])
@@ -192,34 +194,33 @@ class DriftResult:
                    for r in self.rows)
 
 
-def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: float,
-                 seed: int = 0, max_samples: int = 2048, transform: bool = True,
-                 share_direction: bool = True) -> DriftResult:
-    """Max drift of the action |u_k|^2 over [0, T(eps)] for each eps, together
-    with the drift of the transformed action |tau(u)_k|^2 on the same run,
-    and the log-log fitted exponent of the raw drift against eps.
+def check_eps_list(eps_list) -> None:
+    """Raise ValueError unless the eps values are positive, with at least two
+    distinct ones (the drift exponent is a log-log fit against eps)."""
+    if min(eps_list) <= 0 or len(set(eps_list)) < 2:
+        raise ValueError("eps values must be positive, with at least two distinct ones")
 
-    With share_direction the sweep rescales one random initial direction, so
-    the fitted exponent measures amplitude scaling alone and is not polluted
-    by direction-to-direction variance of the near-resonant couplings.
+
+def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: float,
+                 seed: int = 0, max_samples: int = 2048) -> DriftResult:
+    """Max drift of the action |u_k|^2 over [0, T(eps)] for each eps, together
+    with the drift of the transformed action |tau(u)_k|^2 on the same run
+    (None without nf_result), and the log-log fitted exponent of the raw drift
+    against eps.
+
+    The sweep rescales one random initial direction, so the fitted exponent
+    measures amplitude scaling alone and is not polluted by direction-to-
+    direction variance of the near-resonant couplings.
     """
+    check_eps_list(eps_list)
     ms = z2.mode_set
     ki = ms.index(k)
-    cfg = nf_result.config if nf_result is not None else None
-    shared = None
-    if share_direction:
-        rng = np.random.default_rng([seed, 0])
-        shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
-        shared /= np.linalg.norm(shared)
+    rng = np.random.default_rng([seed, 0])
+    shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
+    shared /= np.linalg.norm(shared)
     u0s, horizons = [], []
-    for i, eps in enumerate(eps_list):
-        if shared is None:
-            rng = np.random.default_rng([seed, i])
-            u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
-            u0 *= eps / np.linalg.norm(u0)
-        else:
-            u0 = eps * shared
-        u0s.append(u0)
+    for eps in eps_list:
+        u0s.append(eps * shared)
         # planned horizons are exponential in 1/eps; desk runs cap the clock
         horizons.append(min(float(T(eps)) if callable(T) else float(T), 1e5))
     # eps values sharing a horizon advance together as one stack
@@ -230,9 +231,10 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: f
                                             T_eps, dt, max_samples=max_samples)):
             trajs[i] = traj
     transformed = [None] * len(trajs)
-    if transform and nf_result is not None:
+    if nf_result is not None:
         # every stored sample of every trajectory through one stacked transform;
         # its rows flow on their own, so each equals the single-state transform
+        cfg = nf_result.config
         v = nf.transform_state(np.concatenate([t.states for t in trajs]),
                                nf_result.generators, "forward",
                                flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
@@ -272,9 +274,10 @@ class ScanResult:
         return all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def strichartz_scan(M_list, sigma: int = 1, c6: float = 1.0, multistart: int = 48,
-                    iters: int = 600, seed: int = 0, budget_keys: int = 5_000_000) -> ScanResult:
-    """Level-sup norm S(M) of the sextic modulus for each window size.
+def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 600,
+                    seed: int = 0, budget_keys: int = 5_000_000) -> ScanResult:
+    """Level-sup norm S(M) of the sextic modulus for each window size; being
+    a norm of the modulus, it does not depend on the sign of the sextic.
 
     The witnessed lower bound comes from ascent on the dominant spectral level
     (a = 0; for the sextic modulus the time-integral representation makes the
@@ -289,7 +292,7 @@ def strichartz_scan(M_list, sigma: int = 1, c6: float = 1.0, multistart: int = 4
         # the sextic's key count, without building it
         if sum(len(b) ** 2 for b in momentum_buckets(ms)) > budget_keys:
             raise BudgetError(f"strichartz_scan budget exceeded at M={M}")
-        P = build_p6(ms, sigma, c6)
+        P = build_p6(ms, c6=c6)
         levels = split_levels(P, np.asarray(ms.modes, dtype=float) ** 2)
         l1s = {a: part.l1() for a, part in levels.items()}
         upper = max(l1s.values())
@@ -298,12 +301,12 @@ def strichartz_scan(M_list, sigma: int = 1, c6: float = 1.0, multistart: int = 4
         if prev_witness is not None:
             embedded = np.zeros(ms.size)
             off = (ms.size - prev_witness.size) // 2
-            embedded[off: off + prev_witness.size] = np.abs(prev_witness)
+            embedded[off: off + prev_witness.size] = prev_witness
             extra = embedded[None, :]
         enc = sup_norm(levels[dominant].modulus(), multistart=multistart,
                        iters=iters, seed=seed, extra_starts=extra)
         rows.append(ScanRow(M=M, lower=enc.lower, upper=upper, dominant_level=dominant))
-        prev_witness = np.abs(np.asarray(enc.witness, dtype=complex))
+        prev_witness = enc.witness
     exponents = []
     for a, b in zip(rows, rows[1:]):
         exponents.append(float(math.log2(b.lower / a.lower) / math.log2(b.M / a.M)))
@@ -318,7 +321,6 @@ class Plan:
     eps: float
     nu: float
     alpha: float
-    s: float
     beta_s: float
     rho: float
     kappa: float
@@ -353,9 +355,9 @@ def gamma_from_certificate(rho: float, alpha: float, k: int, r: int) -> float:
     return rho * (2.0 * japanese(k)) ** (-math.exp(alpha * r))
 
 
-def plan_parameters(eps: float, nu: float, alpha: float, s: float = 0.45,
-                    beta_s: float = 1.0, rho: float = 1.0, kappa: float = 1.0,
-                    c: float = 1.0, k: int = 1) -> Plan:
+def plan_parameters(eps: float, nu: float, alpha: float, beta_s: float = 1.0,
+                    rho: float = 1.0, kappa: float = 1.0, c: float = 1.0,
+                    k: int = 1) -> Plan:
     """Resolve the experiment parameters from the scaling recipe:
 
         upsilon = (nu/16) e^{-3 alpha},
@@ -388,7 +390,7 @@ def plan_parameters(eps: float, nu: float, alpha: float, s: float = 0.45,
     else:
         strich = 1.0
     eta_r = kappa * strich * two_k ** (-0.5 * math.exp(alpha * r))
-    return Plan(eps=eps, nu=nu, alpha=alpha, s=s, beta_s=beta_s, rho=rho,
+    return Plan(eps=eps, nu=nu, alpha=alpha, beta_s=beta_s, rho=rho,
                 kappa=kappa, c=c, k=k, upsilon=upsilon, alpha_nu=alpha_nu,
                 r_star=r_star, r=r, gamma=gamma, M=M, T_eps=T_eps,
                 eps_r=eta_r / 2.0, eta_r=eta_r,

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# fixed-point iterations of one midpoint step before it is declared divergent
+MAX_ITER = 60
+
 
 class FlowConvergenceError(RuntimeError):
     """The midpoint step equation did not converge; reduce dt."""
@@ -21,19 +24,20 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def midpoint_step(grad, u: np.ndarray, dt: float, tol: float = 1e-14,
-                  max_iter: int = 60, omega=0.0, prev=None) -> np.ndarray:
+                  omega=0.0, prev=None) -> np.ndarray:
     """One implicit-midpoint step for i du/dt = grad(u), on one state (n,) or
     on a stack of states (B, n) that grad maps row by row.
 
     Solves u1 = u + dt * (-i) * grad((u + u1)/2) by fixed-point iteration to a
-    residual of tol * ||u||, or to the rounding floor, whichever comes first;
-    each row stops at the iterate where it would stop on its own.  The
-    quadratic invariant ||u||^2 is preserved up to the accepted residual.
-    ``omega``, the diagonal linear part of grad, and ``prev``, the state one
-    step of the same size before u, only set the starting guess: with prev
-    the quintic term is taken at the last midpoint (prev + u)/2 advanced by
-    the Cayley factor of the linear part, otherwise at u.  Neither changes
-    the step equation, its acceptance rule or where the iteration converges.
+    residual of tol * ||u||, or to the rounding floor, whichever comes first,
+    in at most MAX_ITER iterations; each row stops at the iterate where it
+    would stop on its own.  The quadratic invariant ||u||^2 is preserved up
+    to the accepted residual.  ``omega``, the diagonal linear part of grad,
+    and ``prev``, the state one step of the same size before u, only set the
+    starting guess: with prev the quintic term is taken at the last midpoint
+    (prev + u)/2 advanced by the Cayley factor of the linear part, otherwise
+    at u.  Neither changes the step equation, its acceptance rule or where
+    the iteration converges.
     """
     u = np.asarray(u)
     rows = u.reshape(-1, u.shape[-1])
@@ -56,7 +60,7 @@ def midpoint_step(grad, u: np.ndarray, dt: float, tol: float = 1e-14,
         delta = step * (omega * rows + g(mid) - omega * mid) / den
     delta[~on] = 0.0
     prev_res = np.full(len(rows), np.inf)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         cand = step * g(rows + 0.5 * delta)
         res = _row_norms(cand - delta)
         np.copyto(delta, cand, where=on[:, None])
@@ -73,12 +77,11 @@ def midpoint_step(grad, u: np.ndarray, dt: float, tol: float = 1e-14,
             return (rows + delta).reshape(u.shape)
         on, prev_res = going, res
     raise FlowConvergenceError(
-        f"midpoint iteration did not converge in {max_iter} iterations (dt={dt}); "
+        f"midpoint iteration did not converge in {MAX_ITER} iterations (dt={dt}); "
         "reduce dt")
 
 
-def flow(grad, u0: np.ndarray, t_final: float, dt: float, tol: float = 1e-14,
-         max_iter: int = 60) -> np.ndarray:
+def flow(grad, u0: np.ndarray, t_final: float, dt: float, tol: float = 1e-14) -> np.ndarray:
     """Flow the state to time t_final (either sign) with uniform steps."""
     if t_final == 0.0:
         return u0.copy()
@@ -86,5 +89,5 @@ def flow(grad, u0: np.ndarray, t_final: float, dt: float, tol: float = 1e-14,
     h = t_final / n
     u = u0.astype(complex)
     for _ in range(n):
-        u = midpoint_step(grad, u, h, tol=tol, max_iter=max_iter)
+        u = midpoint_step(grad, u, h, tol=tol)
     return u

@@ -279,10 +279,9 @@ def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
 
 
 def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
-                  safety: float = 0.5, cap: float = 0.999,
                   scope: str = "all") -> float:
-    """A gamma guaranteed to pass check_krgamma on this truncation: a fraction
-    of the smallest nonzero |Omega| over keys of half-degree <= r.
+    """A gamma guaranteed to pass check_krgamma on this truncation: half the
+    smallest nonzero |Omega| over keys of half-degree <= r, capped at 0.999.
 
     scope="all" keeps gamma below every nonzero divisor, so the resonant set
     is exactly the equal-multiset kernel and the generator's denominators are
@@ -297,16 +296,16 @@ def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
         else:
             diff[diff == 0.0] = np.inf
         best = min(best, float(diff.min()))
-    return min(safety * best, cap)
+    return min(0.5 * best, 0.999)
 
 
 def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
-                  gamma: float, max_pairs: int = 200_000_000,
-                  max_report: int = 200) -> KRGammaReport:
+                  gamma: float, max_pairs: int = 200_000_000) -> KRGammaReport:
     """Search for gamma-resonant keys of half-degree <= r that fail to commute
     with |u_k|^2 (unequal multiplicity of mode k on the two sides).
 
-    An empty report certifies (k, r, gamma) non-resonance on this truncation.
+    An empty report certifies (k, r, gamma) non-resonance on this truncation;
+    it lists the first 200 offending keys.
     """
     if k not in mode_set:
         raise ValueError("mode k outside the mode set")
@@ -315,7 +314,7 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
                                                            max_pairs):
         bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])
         for bi, bj in zip(*np.nonzero(bad)):
-            if len(report.violations) < max_report:
+            if len(report.violations) < 200:
                 i, j = rows.start + int(bi), int(bj)
                 report.violations.append((multis[i], multis[j], float(sums[i] - sums[j])))
         report.pairs_checked += diff.size

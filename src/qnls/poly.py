@@ -37,9 +37,6 @@ from types import MappingProxyType
 import numpy as np
 from scipy.fft import next_fast_len
 
-# a canonical monomial key: (sorted holomorphic modes, sorted antiholomorphic modes)
-MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
-
 # bracket pairs expanded at a time: bounds the transient memory of poisson
 _BLOCK = 1 << 14
 
@@ -49,7 +46,6 @@ class ModeSet:
     """Finite, strictly sorted set of integer Fourier (or eigen-) mode indices."""
 
     modes: tuple[int, ...]
-    M_param: int
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -60,12 +56,17 @@ class ModeSet:
     @classmethod
     def symmetric(cls, M: int) -> "ModeSet":
         """Convolution-case window [-M, M]."""
-        return cls(tuple(range(-M, M + 1)), M)
+        return cls(tuple(range(-M, M + 1)))
 
     @classmethod
     def dirichlet(cls, M: int) -> "ModeSet":
         """Dirichlet-case window [1, M]."""
-        return cls(tuple(range(1, M + 1)), M)
+        return cls(tuple(range(1, M + 1)))
+
+    @property
+    def M_param(self) -> int:
+        """Window size max |m| of the modes."""
+        return max(abs(m) for m in self.modes)
 
     @property
     def size(self) -> int:
@@ -535,10 +536,9 @@ def poly_to_json(P: HomPoly) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def poly_from_json(text: str, M_param: int | None = None) -> HomPoly:
+def poly_from_json(text: str) -> HomPoly:
     doc = json.loads(text)
-    modes = tuple(doc["modes"])
-    ms = ModeSet(modes, M_param if M_param is not None else max(abs(m) for m in modes))
+    ms = ModeSet(tuple(doc["modes"]))
     q = doc["degree"] // 2
     coeffs = {
         (tuple(e["k"]), tuple(e["l"])): complex(e["re"], e["im"])

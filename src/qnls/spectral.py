@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, ModeSet, build_p6
+from .poly import HomPoly, ModeSet, build_p6, sextic_fft, sextic_grid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -94,7 +94,8 @@ def split_levels(P: HomPoly, omega_int) -> dict[int, HomPoly]:
 
 @dataclass
 class NormEnclosure:
-    """lower is achieved by the witness state; upper is a rigorous bound."""
+    """lower is achieved by the witness state, a real nonnegative unit vector
+    where the ascent ran; upper is a rigorous bound."""
 
     lower: float
     upper: float
@@ -107,7 +108,7 @@ class NormEnclosure:
     def to_dict(self) -> dict:
         w = None
         if self.witness is not None:
-            w = [[float(z.real), float(z.imag)] for z in np.asarray(self.witness, dtype=complex)]
+            w = self.witness.tolist()
         return {"lower": self.lower, "upper": self.upper, "witness": w}
 
 
@@ -205,7 +206,7 @@ def _enclosures(mods, seeds, multistart: int, iters: int, extra_starts=None):
         problems.append((np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize,
                          np.vstack(starts)))
     # min guards against roundoff at tight enclosures
-    return [NormEnclosure(min(lower, upper), upper, y.astype(complex)) for upper, (lower, y)
+    return [NormEnclosure(min(lower, upper), upper, y) for upper, (lower, y)
             in zip([P.l1() for P in mods], _posy_ascent(problems, nmodes, iters))]
 
 
@@ -221,7 +222,7 @@ def sup_norm(P: HomPoly, multistart: int = 64, iters: int = 500, seed: int = 0,
     if not np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
         raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
     if not len(P):
-        return NormEnclosure(0.0, 0.0, np.zeros(P.mode_set.size, dtype=complex))
+        return NormEnclosure(0.0, 0.0, np.zeros(P.mode_set.size))
     return _enclosures([P], [seed], multistart, iters, extra_starts)[0]
 
 
@@ -275,49 +276,41 @@ def norm_c(P: HomPoly, omega_int, **kw) -> NormEnclosure:
 
 
 def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
-                          c6: float = 1.0, n_tau: int | None = None) -> float:
+                          c6: float = 1.0) -> float:
     """Level-a value of the sextic modulus polynomial via the time integral
 
         (c6/6) * (1/2pi) int_0^{2pi} e^{i tau a} h(tau) dtau,
 
     where h(tau) is the sixth power of the L6 norm of the free evolution of
     the componentwise modulus of u (trigonometric-polynomial normalization).
-    Both integrals are evaluated by trapezoidal sums that are exact for the
-    trigonometric degrees involved.
+    The x-integral is the window FFT of the sextic on all tau nodes at once;
+    the tau-integral is a trapezoidal sum on 12 M^2 + 8 nodes, M = max |m|.
+    Both are exact for the trigonometric degrees involved.
     """
-    M = mode_set.M_param
-    min_tau = 12 * M * M + 8
-    if n_tau is None:
-        n_tau = min_tau
-    elif n_tau < min_tau:
-        raise ValueError(f"need at least {min_tau} quadrature nodes for M={M}")
     modes = np.asarray(mode_set.modes)
     amps = np.abs(np.asarray(u, dtype=complex))
     if amps.shape != (mode_set.size,):
         raise ValueError("state does not match the mode set")
-    n_x = 6 * M + 2
-    x = 2.0 * np.pi * np.arange(n_x) / n_x
-    E = np.exp(1j * np.outer(x, modes))       # (n_x, modes)
+    n_tau = 12 * mode_set.M_param ** 2 + 8
     tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
     phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))  # (n_tau, modes)
-    v = E @ (phases * amps[None, :]).T        # (n_x, n_tau)
-    h = np.mean(np.abs(v) ** 6, axis=0)       # (n_tau,)
+    h = sextic_fft(phases * amps[None, :], *sextic_grid(modes), False)   # (n_tau,)
     val = np.mean(np.exp(1j * tau * a) * h)
     return c6 / 6.0 * float(val.real)
 
 
-def strichartz_identity_check(mode_set: ModeSet, a: int, u: np.ndarray, sigma: int = 1,
-                              c6: float = 1.0, n_tau: int | None = None,
+def strichartz_identity_check(mode_set: ModeSet, a: int, u: np.ndarray, c6: float = 1.0,
                               p6: HomPoly | None = None) -> tuple[float, float]:
     """(direct, quadrature) values of the level-a sextic modulus at |u|.
 
     direct evaluates the stored projection of the modulus polynomial at the
     componentwise modulus of u; quadrature uses the time-integral identity.
+    The modulus does not depend on the sign of the sextic.
     """
     if p6 is None:
-        p6 = build_p6(mode_set, sigma, c6)
+        p6 = build_p6(mode_set, c6=c6)
     part = project(p6, np.asarray(mode_set.modes, dtype=float) ** 2, a).modulus()
     val = complex(part(np.abs(np.asarray(u, dtype=complex)).astype(complex)))
     direct = val.real  # nonnegative coefficients at a nonnegative state
-    quad = strichartz_quadrature(mode_set, a, u, c6=c6, n_tau=n_tau)
+    quad = strichartz_quadrature(mode_set, a, u, c6=c6)
     return direct, quad

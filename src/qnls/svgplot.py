@@ -1,4 +1,4 @@
-"""Minimal self-contained SVG line plots (no external plotting dependency)."""
+"""Minimal self-contained SVG log-log line plots (no plotting dependency)."""
 
 from __future__ import annotations
 
@@ -22,16 +22,13 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def line_plot(path, series: dict[str, tuple[list, list]], title: str = "",
-              xlabel: str = "", ylabel: str = "", loglog: bool = False,
-              width: int = 640, height: int = 420):
-    """Write an SVG with one polyline per named (xs, ys) series."""
-    margin = 60
+              xlabel: str = "", ylabel: str = ""):
+    """Write an SVG with one polyline per named (xs, ys) series of positive
+    values, on log10 axes."""
+    width, height, margin = 640, 420, 60
     pts = {}
     for name, (xs, ys) in series.items():
-        if loglog:
-            pts[name] = ([math.log10(x) for x in xs], [math.log10(y) for y in ys])
-        else:
-            pts[name] = (list(map(float, xs)), list(map(float, ys)))
+        pts[name] = ([math.log10(x) for x in xs], [math.log10(y) for y in ys])
     all_x = [x for xs, _ in pts.values() for x in xs]
     all_y = [y for _, ys in pts.values() for y in ys]
     x0, x1 = min(all_x), max(all_x)
@@ -53,15 +50,13 @@ def line_plot(path, series: dict[str, tuple[list, list]], title: str = "",
     for tx in _ticks(x0, x1):
         out.append(f'<line x1="{sx(tx):.1f}" y1="{height-margin}" x2="{sx(tx):.1f}" '
                    f'y2="{margin}" stroke="#eee"/>')
-        label = f"1e{tx:g}" if loglog else f"{tx:g}"
         out.append(f'<text x="{sx(tx):.1f}" y="{height-margin+16}" text-anchor="middle" '
-                   f'font-size="10">{label}</text>')
+                   f'font-size="10">1e{tx:g}</text>')
     for ty in _ticks(y0, y1):
         out.append(f'<line x1="{margin}" y1="{sy(ty):.1f}" x2="{width-margin}" '
                    f'y2="{sy(ty):.1f}" stroke="#eee"/>')
-        label = f"1e{ty:g}" if loglog else f"{ty:g}"
         out.append(f'<text x="{margin-6}" y="{sy(ty):.1f}" text-anchor="end" '
-                   f'font-size="10">{label}</text>')
+                   f'font-size="10">1e{ty:g}</text>')
     out.append(f'<rect x="{margin}" y="{margin}" width="{width-2*margin}" '
                f'height="{height-2*margin}" fill="none" stroke="#888"/>')
     for i, (name, (xs, ys)) in enumerate(pts.items()):

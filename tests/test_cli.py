@@ -18,8 +18,9 @@ def test_plan_json(tmp_path):
     assert doc["upsilon"] == pytest.approx(3.112e-3, rel=1e-3)
     # the requested eps is far above eta_r: flagged, not clamped
     assert doc["feasible"] is False and code == EXIT_ASSERT
+    assert "s" not in doc
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["eps"] == 1e-2
+    assert manifest["config"]["eps"] == 1e-2 and "seed" not in manifest["config"]
     assert "plan.json" in manifest["outputs"]
 
 
@@ -150,9 +151,32 @@ def test_parse_errors_are_config_errors(tmp_path):
     ["certify", "--qmax", "0"],
     ["certify", "--alpha", "-1"],
     ["simulate", "--modes", "1", "--dt", "0"],
+    ["strichartz", "--m-list", "0,1"],
+    ["strichartz", "--m-list", "2,2"],
+    ["strichartz", "--m-list", "0"],
+    ["drift", "--modes", "2", "--eps-list", "0.1,-0.05", "--T", "1"],
+    ["drift", "--modes", "2", "--eps-list", "0.1", "--T", "1"],
+    ["drift", "--modes", "2", "--eps-list", "0.1,0.1", "--T", "1"],
+    ["simulate", "--modes", "1", "--T", "-1"],
+    ["drift", "--modes", "2", "--T", "-1"],
+    ["strichartz", "--m-list", "1,2", "--sigma", "-1"],               # deleted flags
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--s", "0.5"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--seed", "3"],
 ])
 def test_invalid_parameters_exit_config(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["strichartz", "--m-list", "1,2"], "sigma"),
+    (["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1"], "s"),
+    (["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1"], "seed"),
+])
+def test_config_naming_a_deleted_setting_is_unknown(tmp_path, capsys, argv, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: 1}))
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert f"unknown config field: {field}" in capsys.readouterr().err
 
 
 def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):

@@ -187,9 +187,12 @@ def test_mode_set_invariants():
     assert ms.modes == (-2, -1, 0, 1, 2)
     assert ms.index(-2) == 0 and 1 in ms and 3 not in ms
     with pytest.raises(ValueError):
-        ModeSet((1, 1, 2), 2)
+        ModeSet((1, 1, 2))
     with pytest.raises(ValueError):
-        ModeSet((), 0)
+        ModeSet(())
+    # the window size is max |m|, derived from the modes
+    assert ms.M_param == 2 and ModeSet.dirichlet(4).M_param == 4
+    assert ModeSet((0, 2, 5)).M_param == 5 and ModeSet((-7, 3)).M_param == 7
 
 
 def test_eval_examples():
@@ -433,7 +436,7 @@ def test_serialization_roundtrip(rng):
     ms = ModeSet.symmetric(2)
     P = random_balanced(ms, 2, rng)
     text = poly_to_json(P)
-    Q = poly_from_json(text, M_param=2)
+    Q = poly_from_json(text)
     assert coeff_close(P, Q, rtol=1e-15)
     # canonical ordering is stable
     assert text == poly_to_json(Q)

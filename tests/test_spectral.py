@@ -126,6 +126,11 @@ def test_sup_norm_witness_contract(rng):
     val = abs(complex(P(enc.witness)))
     assert val >= enc.lower - 1e-12
     assert np.linalg.norm(enc.witness) == pytest.approx(1.0, abs=1e-12)
+    # a real nonnegative vector, written out as plain floats
+    assert enc.witness.dtype == float and np.all(enc.witness >= 0)
+    assert enc.to_dict()["witness"] == enc.witness.tolist()
+    empty = sup_norm(HomPoly(ms, 2))
+    assert empty.witness.dtype == float and not empty.witness.any()
 
 
 def test_norm_h_diagonal_single_level(rng):
@@ -226,10 +231,39 @@ def test_strichartz_single_mode():
     assert abs(d1) < 1e-12 and abs(q1) < 1e-12
 
 
-def test_strichartz_node_guard():
-    ms = ModeSet.symmetric(2)
-    with pytest.raises(ValueError):
-        strichartz_identity_check(ms, 0, np.ones(5), n_tau=10)
+def test_strichartz_identity_gapped_window(rng):
+    # the node count follows from max |m| = 5, not from the number of modes
+    ms = ModeSet((0, 2, 5))
+    P = build_p6(ms)
+    u = random_state(ms, rng)
+    for a in range(-80, 81):
+        direct, quad = strichartz_identity_check(ms, a, u, p6=P)
+        assert direct == pytest.approx(quad, rel=1e-10, abs=1e-10)
+
+
+def dense_strichartz_quadrature(mode_set, a, u):
+    """The quadrature with h(tau) from a dense DFT matrix on 6M + 2 points,
+    kept as the oracle of the window-FFT version (c6 = 1)."""
+    M = mode_set.M_param
+    modes = np.asarray(mode_set.modes)
+    n_x, n_tau = 6 * M + 2, 12 * M * M + 8
+    x = 2.0 * np.pi * np.arange(n_x) / n_x
+    tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
+    phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))
+    v = np.exp(1j * np.outer(x, modes)) @ (phases * np.abs(u)[None, :]).T
+    h = np.mean(np.abs(v) ** 6, axis=0)
+    return float(np.mean(np.exp(1j * tau * a) * h).real) / 6.0
+
+
+@pytest.mark.parametrize("M", [0, 1, 3, 8])
+def test_strichartz_quadrature_matches_dense_dft(rng, M):
+    ms = ModeSet.symmetric(M)
+    u = random_state(ms, rng)
+    scale = dense_strichartz_quadrature(ms, 0, u)      # the dominant level
+    for a in (0, 1, -2, 3 * M * M):
+        want = dense_strichartz_quadrature(ms, a, u)
+        got = spectral.strichartz_quadrature(ms, a, u)
+        assert abs(got - want) <= 1e-14 * scale
 
 
 def test_refined_bracket_bound(rng):
