@@ -187,7 +187,7 @@ def cmd_drift(args, out: Path) -> int:
     report = nf.check_krgamma(ms, omega, args.k, args.order, gamma)
     if not report.certified:
         print(f"drift: (k={args.k}, r={args.order}, gamma={gamma:.3e}) "
-              f"is resonant; {len(report.violations)} offending keys")
+              f"is resonant; {report.n_violations} offending pairs")
         return EXIT_ASSERT
     with _parameters():
         cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max, seed=args.seed)
@@ -218,9 +218,7 @@ def cmd_drift(args, out: Path) -> int:
 def cmd_strichartz(args, out: Path) -> int:
     with _parameters():
         m_list = [int(x) for x in str(args.m_list).split(",")]
-        # the scan's exponents divide by log2 of the ratio of window sizes
-        if min(m_list) < 1 or len(set(m_list)) < len(m_list):
-            raise ConfigError("window sizes M must be distinct and at least 1")
+        dynamics.check_m_list(m_list)
     scan = dynamics.strichartz_scan(m_list, c6=args.c6, multistart=args.multistart,
                                     seed=args.seed)
     doc = {

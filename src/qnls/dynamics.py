@@ -201,6 +201,13 @@ def check_eps_list(eps_list) -> None:
         raise ValueError("eps values must be positive, with at least two distinct ones")
 
 
+def check_m_list(M_list) -> None:
+    """Raise ValueError unless the window sizes are at least 1 and distinct
+    (the scan's exponents divide by log2 of the ratio of two sizes)."""
+    if min(M_list) < 1 or len(set(M_list)) < len(M_list):
+        raise ValueError("window sizes M must be distinct and at least 1")
+
+
 def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: float,
                  seed: int = 0, max_samples: int = 2048) -> DriftResult:
     """Max drift of the action |u_k|^2 over [0, T(eps)] for each eps, together
@@ -285,6 +292,7 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
     embedded among the starts so that S is non-decreasing by construction.
     The upper bound is the largest per-level l1 norm.
     """
+    check_m_list(M_list)
     rows = []
     prev_witness = None
     for M in sorted(M_list):

@@ -246,11 +246,12 @@ class KRGammaReport:
     r: int
     gamma: float
     pairs_checked: int
+    n_violations: int = 0           # every offending ordered pair, listed or not
     violations: list[tuple[tuple[int, ...], tuple[int, ...], float]] = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
-        return not self.violations
+        return self.n_violations == 0
 
 
 def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
@@ -304,8 +305,8 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     """Search for gamma-resonant keys of half-degree <= r that fail to commute
     with |u_k|^2 (unequal multiplicity of mode k on the two sides).
 
-    An empty report certifies (k, r, gamma) non-resonance on this truncation;
-    it lists the first 200 offending keys.
+    A report with no violations certifies (k, r, gamma) non-resonance on this
+    truncation; it counts every offending pair and lists the first 200.
     """
     if k not in mode_set:
         raise ValueError("mode k outside the mode set")
@@ -313,9 +314,10 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r,
                                                            max_pairs):
         bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])
-        for bi, bj in zip(*np.nonzero(bad)):
-            if len(report.violations) < 200:
-                i, j = rows.start + int(bi), int(bj)
-                report.violations.append((multis[i], multis[j], float(sums[i] - sums[j])))
+        report.n_violations += int(np.count_nonzero(bad))
+        listed = 200 - len(report.violations)
+        for bi, bj in zip(*(ix[:listed] for ix in np.nonzero(bad))):
+            i, j = rows.start + int(bi), int(bj)
+            report.violations.append((multis[i], multis[j], float(sums[i] - sums[j])))
         report.pairs_checked += diff.size
     return report

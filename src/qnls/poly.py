@@ -22,6 +22,11 @@ operations of Python's complex arithmetic one for one (numpy's own complex
 kernels may fuse a multiply and an add), so which sums cancel to exactly 0.0,
 hence every key count, is reproducible bit for bit.  ``coeffs`` is a derived
 read-only mapping {(k, l) mode tuples: coefficient}, rebuilt on each access.
+
+The gradient reads a plan built once per polynomial from its key arrays: the
+distinct sorted k-rows and l-rows, the sparse matrix of coef * csize between
+them, and the 0/1 sparse matrix that sums the conj-side slot products into
+modes.  A stack of states goes through it in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -30,15 +35,19 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 import numpy as np
+from scipy import sparse
 from scipy.fft import next_fast_len
 
 # bracket pairs expanded at a time: bounds the transient memory of poisson
 _BLOCK = 1 << 14
+# entries (states x distinct rows) of each work array of the gradient kernel:
+# a stack goes through it in blocks whose work arrays fit a core's L2 cache
+_GRAD_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -314,38 +323,51 @@ class HomPoly:
             raise ValueError("mode-set mismatch between state and polynomial")
         return u
 
-    def _partial(self, u: np.ndarray) -> np.ndarray:
-        """d/dconj(u_j) P at one state."""
-        n, q = self.mode_set.size, self.q
-        if not len(self):
-            return np.zeros(n, dtype=complex)
-        base = self.coef * self.csize
-        for t in range(q):
-            base = base * u[self.idx_k[:, t]]
-        cu = np.conj(u)
-        cols = [cu[self.idx_l[:, t]] for t in range(q)]
-        # slot s of a term: its weight times every conj column but s
-        contrib = np.empty((q, base.size), dtype=complex)
-        for s in range(q):
-            contrib[s] = base
-            for t in range(q):
-                if t != s:
-                    contrib[s] *= cols[t]
-        slots = self.idx_l.T.ravel()
-        re = np.bincount(slots, weights=contrib.real.ravel(), minlength=n)
-        im = np.bincount(slots, weights=contrib.imag.ravel(), minlength=n)
-        return re + 1j * im
+    @cached_property
+    def _plan(self):
+        """(Tk, Tl, C, S) of the gradient kernel: the distinct sorted k-rows Tk
+        and l-rows Tl, the CSR matrix C (len(Tl) x len(Tk)) of coef * csize
+        at (l-row, k-row) of each key, and the 0/1 CSR matrix S
+        (modes x q*len(Tl)) that adds column s*len(Tl) + b into mode Tl[b, s]."""
+        Tk, ik = np.unique(self.idx_k, axis=0, return_inverse=True)
+        Tl, il = np.unique(self.idx_l, axis=0, return_inverse=True)
+        C = sparse.csr_array((self.coef * self.csize, (il.ravel(), ik.ravel())),
+                             shape=(len(Tl), len(Tk)))
+        slots = Tl.T.ravel()
+        S = sparse.csr_array((np.ones(slots.size, dtype=complex),
+                              (slots, np.arange(slots.size))),
+                             shape=(self.mode_set.size, slots.size))
+        return Tk, Tl, C, S
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Euclidean gradient 2*d/dconj(u) P(u) of a real-valued polynomial,
-        at one state (n,) or at each state of a stack (..., n)."""
+        at one state (n,) or at each state of a stack (..., n).
+
+        P is the bilinear form sum C[b, a] A_a conj(B_b) between the monomials
+        A of its distinct k-rows and B of its distinct l-rows (see _plan), so
+        d/dconj(u_j) P sums (C @ A)[b] times the conj factors of the other
+        slots of b over every slot s of every l-row b with Tl[b, s] = j.
+        Each state of a stack goes through the same operations, so each row
+        of the result equals that state's gradient alone, bit for bit."""
         if not self.is_real:
             raise ValueError("gradient is only defined for real-valued polynomials")
         u = self._state(u)
-        # one state at a time: on 3510 keys and 3 states a kernel over the
-        # whole stack ran more than 2x slower than this loop
-        rows = [self._partial(v) for v in u.reshape(-1, u.shape[-1])]
-        return 2.0 * np.array(rows).reshape(u.shape)
+        Tk, Tl, C, S = self._plan
+        states = u.reshape(-1, u.shape[-1])
+        grad = np.empty(states.shape, dtype=complex)
+        block = max(1, _GRAD_ENTRIES // max(len(Tk), len(Tl), 1))
+        for i in range(0, len(states), block):
+            U = np.ascontiguousarray(states[i:i + block].T)
+            # np.multiply, never `*`: numpy may compute `x * tmp` into a large
+            # temporary with the operands swapped, and its fused complex product
+            # is not commutative bit for bit
+            Y = C @ reduce(np.multiply, [U[Tk[:, t]] for t in range(1, self.q)], U[Tk[:, 0]])
+            cols = [np.conj(U[Tl[:, t]]) for t in range(self.q)]
+            E = np.empty((self.q,) + Y.shape, dtype=complex)
+            for s in range(self.q):
+                E[s] = reduce(np.multiply, cols[:s] + cols[s + 1:], Y)
+            grad[i:i + block] = (S @ E.reshape(-1, U.shape[1])).T
+        return 2.0 * grad.reshape(u.shape)
 
 
 def _from_arrays(mode_set, q, idx_k, idx_l, coef, is_real=None) -> HomPoly:

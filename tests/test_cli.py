@@ -87,6 +87,14 @@ def test_drift_quick(tmp_path):
     assert (out / "drift.svg").exists()
 
 
+def test_drift_resonant_counts_every_offending_pair(tmp_path, capsys):
+    # the report lists 200 of the 394 offending pairs; the CLI prints the total
+    code, _ = run(tmp_path, "drift", "--modes", "3", "--k", "1", "--order", "3",
+                  "--gamma", "1.0", "--seed", "0")
+    assert code == EXIT_ASSERT
+    assert "394 offending pairs" in capsys.readouterr().out
+
+
 def test_config_file_and_errors(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"eps": 0.05, "nu": 1.0, "alpha": 1.0}))
@@ -153,6 +161,7 @@ def test_parse_errors_are_config_errors(tmp_path):
     ["simulate", "--modes", "1", "--dt", "0"],
     ["strichartz", "--m-list", "0,1"],
     ["strichartz", "--m-list", "2,2"],
+    ["strichartz", "--m-list", "1,1"],
     ["strichartz", "--m-list", "0"],
     ["drift", "--modes", "2", "--eps-list", "0.1,-0.05", "--T", "1"],
     ["drift", "--modes", "2", "--eps-list", "0.1", "--T", "1"],

@@ -195,6 +195,12 @@ def test_strichartz_scan_small():
         strichartz_scan([16], budget_keys=1000)
 
 
+@pytest.mark.parametrize("M_list", [[1, 1], [2, 1, 2], [0, 1], [-1, 2], []])
+def test_strichartz_scan_needs_distinct_positive_sizes(M_list):
+    with pytest.raises(ValueError):
+        strichartz_scan(M_list, multistart=2, iters=5)
+
+
 def test_action_drift_linear_is_zero(rng):
     ms, fs, z2, _ = _system(2, seed=3)
     res = action_drift(None, z2, None, k=1, eps_list=[0.1, 0.05], T=5.0, dt=0.01)

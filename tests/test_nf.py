@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -299,6 +300,22 @@ def test_check_krgamma(setup_m1):
     # the budget guard fires at q=2, where the running total reaches 833 pairs
     with pytest.raises(BudgetError):
         check_krgamma(ms5, fs5, k=1, r=3, gamma=g, max_pairs=800)
+
+
+def test_check_krgamma_counts_past_the_listed_violations():
+    # seed-0 potential at M=3 with gamma=1: 394 offending pairs, 200 listed
+    ms = ModeSet.symmetric(3)
+    fs = freqs_conv(sample_conv_potential(1.0, 3, seed=0), ms)
+    rep = check_krgamma(ms, fs, k=1, r=3, gamma=1.0)
+    keys = [key for q in (1, 2, 3) for key in combinations_with_replacement(ms.modes, q)]
+    offending = sum(1 for a in keys for b in keys if len(a) == len(b)
+                    and a.count(1) != b.count(1) and abs(divisor(fs, (a, b))) <= 1.0)
+    assert (rep.n_violations, len(rep.violations)) == (offending, 200) == (394, 200)
+    assert not rep.certified
+    for key_k, key_l, omega in rep.violations:
+        assert key_k.count(1) != key_l.count(1)
+        assert abs(omega) <= 1.0
+        assert omega == pytest.approx(divisor(fs, (key_k, key_l)), abs=1e-12)
 
 
 def test_chi_c_norm_bound(setup_m1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls.nf import solve_cohomological
+from qnls.nf import NormalFormConfig, birkhoff, solve_cohomological, suggest_gamma
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
 from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson,
@@ -259,28 +259,98 @@ def _reference_partials(P, u):
     return du, dub
 
 
-@settings(max_examples=80, deadline=None)
-@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
-       q=st.integers(1, 4), n_keys=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
-def test_gradient_kernel_matches_reference(window, M, q, n_keys, seed):
-    rng = np.random.default_rng(seed)
-    ms = getattr(ModeSet, window)(M)
-    P = random_balanced(ms, q, rng, n_keys=n_keys)
-    U = np.array([random_state(ms, rng, norm=rng.uniform(0.2, 2.0)) for _ in range(3)])
+def _loop_partial(P, u):
+    """d/dconj(u) P at one state by column products and a bincount per slot:
+    the per-state kernel the factored gradient replaced, kept as its oracle."""
+    n, q = P.mode_set.size, P.q
+    if not len(P):
+        return np.zeros(n, dtype=complex)
+    base = P.coef * P.csize
+    for t in range(q):
+        base = base * u[P.idx_k[:, t]]
+    cols = [np.conj(u)[P.idx_l[:, t]] for t in range(q)]
+    contrib = np.empty((q, base.size), dtype=complex)
+    for s in range(q):
+        contrib[s] = base
+        for t in range(q):
+            if t != s:
+                contrib[s] *= cols[t]
+    slots = P.idx_l.T.ravel()
+    re = np.bincount(slots, weights=contrib.real.ravel(), minlength=n)
+    im = np.bincount(slots, weights=contrib.imag.ravel(), minlength=n)
+    return re + 1j * im
+
+
+def _check_gradient_stack(P, U, rng, fd_rows):
+    """P.gradient on the stack U (..., n) against both oracles, each row bit
+    for bit equal to that state's gradient alone, and a central difference
+    on the first fd_rows rows."""
+    ms = P.mode_set
     grads = P.gradient(U)
     assert grads.shape == U.shape
-    for u, g in zip(U, grads):
+    for i, (u, g) in enumerate(zip(U.reshape(-1, ms.size), grads.reshape(-1, ms.size))):
+        assert np.array_equal(P.gradient(u), g)
         _, dub = _reference_partials(P, u)
         # rounding scale: the same sums taken over absolute values
         scale = max(np.abs(_reference_partials(P.modulus(), np.abs(u))[0]).max(), 1e-300)
-        for got, want in ((P._partial(u), dub), (P.gradient(u), 2.0 * dub),
-                          (g, 2.0 * dub)):
+        for got, want in ((g, 2.0 * dub), (g, 2.0 * _loop_partial(P, u))):
             assert np.abs(got - want).max() <= 1e-13 * scale
-        v = random_state(ms, rng)
-        h = 1e-6
-        fd = (P(u + h * v) - P(u - h * v)) / (2 * h)
-        ip = float(np.sum(g * np.conj(v)).real)
-        assert abs(fd - ip) <= 1e-6 * max(1.0, 2.0 * scale)
+        if i < fd_rows:
+            v = random_state(ms, rng)
+            h = 1e-6
+            fd = (P(u + h * v) - P(u - h * v)) / (2 * h)
+            ip = float(np.sum(g * np.conj(v)).real)
+            assert abs(fd - ip) <= 1e-6 * max(1.0, 2.0 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
+       q=st.integers(1, 4), n_keys=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       stack=st.sampled_from([(3,), (), (1,), (2, 3), (33,)]))
+def test_gradient_kernel_matches_reference(window, M, q, n_keys, seed, stack):
+    rng = np.random.default_rng(seed)
+    ms = getattr(ModeSet, window)(M)
+    P = random_balanced(ms, q, rng, n_keys=n_keys)
+    U = np.array([random_state(ms, rng, norm=rng.uniform(0.2, 2.0))
+                  for _ in range(math.prod(stack))]).reshape(stack + (ms.size,))
+    _check_gradient_stack(P, U, rng, fd_rows=3)
+
+
+@pytest.mark.parametrize("window", ["symmetric", "dirichlet"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_gradient_of_empty_polynomial(window, q, rng):
+    ms = getattr(ModeSet, window)(2)
+    P = HomPoly(ms, q)
+    for shape in [(ms.size,), (1, ms.size), (2, 3, ms.size), (0, ms.size)]:
+        g = P.gradient(random_state(ms, rng) * np.ones(shape))
+        assert g.shape == shape and not g.any()
+
+
+def test_gradient_kernel_on_drift_generator(rng):
+    # the q=3 generator of the drift set-up (M=5, k=1, r=3): 3510 keys, 282
+    # distinct rows a side, so 130 states run through the kernel in 3 blocks
+    ms = ModeSet.symmetric(5)
+    fs = freqs_conv(sample_conv_potential(1.0, 5, 2), ms)
+    gamma = suggest_gamma(ms, fs, k=1, r=3)
+    res = birkhoff(build_z2(ms, fs), build_p6(ms), fs,
+                   NormalFormConfig(r=3, gamma=gamma, J_max=4, seed=0, norm_lower_levels=1))
+    P = max(res.generators, key=len)
+    assert (P.q, len(P)) == (3, 3510)
+    for B in (33, 130):
+        U = np.array([random_state(ms, rng, norm=rng.uniform(0.05, 0.1)) for _ in range(B)])
+        _check_gradient_stack(P, U, rng, fd_rows=2)
+
+
+def test_gradient_rows_of_a_long_stack_match_rows_alone(rng):
+    # one distinct k-row, so 2**14 states fill a 256 KiB work array: the size
+    # from which numpy computes `x * temporary` in place, factors swapped
+    ms = ModeSet.symmetric(1)
+    P = HomPoly(ms, 2, {((-1, 1), (-1, 1)): 0.7})
+    U = rng.standard_normal((1 << 14, 3)) + 1j * rng.standard_normal((1 << 14, 3))
+    grads = P.gradient(U)
+    for i in range(0, len(U), 97):
+        assert np.array_equal(P.gradient(U[i]), grads[i])
+
 
 def test_gradient_requires_real(rng):
     ms = ModeSet.dirichlet(2)
