@@ -40,6 +40,13 @@ def _manifest(out: Path, args: argparse.Namespace, outputs: list[str]):
     })
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+
+
 @contextmanager
 def _parameters():
     """Scope of a command's parameter checks: a ValueError raised here is a
@@ -55,7 +62,9 @@ def _system(args):
     with _parameters():
         ms = ModeSet.symmetric(args.modes)
         if args.potential:
-            doc = json.loads(Path(args.potential).read_text())
+            doc = _read_json(args.potential, "potential")
+            if isinstance(doc, dict) and "V" not in doc:
+                raise ConfigError('potential file holds an object without "V"')
             V = np.asarray(doc["V"] if isinstance(doc, dict) else doc, dtype=float)
             if V.shape != (ms.size,):
                 raise ConfigError(f"potential file must carry {ms.size} real coefficients")
@@ -248,7 +257,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, default="runs/latest")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; defaults (the fields of a --config file)
+    replace each subcommand's own defaults, so explicit flags still win."""
     ap = argparse.ArgumentParser(prog="qnls", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -331,39 +342,42 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sp)
         if name != "plan":      # the planner draws nothing
             sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(**(defaults or {}))
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     try:
-        args = ap.parse_args(argv)
+        return ap.parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:       # --help
             raise
         raise ConfigError("invalid command line (see usage above)") from exc
-    if args.config:
-        try:
-            overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError("config file must hold a JSON object")
-        known = vars(args)
-        explicit = {a for a in argv if a.startswith("--")}
-        for key, val in overrides.items():
-            dest = key.replace("-", "_")
-            if dest not in known:
-                raise ConfigError(f"unknown config field: {key}")
-            if f"--{key}" not in explicit and f"--{dest.replace('_','-')}" not in explicit:
-                setattr(args, dest, val)
-    return args
+
+
+def _parse_with_config(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; the fields of a --config file become the subcommand's
+    defaults and argv is parsed again, so argparse decides precedence for every
+    spelling of a flag (--eps 1, --eps=1, --ep 1)."""
+    args = _parse(build_parser(), argv)
+    if not args.config:
+        return args
+    overrides = _read_json(args.config, "config")
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    defaults = {}
+    for key, val in overrides.items():
+        dest = key.replace("-", "_")
+        if dest not in vars(args):
+            raise ConfigError(f"unknown config field: {key}")
+        defaults[dest] = val
+    return _parse(build_parser(defaults), argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        args = _apply_config(ap, argv)
+        args = _parse_with_config(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, out)

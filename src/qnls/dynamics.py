@@ -53,7 +53,6 @@ class Trajectory:
 
 
 def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: float,
-              flow_tol: float = 1e-14,
               max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
@@ -91,8 +90,7 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     times, states = [0.0], [u0.copy()]
     u, u_prev = u0.copy(), None
     for step in range(1, n_steps + 1):
-        u, u_prev = flows.midpoint_step(grad, u, h, tol=flow_tol, omega=omega,
-                                        prev=u_prev), u
+        u, u_prev = flows.midpoint_step(grad, u, h, omega=omega, prev=u_prev), u
         if step % stride == 0 or step == n_steps:
             times.append(step * h)
             states.append(u.copy())
@@ -150,19 +148,19 @@ def sobolev_profile_state(M_fine: int, s: float, eps: float, seed: int) -> np.nd
     return u * (eps / hs)
 
 
-def remainder_scaling(M_list, s: float, fine_factor: int = 5, seed: int = 0,
-                      eps: float = 1.0, c6: float = 1.0) -> dict:
-    """||g||_{l2} against M for one fixed spectral profile; returns the table
-    and the fitted log-log slope.  The norm does not depend on the sign of g."""
+def remainder_scaling(M_list, s: float, fine_factor: int = 5, seed: int = 0) -> dict:
+    """||g||_{l2} against M for one fixed spectral profile of unit H^s norm
+    (sigma = c6 = 1); returns the table and the fitted log-log slope.  The
+    norm does not depend on the sign of g."""
     rows = []
     M_top = max(M_list) * fine_factor
-    u_top = sobolev_profile_state(M_top, s, eps, seed)
+    u_top = sobolev_profile_state(M_top, s, 1.0, seed)
     modes_top = np.arange(-M_top, M_top + 1)
     for M in M_list:
         Mf = fine_factor * M
         sel = np.abs(modes_top) <= Mf
         u_fine = u_top[sel]
-        g = remainder_g(u_fine, ModeSet.symmetric(Mf), M, c6=c6)
+        g = remainder_g(u_fine, ModeSet.symmetric(Mf), M)
         rows.append({"M": int(M), "g_norm": float(np.linalg.norm(g))})
     logm = np.log([r["M"] for r in rows])
     logg = np.log([r["g_norm"] for r in rows])
@@ -208,16 +206,17 @@ def check_m_list(M_list) -> None:
         raise ValueError("window sizes M must be distinct and at least 1")
 
 
-def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: float,
-                 seed: int = 0, max_samples: int = 2048) -> DriftResult:
-    """Max drift of the action |u_k|^2 over [0, T(eps)] for each eps, together
+def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float,
+                 dt: float, seed: int = 0, max_samples: int = 2048) -> DriftResult:
+    """Max drift of the action |u_k|^2 over [0, T] for each eps, together
     with the drift of the transformed action |tau(u)_k|^2 on the same run
     (None without nf_result), and the log-log fitted exponent of the raw drift
     against eps.
 
     The sweep rescales one random initial direction, so the fitted exponent
     measures amplitude scaling alone and is not polluted by direction-to-
-    direction variance of the near-resonant couplings.
+    direction variance of the near-resonant couplings.  All eps values
+    advance together as one stack.
     """
     check_eps_list(eps_list)
     ms = z2.mode_set
@@ -225,18 +224,9 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: f
     rng = np.random.default_rng([seed, 0])
     shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     shared /= np.linalg.norm(shared)
-    u0s, horizons = [], []
-    for eps in eps_list:
-        u0s.append(eps * shared)
-        # planned horizons are exponential in 1/eps; desk runs cap the clock
-        horizons.append(min(float(T(eps)) if callable(T) else float(T), 1e5))
-    # eps values sharing a horizon advance together as one stack
-    trajs = [None] * len(u0s)
-    for T_eps in dict.fromkeys(horizons):
-        group = [i for i, t in enumerate(horizons) if t == T_eps]
-        for i, traj in zip(group, integrate(z2, p6, np.array([u0s[i] for i in group]),
-                                            T_eps, dt, max_samples=max_samples)):
-            trajs[i] = traj
+    T = float(T)
+    trajs = integrate(z2, p6, np.array([eps * shared for eps in eps_list]), T, dt,
+                      max_samples=max_samples)
     transformed = [None] * len(trajs)
     if nf_result is not None:
         # every stored sample of every trajectory through one stacked transform;
@@ -245,14 +235,12 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T, dt: f
         v = nf.transform_state(np.concatenate([t.states for t in trajs]),
                                nf_result.generators, "forward",
                                flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
-        ends = np.cumsum([len(t.states) for t in trajs])
-        for i, vs in enumerate(np.split(v, ends[:-1])):
-            vk = np.abs(vs[:, ki]) ** 2
-            transformed[i] = float(np.max(np.abs(vk - vk[0])))
+        vk = np.abs(v[:, ki].reshape(len(trajs), -1)) ** 2
+        transformed = np.max(np.abs(vk - vk[:, :1]), axis=1).tolist()
     rows = []
-    for eps, T_eps, traj, tr in zip(eps_list, horizons, trajs, transformed):
+    for eps, traj, tr in zip(eps_list, trajs, transformed):
         raw = float(np.max(np.abs(traj.actions[:, ki] - traj.actions[0, ki])))
-        rows.append(DriftRow(eps=float(eps), T=T_eps, drift_raw=raw,
+        rows.append(DriftRow(eps=float(eps), T=T, drift_raw=raw,
                              drift_transformed=tr,
                              norm_drift=traj.norm_drift()))
     exponent = float(np.polyfit(np.log([r.eps for r in rows]),

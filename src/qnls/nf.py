@@ -284,18 +284,16 @@ def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     """A gamma guaranteed to pass check_krgamma on this truncation: half the
     smallest nonzero |Omega| over keys of half-degree <= r, capped at 0.999.
 
-    scope="all" keeps gamma below every nonzero divisor, so the resonant set
-    is exactly the equal-multiset kernel and the generator's denominators are
-    bounded below by the full spectral gap.  scope="mode" only looks at keys
-    whose two sides carry unequal multiplicity of mode k (a larger gamma, but
-    the generator may then divide by smaller divisors on commuting keys).
+    The only scope, "all", keeps gamma below every nonzero divisor, so the
+    resonant set is exactly the equal-multiset kernel and the generator's
+    denominators are bounded below by the full spectral gap; it therefore
+    does not depend on k.
     """
+    if scope != "all":
+        raise ValueError(f"unknown scope {scope!r}; the only scope is 'all'")
     best = math.inf
-    for _, _, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r):
-        if scope == "mode":
-            diff[mult_k[rows, None] == mult_k[None, :]] = np.inf
-        else:
-            diff[diff == 0.0] = np.inf
+    for *_, diff in _divisor_blocks(mode_set, omega, k, r):
+        diff[diff == 0.0] = np.inf
         best = min(best, float(diff.min()))
     return min(0.5 * best, 0.999)
 

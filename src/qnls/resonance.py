@@ -15,7 +15,7 @@ Exact zeros are reported as violations and force the fitted constant to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -80,14 +80,7 @@ class NRCertificate:
     violations: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "fitted": self.fitted, "alpha": self.alpha,
-            "s_star": self.s_star,
-            "bounds": {"q_max": self.bounds.q_max, "m1_max": self.bounds.m1_max,
-                       "h_max": self.bounds.h_max, "a_max": self.bounds.a_max},
-            "n_checked": self.n_checked, "worst_case": self.worst_case,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def _m_patterns(q: int, m1_max: int, zero_sum: bool) -> list[tuple[int, ...]]:

@@ -40,33 +40,10 @@ class SLBasis:
         return float(np.max(np.abs(G - np.eye(self.n_max))))
 
 
-def _cosine_coefficients(W, n_needed: int) -> np.ndarray:
-    """Cosine coefficients (w_0..w_n) of an even potential given either as a
-    coefficient array or as a callable on [0, 2pi)."""
-    if callable(W):
-        N = 8 * (n_needed + 1)
-        x = 2.0 * np.pi * np.arange(N) / N
-        vals = np.asarray([W(xi) for xi in x], dtype=float)
-        mirrored = np.roll(vals[::-1], 1)  # vals evaluated at 2pi - x
-        if np.max(np.abs(vals - mirrored)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
-            raise ValueError("potential must be even")
-        spec = np.fft.rfft(vals) / N
-        w = np.zeros(n_needed + 1)
-        w[0] = spec[0].real
-        upto = min(n_needed, spec.size - 1)
-        w[1: upto + 1] = 2.0 * spec[1: upto + 1].real
-        return w
-    W = np.asarray(W, dtype=float)
-    w = np.zeros(n_needed + 1)
-    upto = min(n_needed, W.size - 1)
-    w[: upto + 1] = W[: upto + 1]
-    return w
-
-
 def dirichlet_eig(W, n_max: int, N_basis: int | None = None) -> SLBasis:
     """Lowest n_max Dirichlet eigenpairs of -f'' + W f on [0, pi].
 
-    W is even and real, given as cosine coefficients (w_0..w_K) or a callable.
+    W is even and real, given by its cosine coefficients (w_0..w_K).
     The sine-basis Galerkin matrix is symmetric; refinement (doubling N_basis)
     moves the retained eigenvalues only below the stated tolerance.
     """
@@ -74,7 +51,10 @@ def dirichlet_eig(W, n_max: int, N_basis: int | None = None) -> SLBasis:
         N_basis = 4 * n_max
     if N_basis < 4 * n_max:
         raise ValueError("N_basis must be at least 4 * n_max")
-    w = _cosine_coefficients(W, 2 * N_basis)
+    # w_0..w_{2 N_basis}, the coefficients the Galerkin matrix reads
+    W = np.asarray(W, dtype=float)[: 2 * N_basis + 1]
+    w = np.zeros(2 * N_basis + 1)
+    w[: W.size] = W
     m = np.arange(1, N_basis + 1)
     A = 0.5 * (w[np.abs(m[:, None] - m[None, :])] - w[m[:, None] + m[None, :]])
     A[np.diag_indices_from(A)] = m.astype(float) ** 2 + w[0] - 0.5 * w[2 * m]

@@ -114,12 +114,35 @@ def test_config_file_and_errors(tmp_path):
                  "--config", str(unknown), "--out", str(tmp_path / "r3")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("spelling", [["--eps=0.01"], ["--ep", "0.01"]])
+def test_explicit_flag_beats_config_in_every_spelling(tmp_path, spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.5, "kappa": 2.0}))
+    _, out = run(tmp_path, "plan", *spelling, "--nu", "1", "--alpha", "1",
+                    "--config", str(cfg))
+    doc = json.loads((out / "plan.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert doc["eps"] == manifest["config"]["eps"] == 0.01
+    assert doc["kappa"] == manifest["config"]["kappa"] == 2.0   # from the file
+
+
 def test_invalid_potential_file(tmp_path):
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps({"V": [0.0, 0.0]}))  # wrong length for M=2
     code = main(["simulate", "--modes", "2", "--T", "1", "--dt", "0.01",
                  "--potential", str(pot), "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("doc", [None, {"W": [0.0] * 5}], ids=["missing", "no-V"])
+def test_bad_potential_file_exits_config(tmp_path, capsys, doc):
+    pot = tmp_path / "pot.json"
+    if doc is not None:
+        pot.write_text(json.dumps(doc))
+    code = main(["simulate", "--modes", "2", "--T", "1", "--dt", "0.01",
+                 "--potential", str(pot), "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    assert "potential file" in capsys.readouterr().err
 
 
 def test_budget_exit(tmp_path):

@@ -215,24 +215,38 @@ def test_action_drift_needs_two_distinct_positive_eps(eps_list):
         action_drift(None, z2, None, k=1, eps_list=eps_list, T=1.0, dt=0.01)
 
 
-def test_action_drift_horizon_groups_keep_eps_order():
-    # 0.1 and 0.07 share a horizon and advance as one stack; every row must
-    # equal a one-state run from its own initial state, eps times one shared
-    # random direction
+def test_action_drift_rows_keep_eps_order():
+    # all eps values advance as one stack; every row must equal a one-state
+    # run from its own initial state, eps times one shared random direction
     ms, fs, z2, p6 = _system(2, seed=3)
     eps_list = [0.1, 0.05, 0.07]
-    horizon = lambda eps: 1.0 if eps > 0.06 else 0.5
-    res = action_drift(None, z2, p6, k=1, eps_list=eps_list, T=horizon, dt=0.01,
-                       seed=4)
+    res = action_drift(None, z2, p6, k=1, eps_list=eps_list, T=1, dt=0.01, seed=4)
     assert [r.eps for r in res.rows] == eps_list
-    assert [r.T for r in res.rows] == [1.0, 0.5, 1.0]
+    assert all(type(r.T) is float and r.T == 1.0 for r in res.rows)
     ki = ms.index(1)
     for eps, row in zip(eps_list, res.rows):
         rng = np.random.default_rng([4, 0])
         u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
         u0 *= eps / np.linalg.norm(u0)
-        I = integrate(z2, p6, u0, T=row.T, dt=0.01).actions[:, ki]
+        I = integrate(z2, p6, u0, T=1.0, dt=0.01).actions[:, ki]
         assert row.drift_raw == pytest.approx(np.max(np.abs(I - I[0])), rel=1e-12)
+
+
+def test_action_drift_passes_long_horizons_unclamped(monkeypatch):
+    # one integrate call for the whole sweep, with T as given
+    import qnls.dynamics as dynamics
+
+    ms, fs, z2, p6 = _system(2, seed=3)
+    seen, run = [], dynamics.integrate
+
+    def spy(z2, p6, u0, T, dt, **kw):
+        seen.append((u0.shape, T))
+        return run(z2, p6, u0, 0.1, dt, **kw)     # a short run stands in
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    res = action_drift(None, z2, p6, k=1, eps_list=[0.1, 0.05, 0.07], T=2e5, dt=0.01)
+    assert seen == [((3, ms.size), 2e5)]
+    assert [r.T for r in res.rows] == [2e5] * 3
 
 
 def test_integrate_seeds_steps_from_previous_state(monkeypatch):
@@ -255,29 +269,22 @@ def test_integrate_seeds_steps_from_previous_state(monkeypatch):
 
 
 def test_action_drift_stacked_transform_matches_per_sample_loop():
-    # horizons of two lengths, so the stack splits into unequal trajectories
     ms, fs, z2, p6 = _system(2, seed=3)
     res = birkhoff(z2, p6, fs, NormalFormConfig(r=3, gamma=0.5, J_max=4))
     cfg, ki = res.config, ms.index(1)
     eps_list = [0.1, 0.05, 0.07]
-    horizon = lambda eps: 1.0 if eps > 0.06 else 0.5
-    got = action_drift(res, z2, p6, k=1, eps_list=eps_list, T=horizon, dt=0.01,
+    got = action_drift(res, z2, p6, k=1, eps_list=eps_list, T=1.0, dt=0.01,
                        max_samples=40, seed=4)
     rng = np.random.default_rng([4, 0])
     shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     shared /= np.linalg.norm(shared)
-    lengths = []
-    for group in ([0, 2], [1]):
-        u0 = np.array([eps_list[i] * shared for i in group])
-        for i, traj in zip(group, integrate(z2, p6, u0, horizon(eps_list[group[0]]),
-                                            0.01, max_samples=40)):
-            lengths.append(len(traj.states))
-            v = np.array([transform_state(s, res.generators, "forward",
-                                          flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
-                          for s in traj.states])
-            vk = np.abs(v[:, ki]) ** 2
-            assert got.rows[i].drift_transformed == float(np.max(np.abs(vk - vk[0])))
-    assert len(set(lengths)) == 2
+    u0 = np.array([eps * shared for eps in eps_list])
+    for row, traj in zip(got.rows, integrate(z2, p6, u0, 1.0, 0.01, max_samples=40)):
+        v = np.array([transform_state(s, res.generators, "forward",
+                                      flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
+                      for s in traj.states])
+        vk = np.abs(v[:, ki]) ** 2
+        assert row.drift_transformed == float(np.max(np.abs(vk - vk[0])))
 
 def test_plan_examples():
     plan = plan_parameters(1e-2, nu=1.0, alpha=1.0)

@@ -302,6 +302,15 @@ def test_check_krgamma(setup_m1):
         check_krgamma(ms5, fs5, k=1, r=3, gamma=g, max_pairs=800)
 
 
+@pytest.mark.parametrize("scope", ["mode", "ALL", ""])
+def test_suggest_gamma_has_one_scope(scope):
+    ms = ModeSet.symmetric(2)
+    fs = freqs_conv(sample_conv_potential(1.0, 2, seed=2), ms)
+    assert suggest_gamma(ms, fs, k=1, r=2, scope="all") == suggest_gamma(ms, fs, k=2, r=2)
+    with pytest.raises(ValueError, match="scope"):
+        suggest_gamma(ms, fs, k=1, r=2, scope=scope)
+
+
 def test_check_krgamma_counts_past_the_listed_violations():
     # seed-0 potential at M=3 with gamma=1: 394 offending pairs, 200 listed
     ms = ModeSet.symmetric(3)

@@ -41,14 +41,6 @@ def test_cosine_perturbation_pattern():
         assert got == pytest.approx(pred, rel=0.05)
 
 
-def test_callable_potential_and_evenness():
-    b1 = dirichlet_eig(lambda x: 0.8 * math.cos(2 * x), n_max=10)
-    b2 = dirichlet_eig(np.array([0.0, 0.0, 0.8]), n_max=10)
-    assert np.allclose(b1.lambdas, b2.lambdas, atol=1e-9)
-    with pytest.raises(ValueError):
-        dirichlet_eig(lambda x: math.sin(x), n_max=5)
-
-
 def test_refinement_stability(random_basis):
     b1 = random_basis
     b2 = dirichlet_eig(b1.W_hat, n_max=50, N_basis=400)
