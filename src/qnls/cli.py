@@ -257,16 +257,19 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, default="runs/latest")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None, required: bool = True) -> argparse.ArgumentParser:
     """The command-line parser; defaults (the fields of a --config file)
-    replace each subcommand's own defaults, so explicit flags still win."""
+    replace each subcommand's own defaults, so explicit flags still win, and
+    a flag they set is not required.  With required=False no flag is."""
+    defaults = defaults or {}
+    need = lambda dest: required and dest not in defaults
     ap = argparse.ArgumentParser(prog="qnls", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="resolve experiment parameters from the scaling recipe")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--eps", type=float, required=need("eps"))
+    p.add_argument("--nu", type=float, required=need("nu"))
+    p.add_argument("--alpha", type=float, required=need("alpha"))
     p.add_argument("--beta-s", dest="beta_s", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=1.0)
@@ -291,8 +294,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sturm)
 
     p = sub.add_parser("normal-form", help="Birkhoff normal form of the truncated system")
-    p.add_argument("--modes", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--modes", type=int, required=need("modes"))
+    p.add_argument("--order", type=int, required=need("order"))
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--j-max", dest="j_max", type=int, default=None)
     p.add_argument("--multistart", type=int, default=16,
@@ -305,7 +308,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("simulate", help="integrate the truncated flow, stream CSV")
-    p.add_argument("--modes", type=int, required=True)
+    p.add_argument("--modes", type=int, required=need("modes"))
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--T", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.01)
@@ -342,7 +345,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         _add_common(sp)
         if name != "plan":      # the planner draws nothing
             sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(**(defaults or {}))
+        sp.set_defaults(**defaults)
     return ap
 
 
@@ -358,19 +361,19 @@ def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
 def _parse_with_config(argv: list[str]) -> argparse.Namespace:
     """Parse argv; the fields of a --config file become the subcommand's
     defaults and argv is parsed again, so argparse decides precedence for every
-    spelling of a flag (--eps 1, --eps=1, --ep 1)."""
-    args = _parse(build_parser(), argv)
-    if not args.config:
-        return args
-    overrides = _read_json(args.config, "config")
-    if not isinstance(overrides, dict):
-        raise ConfigError("config file must hold a JSON object")
+    spelling of a flag (--eps 1, --eps=1, --ep 1) and a file can set a required
+    flag.  The first pass, before the file is read, requires no flag."""
+    args = _parse(build_parser(required=False), argv)
     defaults = {}
-    for key, val in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in vars(args):
-            raise ConfigError(f"unknown config field: {key}")
-        defaults[dest] = val
+    if args.config:
+        overrides = _read_json(args.config, "config")
+        if not isinstance(overrides, dict):
+            raise ConfigError("config file must hold a JSON object")
+        for key, val in overrides.items():
+            dest = key.replace("-", "_")
+            if dest not in vars(args):
+                raise ConfigError(f"unknown config field: {key}")
+            defaults[dest] = val
     return _parse(build_parser(defaults), argv)
 
 

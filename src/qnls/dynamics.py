@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BudgetError
 from . import flows, nf
-from .poly import HomPoly, ModeSet, build_p6, momentum_buckets, sextic_fft, sextic_grid
+from .poly import HomPoly, ModeSet, build_p6, momentum_buckets, sextic_dft, sextic_grid
 from .spectral import japanese, split_levels, sup_norm
 
 
@@ -61,9 +61,10 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     From the second step on, each solve starts from the previous midpoint
     (flows.midpoint_step's prev); the diagonal omega of z2 and that state set
     only the starting guess, not the step equation.  The sextic built by
-    build_p6 evaluates its value and gradient by FFT; any other polynomial
-    uses the generic sparse kernels.  Norm and energy are recorded at every
-    stored sample.  T = 0 takes one step of size 0; T < 0 is rejected.
+    build_p6 evaluates its value and gradient by dense DFT on the minimal
+    grid; any other polynomial uses the generic sparse kernels.  Norm and
+    energy are recorded at every stored sample.  T = 0 takes one step of
+    size 0; T < 0 is rejected.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -127,11 +128,11 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
     u_fine = np.asarray(u_fine, dtype=complex)
     if u_fine.shape != (fine_ms.size,):
         raise ValueError("state does not match the fine mode set")
-    idx, N = sextic_grid(fine_ms.modes)
+    F, G = sextic_grid(fine_ms.modes)
 
     u_cut = u_fine.copy()
     u_cut[np.abs(np.asarray(fine_ms.modes)) > M] = 0.0
-    diff = sextic_fft(u_fine, idx, N, True) - sextic_fft(u_cut, idx, N, True)
+    diff = sextic_dft(u_fine, F, G, True) - sextic_dft(u_cut, F, G, True)
     center = fine_ms.index(0)
     return float(sigma) * float(c6) * diff[center - M: center + M + 1]
 

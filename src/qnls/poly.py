@@ -40,8 +40,6 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
-from scipy.fft import next_fast_len
 
 # bracket pairs expanded at a time: bounds the transient memory of poisson
 _BLOCK = 1 << 14
@@ -329,6 +327,7 @@ class HomPoly:
         and l-rows Tl, the CSR matrix C (len(Tl) x len(Tk)) of coef * csize
         at (l-row, k-row) of each key, and the 0/1 CSR matrix S
         (modes x q*len(Tl)) that adds column s*len(Tl) + b into mode Tl[b, s]."""
+        from scipy import sparse    # here, so that importing qnls loads no SciPy
         Tk, ik = np.unique(self.idx_k, axis=0, return_inverse=True)
         Tl, il = np.unique(self.idx_l, axis=0, return_inverse=True)
         C = sparse.csr_array((self.coef * self.csize, (il.ravel(), ik.ravel())),
@@ -487,31 +486,33 @@ def momentum_buckets(mode_set: ModeSet) -> list[np.ndarray]:
     return [np.array(b, dtype=np.intp) for b in buckets.values()]
 
 
-def sextic_grid(modes) -> tuple[np.ndarray, int]:
-    """FFT slots ``modes % N`` of a window and a length N large enough that
-    cubic and quintic convolution powers on the window do not alias."""
+def sextic_grid(modes) -> tuple[np.ndarray, np.ndarray]:
+    """DFT matrices F[j, x] = exp(2 pi i m_j x / N) and G = conj(F).T / N of a
+    window on N = 3*(max - min) + 1 points, the fewest on which cubic and
+    quintic convolution powers on the window do not alias."""
     modes = np.asarray(modes)
-    N = next_fast_len(3 * int(modes.max() - modes.min()) + 1)
-    return modes % N, N
+    N = 3 * int(modes.max() - modes.min()) + 1
+    # m_j x is reduced mod N before the exp, so every phase is below 2 pi
+    F = np.exp(2j * np.pi / N * (np.outer(modes, np.arange(N)) % N))
+    return F, F.conj().T / N
 
 
-def sextic_fft(u: np.ndarray, idx: np.ndarray, N: int, gradient: bool):
-    """With w the N-point inverse FFT of u placed at the slots idx (along the
-    last axis of u): the Fourier coefficients of |w|^4 w on the window
+def sextic_dft(u: np.ndarray, F: np.ndarray, G: np.ndarray, gradient: bool):
+    """With w = u @ F the grid values of the states u (along the last axis),
+    for (F, G) of sextic_grid: the window coefficients of |w|^4 w
     (gradient=True) or the mean of |w|^6 (gradient=False)."""
-    spec = np.zeros(u.shape[:-1] + (N,), dtype=complex)
-    spec[..., idx] = u
-    w = np.fft.ifft(spec) * N
+    w = u @ F
+    a = np.abs(w) ** 2
     if gradient:
-        return (np.fft.fft(np.abs(w) ** 4 * w) / N)[..., idx]
-    return np.mean(np.abs(w) ** 6, axis=-1)
+        return (a * a * w) @ G
+    return np.mean(a ** 3, axis=-1)
 
 
 class Sextic(HomPoly):
     """The sextic interaction of build_p6.  Its key table is an ordinary
     HomPoly's and arithmetic on it returns a plain HomPoly; only its value
     sigma*c6/6 * mean_x |u(x)|^6 and its gradient sigma*c6*|u|^4 u are
-    evaluated by FFT on the window."""
+    evaluated by dense DFT on the minimal grid, built once (sextic_grid)."""
 
     def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
         if sigma not in (1, -1):
@@ -524,13 +525,13 @@ class Sextic(HomPoly):
         l = np.concatenate([np.tile(b, (len(b), 1)) for b in buckets])
         self._set(mode_set, 3, k, l, np.full(len(k), complex(sigma * c6 / 6.0)), True)
         self.sigma, self.c6 = sigma, c6
-        self.idx, self.N = sextic_grid(mode_set.modes)
+        self.F, self.G = sextic_grid(mode_set.modes)
 
     def __call__(self, u: np.ndarray) -> float:
-        return self.sigma * self.c6 / 6.0 * sextic_fft(self._state(u), self.idx, self.N, False)
+        return self.sigma * self.c6 / 6.0 * sextic_dft(self._state(u), self.F, self.G, False)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.sigma * self.c6 * sextic_fft(self._state(u), self.idx, self.N, True)
+        return self.sigma * self.c6 * sextic_dft(self._state(u), self.F, self.G, True)
 
 
 def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:
@@ -538,7 +539,7 @@ def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:
     satisfying momentum conservation k1+k2+k3 = l1+l2+l3.
 
     Its gradient is sigma*c6 * (|u|^4 u) as a discrete convolution power
-    restricted to the window, evaluated by FFT on any window.
+    restricted to the window, evaluated by dense DFT on any window.
     """
     return Sextic(mode_set, sigma, c6)
 

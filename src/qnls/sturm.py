@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import BudgetError
 from .poly import ModeSet
@@ -47,6 +46,7 @@ def dirichlet_eig(W, n_max: int, N_basis: int | None = None) -> SLBasis:
     The sine-basis Galerkin matrix is symmetric; refinement (doubling N_basis)
     moves the retained eigenvalues only below the stated tolerance.
     """
+    from scipy.linalg import eigh    # here, so that importing qnls loads no SciPy
     if N_basis is None:
         N_basis = 4 * n_max
     if N_basis < 4 * n_max:

@@ -126,6 +126,32 @@ def test_explicit_flag_beats_config_in_every_spelling(tmp_path, spelling):
     assert doc["kappa"] == manifest["config"]["kappa"] == 2.0   # from the file
 
 
+@pytest.mark.parametrize("command,required,rest,artifact", [
+    ("plan", {"eps": 0.01, "nu": 1.0, "alpha": 1.0}, [], "plan.json"),
+    ("normal-form", {"modes": 1, "order": 3}, ["--gamma", "0.5", "--j-max", "5"],
+     "normal_form.json"),
+    ("simulate", {"modes": 2}, ["--T", "2", "--dt", "0.01"], "trajectory.csv"),
+], ids=["plan", "normal-form", "simulate"])
+def test_config_supplies_required_flags(tmp_path, capsys, command, required, rest, artifact):
+    flags = [x for key, val in required.items() for x in (f"--{key}", str(val))]
+    code, by_flags = run(tmp_path / "flags", command, *flags, *rest)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(required))
+    code_file, by_file = run(tmp_path / "file", command, *rest, "--config", str(cfg))
+    assert code_file == code
+    assert (by_file / artifact).read_bytes() == (by_flags / artifact).read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (by_flags, by_file)]
+    for m in manifests:
+        del m["config"]["out"]
+    assert manifests[0] == manifests[1]
+    # a file that leaves one out still exits 4 and names it
+    last = list(required)[-1]
+    cfg.write_text(json.dumps({k: v for k, v in required.items() if k != last}))
+    capsys.readouterr()
+    assert run(tmp_path / "short", command, *rest, "--config", str(cfg))[0] == EXIT_CONFIG
+    assert f"--{last}" in capsys.readouterr().err
+
+
 def test_invalid_potential_file(tmp_path):
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps({"V": [0.0, 0.0]}))  # wrong length for M=2

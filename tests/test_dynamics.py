@@ -82,7 +82,7 @@ def test_integrate_gauge_covariance(rng):
 
 
 def test_integrate_generic_vs_fast_gradient(rng):
-    # the FFT sextic and its generic copy must give the same dynamics
+    # the dense-DFT sextic and its generic copy must give the same dynamics
     ms, fs, z2, p6 = _system(2, seed=3)
     u0 = random_state(ms, rng, norm=0.3)
     t1 = integrate(z2, p6, u0, T=2.0, dt=0.01)
@@ -346,8 +346,10 @@ def test_action_derivative_symbolic_vs_fd():
 
 
 def test_sextic_value_matches_polynomial(rng):
-    # FFT value and gradient of build_p6 against the generic sparse kernels
-    windows = [ModeSet.symmetric(M) for M in range(4)] + [ModeSet.dirichlet(4)]
+    # dense-DFT value and gradient of build_p6 against the generic sparse
+    # kernels; the asymmetric windows check that the minimal grid does not alias
+    windows = ([ModeSet.symmetric(M) for M in range(4)] + [ModeSet.dirichlet(4)]
+               + [ModeSet((0, 2, 5)), ModeSet((-4, -1, 3, 7))])
     for ms in windows:
         for sigma, c6 in ((1, 1.3), (-1, 1.7)):
             p6 = build_p6(ms, sigma=sigma, c6=c6)

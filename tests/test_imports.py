@@ -1,6 +1,10 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and importing
+the library loads no SciPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,13 @@ def test_scanner_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
+
+
+def test_import_loads_no_scipy():
+    # SciPy is imported inside the two routines that use it (sparse matrices
+    # in the gradient plan, eigh in the Sturm-Liouville solve)
+    code = "import sys, qnls; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

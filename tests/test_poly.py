@@ -5,12 +5,13 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 from qnls.nf import NormalFormConfig, birkhoff, solve_cohomological, suggest_gamma
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
 from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson,
-                       poly_from_json, poly_to_json)
+                       poly_from_json, poly_to_json, sextic_dft, sextic_grid)
 from conftest import is_zero, random_balanced, random_state
 
 WINDOWS = st.sampled_from([ModeSet.symmetric(1), ModeSet.symmetric(2), ModeSet.symmetric(3),
@@ -493,6 +494,44 @@ def test_build_p6_gradient_is_convolution(rng):
                             out[ms.index(m)] += (u[i1] * u[i2] * u[i3]
                                                  * np.conj(u[j1]) * np.conj(u[j2]))
     assert np.max(np.abs(grad - (-1.3) * out)) < 1e-12
+
+
+def fft_sextic_grid(modes):
+    """FFT slots modes % N on the next fast length N >= 3*(max - min) + 1."""
+    modes = np.asarray(modes)
+    N = next_fast_len(3 * int(modes.max() - modes.min()) + 1)
+    return modes % N, N
+
+
+def fft_sextic(u, idx, N, gradient):
+    """The window kernel by np.fft on a zero-filled spectrum, kept as the
+    oracle of the dense-DFT kernel sextic_dft."""
+    spec = np.zeros(u.shape[:-1] + (N,), dtype=complex)
+    spec[..., idx] = u
+    w = np.fft.ifft(spec) * N
+    if gradient:
+        return (np.fft.fft(np.abs(w) ** 4 * w) / N)[..., idx]
+    return np.mean(np.abs(w) ** 6, axis=-1)
+
+
+@pytest.mark.parametrize("modes", [pytest.param(tuple(range(-M, M + 1)), id=f"M={M}")
+                                   for M in range(17)]
+                         + [pytest.param(m, id=str(m)) for m in [(0, 2, 5), (-4, -1, 3, 7)]])
+# 776 rows: the tau nodes of strichartz_quadrature at M = 8
+@pytest.mark.parametrize("rows", [(), (3,), (776,)], ids=["state", "3rows", "776rows"])
+def test_sextic_dft_matches_fft_oracle(modes, rows, rng):
+    shape = rows + (len(modes),)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    F, G = sextic_grid(modes)
+    oracle = fft_sextic_grid(modes)
+    for gradient in (True, False):
+        got, want = sextic_dft(u, F, G, gradient), fft_sextic(u, *oracle, gradient)
+        assert got.shape == want.shape
+        if gradient:    # per state, relative to the oracle's norm
+            err, scale = np.linalg.norm(got - want, axis=-1), np.linalg.norm(want, axis=-1)
+        else:
+            err, scale = np.abs(got - want), np.abs(want)
+        assert np.all(err <= 1e-13 * scale)
 
 
 def test_build_z2():

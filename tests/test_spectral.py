@@ -243,7 +243,7 @@ def test_strichartz_identity_gapped_window(rng):
 
 def dense_strichartz_quadrature(mode_set, a, u):
     """The quadrature with h(tau) from a dense DFT matrix on 6M + 2 points,
-    kept as the oracle of the window-FFT version (c6 = 1)."""
+    kept as the oracle of the library's minimal-grid version (c6 = 1)."""
     M = mode_set.M_param
     modes = np.asarray(mode_set.modes)
     n_x, n_tau = 6 * M + 2, 12 * M * M + 8
