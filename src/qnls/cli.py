@@ -19,17 +19,44 @@ import numpy as np
 
 from . import __version__, dynamics, flows, nf, resonance, sturm, svgplot
 from .errors import BudgetError, ConfigError
-from .poly import ModeSet, build_p6, build_z2, poly_to_json
+from .poly import HomPoly, ModeSet, build_p6, build_z2, poly_to_json
 from .spectral import freqs_conv
 
 EXIT_OK, EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG = 0, 2, 3, 4
+# characters of a polynomial's JSON text handed to the file per write
+_SLICE = 1 << 16
 
 
 def _write_json(path: Path, obj):
+    """Write obj as json.dump(obj, indent=2, sort_keys=True) and a newline
+    would, streamed to the file; a HomPoly is written by poly_to_json."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _dump(obj, fh.write, 0)
         fh.write("\n")
+
+
+def _dump(obj, write, level: int):
+    """Write obj (string keys only) nested level levels deep; the text of the
+    whole document is never held at once."""
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, HomPoly):
+        text = poly_to_json(obj, level)
+        # in slices: the file encodes each write into a bytes copy of it
+        for i in range(0, len(text), _SLICE):
+            write(text[i:i + _SLICE])
+    elif isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            write(("," if i else "{") + inner + json.dumps(key) + ": ")
+            _dump(obj[key], write, level + 1)
+        write(outer + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, item in enumerate(obj):
+            write(("," if i else "[") + inner)
+            _dump(item, write, level + 1)
+        write(outer + "]")
+    else:
+        write(json.dumps(obj))
 
 
 def _manifest(out: Path, args: argparse.Namespace, outputs: list[str]):
@@ -98,7 +125,7 @@ def cmd_certify(args, out: Path) -> int:
             V = resonance.sample_conv_potential(args.s_star, args.hmax, args.seed)
             omega = freqs_conv(V, window)
         bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
-        if args.kind == "strong" and args.alpha <= 0:
+        if args.kind == "strong" and not args.alpha > 0:
             raise ConfigError("alpha must be positive")
     if args.kind == "strong":
         cert = resonance.certify_strong(omega, bounds, alpha=args.alpha)
@@ -116,6 +143,8 @@ def cmd_certify(args, out: Path) -> int:
 
 def cmd_sturm(args, out: Path) -> int:
     with _parameters():
+        if args.nmax < 1:
+            raise ConfigError("nmax must be at least 1")
         W = resonance.sample_mult_potential(args.s_star, 4 * args.nmax, args.seed)
     basis = sturm.dirichlet_eig(W, n_max=args.nmax)
     c_est = sturm.verify_ev_asymptotics(basis)
@@ -150,9 +179,8 @@ def cmd_normal_form(args, out: Path) -> int:
         "norm_p": result.norm_p.to_dict() | {"witness": None},
         "tail_report": [vars(e) for e in result.tail_report],
         "truncated_degrees": result.truncated_degrees,
-        "generators": [json.loads(poly_to_json(g)) for g in result.generators],
-        "resonant": {str(2 * j): json.loads(poly_to_json(Q))
-                     for j, Q in result.resonant.items()},
+        "generators": result.generators,
+        "resonant": {str(2 * j): Q for j, Q in result.resonant.items()},
     }
     _write_json(out / "normal_form.json", doc)
     _manifest(out, args, ["normal_form.json"])
@@ -164,9 +192,11 @@ def cmd_normal_form(args, out: Path) -> int:
 
 def cmd_simulate(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
-    if args.dt <= 0:
+    if not args.eps > 0:
+        raise ConfigError("eps must be positive")
+    if not args.dt > 0:
         raise ConfigError("dt must be positive")
-    if args.T < 0:
+    if not args.T >= 0:
         raise ConfigError("T must be non-negative")
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
@@ -186,9 +216,9 @@ def cmd_drift(args, out: Path) -> int:
         dynamics.check_eps_list(eps_list)
     if args.k not in ms:
         raise ConfigError("mode k outside the window")
-    if args.dt <= 0:
+    if not args.dt > 0:
         raise ConfigError("dt must be positive")
-    if args.T < 0:
+    if not args.T >= 0:
         raise ConfigError("T must be non-negative")
     gamma = args.gamma
     if gamma is None:
@@ -227,7 +257,7 @@ def cmd_drift(args, out: Path) -> int:
 def cmd_strichartz(args, out: Path) -> int:
     with _parameters():
         m_list = [int(x) for x in str(args.m_list).split(",")]
-        dynamics.check_m_list(m_list)
+        dynamics.check_scan(m_list, args.c6, args.multistart)
     scan = dynamics.strichartz_scan(m_list, c6=args.c6, multistart=args.multistart,
                                     seed=args.seed)
     doc = {

@@ -66,9 +66,9 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     energy are recorded at every stored sample.  T = 0 takes one step of
     size 0; T < 0 is rejected.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if T < 0:
+    if not T >= 0:
         raise ValueError("T must be non-negative")
     ms = z2.mode_set
     omega = _omega_from_z2(z2)
@@ -196,15 +196,20 @@ class DriftResult:
 def check_eps_list(eps_list) -> None:
     """Raise ValueError unless the eps values are positive, with at least two
     distinct ones (the drift exponent is a log-log fit against eps)."""
-    if min(eps_list) <= 0 or len(set(eps_list)) < 2:
+    if not all(e > 0 for e in eps_list) or len(set(eps_list)) < 2:
         raise ValueError("eps values must be positive, with at least two distinct ones")
 
 
-def check_m_list(M_list) -> None:
+def check_scan(M_list, c6: float, multistart: int) -> None:
     """Raise ValueError unless the window sizes are at least 1 and distinct
-    (the scan's exponents divide by log2 of the ratio of two sizes)."""
+    (the scan's exponents divide by log2 of the ratio of two sizes), c6 is
+    finite and positive, and the ascent has at least one start."""
     if min(M_list) < 1 or len(set(M_list)) < len(M_list):
         raise ValueError("window sizes M must be distinct and at least 1")
+    if not (math.isfinite(c6) and c6 > 0):
+        raise ValueError("c6 must be finite and positive")
+    if multistart < 1:
+        raise ValueError("multistart must be at least 1")
 
 
 def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float,
@@ -281,7 +286,7 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
     embedded among the starts so that S is non-decreasing by construction.
     The upper bound is the largest per-level l1 norm.
     """
-    check_m_list(M_list)
+    check_scan(M_list, c6, multistart)
     rows = []
     prev_witness = None
     for M in sorted(M_list):

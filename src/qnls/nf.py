@@ -49,6 +49,8 @@ class NormalFormConfig:
             self.J_max = 2 * self.r
         if self.J_max < self.r + 1:
             raise ValueError("J_max must be at least r + 1")
+        if self.norm_multistart < 1:
+            raise ValueError("norm_multistart must be at least 1")
         check_lower_levels(self.norm_lower_levels)
 
 

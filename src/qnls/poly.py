@@ -46,6 +46,9 @@ _BLOCK = 1 << 14
 # entries (states x distinct rows) of each work array of the gradient kernel:
 # a stack goes through it in blocks whose work arrays fit a core's L2 cache
 _GRAD_ENTRIES = 1 << 14
+# entries poly_to_json renders at a time: bounds its transient small strings,
+# which otherwise fragment the heap and raise the peak RSS of a run
+_JSON_ROWS = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -517,8 +520,8 @@ class Sextic(HomPoly):
     def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
         if sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if c6 <= 0:
-            raise ValueError("c6 must be positive")
+        if not (math.isfinite(c6) and c6 > 0):
+            raise ValueError("c6 must be finite and positive")
         # every (k, l) pair of triples within one momentum bucket, k outer
         buckets = momentum_buckets(mode_set)
         k = np.concatenate([np.repeat(b, len(b), axis=0) for b in buckets])
@@ -547,24 +550,48 @@ def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:
 # ------------------------------------------------------------- serialization
 
 
-def poly_to_json(P: HomPoly) -> str:
-    """Canonical JSON document {degree, modes, entries}, sorted by key."""
+def _json_floats(x: np.ndarray) -> list[str]:
+    """json's spelling of each float: its repr, or NaN, Infinity, -Infinity."""
+    out = list(map(float.__repr__, x.tolist()))
+    for i in np.flatnonzero(~np.isfinite(x)).tolist():
+        out[i] = "NaN" if np.isnan(x[i]) else "Infinity" if x[i] > 0 else "-Infinity"
+    return out
+
+
+def poly_to_json(P: HomPoly, level: int = 0) -> str:
+    """Canonical JSON document {degree, entries, modes}, entries sorted by key:
+    the text json.dumps(doc, indent=2, sort_keys=True) writes for it when it
+    is nested level levels deep, rendered column by column from the arrays."""
     # window indices follow mode order, so sorting the index rows sorts the keys
     order = np.lexsort(np.concatenate([P.idx_k, P.idx_l], axis=1).T[::-1])
-    modes = np.asarray(P.mode_set.modes)
-    entries = [{"k": k, "l": l, "re": re, "im": im} for k, l, re, im in zip(
-        modes[P.idx_k[order]].tolist(), modes[P.idx_l[order]].tolist(),
-        P.coef.real[order].tolist(), P.coef.imag[order].tolist())]
-    doc = {"degree": P.degree, "modes": modes.tolist(), "entries": entries}
-    return json.dumps(doc, separators=(",", ":"))
+    names = np.array([str(m) for m in P.mode_set.modes], dtype=object)
+    p1, p2, p3, p4 = ("\n" + "  " * (level + i) for i in range(1, 5))
+    sep, items = "," + p2, ("," + p4).join(["%s"] * P.q)
+    entry = (f'{{{p3}"im": %s,{p3}"k": [{p4}{items}{p3}],{p3}"l": [{p4}{items}{p3}],'
+             f'{p3}"re": %s{p2}}}')
+    # grown in place (CPython resizes a str it holds the only reference to), a
+    # block of rows at a time, so that only the text and one block are live
+    text = f'{{{p1}"degree": {P.degree},{p1}"entries": ['
+    for start in range(0, len(P), _JSON_ROWS):
+        rows = order[start:start + _JSON_ROWS]
+        cols = [_json_floats(P.coef.imag[rows]),
+                *(names[P.idx_k[rows, s]].tolist() for s in range(P.q)),
+                *(names[P.idx_l[rows, s]].tolist() for s in range(P.q)),
+                _json_floats(P.coef.real[rows])]
+        text += (sep if start else p2) + sep.join(map(entry.__mod__, zip(*cols)))
+    text += (f'{p1 if len(P) else ""}],{p1}"modes": [{p2}{sep.join(names.tolist())}'
+             f'{p1}]\n{"  " * level}}}')
+    return text
 
 
 def poly_from_json(text: str) -> HomPoly:
     doc = json.loads(text)
     ms = ModeSet(tuple(doc["modes"]))
     q = doc["degree"] // 2
-    coeffs = {
-        (tuple(e["k"]), tuple(e["l"])): complex(e["re"], e["im"])
-        for e in doc["entries"]
-    }
+    coeffs = {}
+    for e in doc["entries"]:
+        key = (tuple(sorted(e["k"])), tuple(sorted(e["l"])))
+        if key in coeffs:
+            raise ValueError(f"key {key} appears twice")
+        coeffs[key] = complex(e["re"], e["im"])
     return HomPoly(ms, q, coeffs)

@@ -7,8 +7,13 @@ from qnls.cli import (EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main)
 
 
 def run(tmp_path, *argv):
+    """Run the CLI into tmp_path/run; every JSON artifact it writes must be in
+    the one canonical form: sorted keys, two-space indent, a final newline."""
     out = tmp_path / "run"
     code = main([*argv, "--out", str(out)])
+    for path in out.glob("*.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
     return code, out
 
 
@@ -223,6 +228,30 @@ def test_parse_errors_are_config_errors(tmp_path):
 ])
 def test_invalid_parameters_exit_config(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "--modes", "2", "--order", "4", "--c6", "nan"],
+    ["normal-form", "--modes", "1", "--order", "3", "--c6", "inf"],
+    ["simulate", "--modes", "1", "--c6", "0"],
+    ["strichartz", "--m-list", "1,2", "--c6", "0"],
+    ["strichartz", "--m-list", "1,2", "--c6", "nan"],
+    ["sturm", "--nmax", "0"],
+    ["normal-form", "--modes", "1", "--order", "3", "--multistart", "0"],
+    ["normal-form", "--modes", "1", "--order", "3", "--multistart", "-3"],
+    ["strichartz", "--m-list", "1,2", "--multistart", "0"],
+    ["simulate", "--modes", "1", "--eps", "0"],
+    ["simulate", "--modes", "1", "--eps", "-0.1"],
+    ["simulate", "--modes", "1", "--eps", "nan"],
+    ["simulate", "--modes", "1", "--dt", "nan"],
+    ["simulate", "--modes", "1", "--T", "nan"],
+    ["drift", "--modes", "2", "--T", "nan"],
+    ["drift", "--modes", "2", "--eps-list", "0.1,nan"],
+    ["certify", "--alpha", "nan"],
+])
+def test_bad_value_is_a_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,field", [

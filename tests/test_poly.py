@@ -1,12 +1,14 @@
 import json
 import math
 from collections import Counter, defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
+from qnls import cli, poly
 from qnls.nf import NormalFormConfig, birkhoff, solve_cohomological, suggest_gamma
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
@@ -554,8 +556,8 @@ def test_serialization_roundtrip(rng):
 
 
 def sorted_dict_to_json(P: HomPoly) -> str:
-    """The serializer that sorts the items of the coeffs mapping, kept as the
-    oracle of poly_to_json."""
+    """The serializer that sorts the items of the coeffs mapping and lets json
+    indent and sort the keys, kept as the oracle of poly_to_json."""
     entries = [
         {"k": [int(m) for m in key[0]], "l": [int(m) for m in key[1]],
          "re": float(c.real), "im": float(c.imag)}
@@ -563,19 +565,101 @@ def sorted_dict_to_json(P: HomPoly) -> str:
     ]
     doc = {"degree": P.degree, "modes": [int(m) for m in P.mode_set.modes],
            "entries": entries}
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# coefficients on an axis carry signed zeros, which both must write as -0.0
+AXES = st.sampled_from([None, 1, -1, 1j, -1j, 0.5 - 2j])
+
+
+def draw_axis_poly(data, max_keys: int) -> HomPoly:
+    P = draw_poly(data, data.draw(WINDOWS), max_keys=max_keys)
+    axis = data.draw(AXES)
+    return P if axis is None else -(axis * P.modulus())
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_poly_to_json_matches_sorted_dict(data):
-    ms = data.draw(WINDOWS)
-    P = draw_poly(data, ms, max_keys=30)
-    # parts on an axis carry signed zeros, which both must write as -0.0
-    axis = data.draw(st.sampled_from([None, 1, -1, 1j, -1j, 0.5 - 2j]))
-    if axis is not None:
-        P = -(axis * P.modulus())
-    assert poly_to_json(P) == sorted_dict_to_json(P)
+    P = draw_axis_poly(data, max_keys=30)
+    # entries are rendered a block of rows at a time; small blocks split them
+    rows = data.draw(st.sampled_from([1, 2, 7, poly._JSON_ROWS]))
+    with mock.patch.object(poly, "_JSON_ROWS", rows):
+        assert poly_to_json(P) == sorted_dict_to_json(P)
+
+
+def test_poly_from_json_rejects_a_repeated_key():
+    doc = {"degree": 2, "modes": [0, 1], "entries": [
+        {"k": [1], "l": [0], "re": 1.0, "im": 0.0},
+        {"k": [1], "l": [0], "re": 2.0, "im": 0.0}]}
+    with pytest.raises(ValueError, match="twice"):
+        poly_from_json(json.dumps(doc))
+    # the same key spelled in another order is the same key
+    doc = {"degree": 4, "modes": [0, 1], "entries": [
+        {"k": [0, 1], "l": [0, 1], "re": 1.0, "im": 0.0},
+        {"k": [1, 0], "l": [0, 1], "re": 2.0, "im": 0.0}]}
+    with pytest.raises(ValueError, match="twice"):
+        poly_from_json(json.dumps(doc))
+
+
+# ------------------------------------------------ the CLI's streamed writer
+
+# scalars json writes itself: signed zeros, NaN, infinities and subnormals
+# among the floats, escapes and non-ASCII characters among the strings
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan, -math.inf])
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
+SLOT = object()     # a leaf that becomes a drawn polynomial
+TREES = st.recursive(
+    SCALARS | st.just(SLOT),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=12)
+
+
+def _fill(tree, draw):
+    """The tree with each SLOT replaced by draw()."""
+    if tree is SLOT:
+        return draw()
+    if isinstance(tree, dict):
+        return {key: _fill(val, draw) for key, val in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_fill(val, draw) for val in tree)
+    return tree
+
+
+def _oracle(tree) -> str:
+    """json.dump's text, with each polynomial as the sorted-dict document."""
+    def as_doc(node):
+        if isinstance(node, HomPoly):
+            return json.loads(sorted_dict_to_json(node))
+        if isinstance(node, dict):
+            return {key: as_doc(val) for key, val in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [as_doc(val) for val in node]
+        return node
+    return json.dumps(as_doc(tree), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_write_json_matches_json_dumps(tmp_path_factory, data):
+    tree = _fill(data.draw(TREES), lambda: draw_axis_poly(data, max_keys=6))
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    # a polynomial's text goes to the file in slices; small ones split it
+    with mock.patch.object(cli, "_SLICE", data.draw(st.sampled_from([1, 9, cli._SLICE]))):
+        cli._write_json(path, tree)
+    assert path.read_text() == _oracle(tree)
+
+
+def test_write_json_zero_key_and_nonfinite_polynomials(tmp_path):
+    ms = ModeSet.symmetric(1)
+    empty, P = HomPoly(ms, 2), -(1j * build_p6(ms).modulus())
+    odd = HomPoly(ms, 1, {((1,), (0,)): complex(math.nan, math.inf),
+                          ((0,), (0,)): complex(-math.inf, -0.0)})
+    tree = {"a": empty, "b": [empty, [P, {}], []], "c": {"d": {"e": P, "f": odd}}}
+    cli._write_json(tmp_path / "doc.json", tree)
+    assert (tmp_path / "doc.json").read_text() == _oracle(tree)
+    assert '"entries": []' in _oracle(tree)
 
 
 def test_add_degree_mismatch():
