@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BudgetError
 from . import flows, nf
-from .poly import HomPoly, ModeSet, build_p6, momentum_buckets, sextic_dft, sextic_grid
+from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
 from .spectral import japanese, split_levels, sup_norm
 
 
@@ -118,7 +118,7 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
 
         g = sigma*c6 * proj_M[ |u|^4 u - |proj_M u|^4 proj_M u ],
 
-    computed by exact convolution powers on the fine window.
+    computed by exact convolution powers on the fine window (a Sextic's gradient).
     """
     Mf = fine_ms.M_param
     if fine_ms.modes != tuple(range(-Mf, Mf + 1)):
@@ -128,13 +128,12 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
     u_fine = np.asarray(u_fine, dtype=complex)
     if u_fine.shape != (fine_ms.size,):
         raise ValueError("state does not match the fine mode set")
-    F, G = sextic_grid(fine_ms.modes)
-
+    p6 = Sextic(fine_ms, sigma, c6)
     u_cut = u_fine.copy()
     u_cut[np.abs(np.asarray(fine_ms.modes)) > M] = 0.0
-    diff = sextic_dft(u_fine, F, G, True) - sextic_dft(u_cut, F, G, True)
+    diff = p6.gradient(u_fine) - p6.gradient(u_cut)
     center = fine_ms.index(0)
-    return float(sigma) * float(c6) * diff[center - M: center + M + 1]
+    return diff[center - M: center + M + 1]
 
 
 def sobolev_profile_state(M_fine: int, s: float, eps: float, seed: int) -> np.ndarray:
@@ -280,11 +279,12 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
     """Level-sup norm S(M) of the sextic modulus for each window size; being
     a norm of the modulus, it does not depend on the sign of the sextic.
 
-    The witnessed lower bound comes from ascent on the dominant spectral level
-    (a = 0; for the sextic modulus the time-integral representation makes the
-    zero level dominate every other one), with the previous window's witness
-    embedded among the starts so that S is non-decreasing by construction.
-    The upper bound is the largest per-level l1 norm.
+    The witnessed lower bound comes from ascent on spectral level a = 0, with
+    the previous window's witness embedded among the starts so that S is
+    non-decreasing by construction.  The upper bound is level 0's l1 norm, the
+    largest of any level: with C_{p,e} the ordered triples of momentum p and
+    energy e, level a counts sum C_{p,e} C_{p,e-a} ordered pairs, which
+    Cauchy-Schwarz bounds strictly by the level-0 count sum C_{p,e}^2.
     """
     check_scan(M_list, c6, multistart)
     rows = []
@@ -296,18 +296,15 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
             raise BudgetError(f"strichartz_scan budget exceeded at M={M}")
         P = build_p6(ms, c6=c6)
         levels = split_levels(P, np.asarray(ms.modes, dtype=float) ** 2)
-        l1s = {a: part.l1() for a, part in levels.items()}
-        upper = max(l1s.values())
-        dominant = max(l1s, key=l1s.get)
         extra = None
         if prev_witness is not None:
             embedded = np.zeros(ms.size)
             off = (ms.size - prev_witness.size) // 2
             embedded[off: off + prev_witness.size] = prev_witness
             extra = embedded[None, :]
-        enc = sup_norm(levels[dominant].modulus(), multistart=multistart,
+        enc = sup_norm(levels[0].modulus(), multistart=multistart,
                        iters=iters, seed=seed, extra_starts=extra)
-        rows.append(ScanRow(M=M, lower=enc.lower, upper=upper, dominant_level=dominant))
+        rows.append(ScanRow(M=M, lower=enc.lower, upper=levels[0].l1(), dominant_level=0))
         prev_witness = enc.witness
     exponents = []
     for a, b in zip(rows, rows[1:]):
@@ -377,8 +374,12 @@ def plan_parameters(eps: float, nu: float, alpha: float, beta_s: float = 1.0,
         raise ValueError("nu must lie in (0, 2]")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (beta_s, rho, kappa)):
+        raise ValueError("beta_s, rho and kappa must be finite and positive")
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     upsilon = (nu / 16.0) * math.exp(-3.0 * alpha)
     alpha_nu = alpha + math.log(16.0 / nu) / 3.0
     two_k = 2.0 * japanese(k)

@@ -24,6 +24,9 @@ from . import flows
 from .poly import HomPoly, ModeSet, coeff_close, complex_div, complex_mul, poisson
 from .spectral import FrequencySet, NormEnclosure, check_lower_levels, japanese, norm_h
 
+# ordered multiset pairs the divisor tables of one scan may hold in total
+_MAX_PAIRS = 200_000_000
+
 
 @dataclass
 class NormalFormConfig:
@@ -256,8 +259,7 @@ class KRGammaReport:
         return self.n_violations == 0
 
 
-def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
-                    max_pairs: int | None = None):
+def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int, max_pairs: int):
     """Tables of |Omega| between multisets of equal size q = 1..r.
 
     For each q the multisets of q modes are listed with their frequency sums
@@ -271,8 +273,8 @@ def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     for q in range(1, r + 1):
         n = math.comb(mode_set.size + q - 1, q)
         pairs += n * n
-        if max_pairs is not None and pairs > max_pairs:
-            raise BudgetError("enumeration budget exceeded in check_krgamma")
+        if pairs > max_pairs:
+            raise BudgetError(f"divisor enumeration budget exceeded at half-degree {q}")
         multis = list(combinations_with_replacement(mode_set.modes, q))
         sums = np.array([sum(w[m] for m in t) for t in multis])
         mult_k = np.array([t.count(k) for t in multis])
@@ -284,7 +286,8 @@ def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
 def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
                   scope: str = "all") -> float:
     """A gamma guaranteed to pass check_krgamma on this truncation: half the
-    smallest nonzero |Omega| over keys of half-degree <= r, capped at 0.999.
+    smallest nonzero |Omega| over keys of half-degree <= r, capped at 0.999,
+    found within check_krgamma's default pair budget (BudgetError beyond it).
 
     The only scope, "all", keeps gamma below every nonzero divisor, so the
     resonant set is exactly the equal-multiset kernel and the generator's
@@ -294,14 +297,14 @@ def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     if scope != "all":
         raise ValueError(f"unknown scope {scope!r}; the only scope is 'all'")
     best = math.inf
-    for *_, diff in _divisor_blocks(mode_set, omega, k, r):
+    for *_, diff in _divisor_blocks(mode_set, omega, k, r, _MAX_PAIRS):
         diff[diff == 0.0] = np.inf
         best = min(best, float(diff.min()))
     return min(0.5 * best, 0.999)
 
 
 def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
-                  gamma: float, max_pairs: int = 200_000_000) -> KRGammaReport:
+                  gamma: float, max_pairs: int = _MAX_PAIRS) -> KRGammaReport:
     """Search for gamma-resonant keys of half-degree <= r that fail to commute
     with |u_k|^2 (unequal multiplicity of mode k on the two sides).
 

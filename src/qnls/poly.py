@@ -489,52 +489,47 @@ def momentum_buckets(mode_set: ModeSet) -> list[np.ndarray]:
     return [np.array(b, dtype=np.intp) for b in buckets.values()]
 
 
-def sextic_grid(modes) -> tuple[np.ndarray, np.ndarray]:
-    """DFT matrices F[j, x] = exp(2 pi i m_j x / N) and G = conj(F).T / N of a
-    window on N = 3*(max - min) + 1 points, the fewest on which cubic and
-    quintic convolution powers on the window do not alias."""
-    modes = np.asarray(modes)
-    N = 3 * int(modes.max() - modes.min()) + 1
-    # m_j x is reduced mod N before the exp, so every phase is below 2 pi
-    F = np.exp(2j * np.pi / N * (np.outer(modes, np.arange(N)) % N))
-    return F, F.conj().T / N
-
-
-def sextic_dft(u: np.ndarray, F: np.ndarray, G: np.ndarray, gradient: bool):
-    """With w = u @ F the grid values of the states u (along the last axis),
-    for (F, G) of sextic_grid: the window coefficients of |w|^4 w
-    (gradient=True) or the mean of |w|^6 (gradient=False)."""
-    w = u @ F
-    a = np.abs(w) ** 2
-    if gradient:
-        return (a * a * w) @ G
-    return np.mean(a ** 3, axis=-1)
-
-
 class Sextic(HomPoly):
-    """The sextic interaction of build_p6.  Its key table is an ordinary
-    HomPoly's and arithmetic on it returns a plain HomPoly; only its value
-    sigma*c6/6 * mean_x |u(x)|^6 and its gradient sigma*c6*|u|^4 u are
-    evaluated by dense DFT on the minimal grid, built once (sextic_grid)."""
+    """The sextic interaction of build_p6 and the one owner of the window
+    transform: its value sigma*c6/6 * mean_x |u(x)|^6 and gradient
+    sigma*c6*|u|^4 u, at a state or a stack, are evaluated by dense DFT on the
+    minimal grid.  Its key table, an ordinary HomPoly's (arithmetic on it gives
+    a plain HomPoly), is built on first read of idx_k, idx_l, coef or csize."""
 
     def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
         if sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
         if not (math.isfinite(c6) and c6 > 0):
             raise ValueError("c6 must be finite and positive")
-        # every (k, l) pair of triples within one momentum bucket, k outer
-        buckets = momentum_buckets(mode_set)
+        self.mode_set, self.q, self._is_real, self.sigma, self.c6 = mode_set, 3, True, sigma, c6
+        # F[j, x] = exp(2 pi i m_j x / N) and G = conj(F).T / N on the fewest points
+        # on which cubic and quintic convolution powers on the window do not alias;
+        # m_j x is reduced mod N before the exp, so every phase is below 2 pi
+        modes = np.asarray(mode_set.modes)
+        N = 3 * int(modes.max() - modes.min()) + 1
+        self._F = np.exp(2j * np.pi / N * (np.outer(modes, np.arange(N)) % N))
+        self._G = self._F.conj().T / N
+
+    def __getattr__(self, name):
+        # only a key array can be missing, before its first read: build the
+        # table, every (k, l) pair of triples within one momentum bucket, k outer
+        if name not in ("idx_k", "idx_l", "coef", "csize"):
+            raise AttributeError(name)
+        buckets = momentum_buckets(self.mode_set)
         k = np.concatenate([np.repeat(b, len(b), axis=0) for b in buckets])
         l = np.concatenate([np.tile(b, (len(b), 1)) for b in buckets])
-        self._set(mode_set, 3, k, l, np.full(len(k), complex(sigma * c6 / 6.0)), True)
-        self.sigma, self.c6 = sigma, c6
-        self.F, self.G = sextic_grid(mode_set.modes)
+        coef = np.full(len(k), complex(self.sigma * self.c6 / 6.0))
+        self._set(self.mode_set, 3, k, l, coef, True)
+        return getattr(self, name)
 
-    def __call__(self, u: np.ndarray) -> float:
-        return self.sigma * self.c6 / 6.0 * sextic_dft(self._state(u), self.F, self.G, False)
+    def __call__(self, u: np.ndarray):
+        a = np.abs(self._state(u) @ self._F) ** 2
+        return self.sigma * self.c6 / 6.0 * np.mean(a ** 3, axis=-1)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.sigma * self.c6 * sextic_dft(self._state(u), self.F, self.G, True)
+        w = self._state(u) @ self._F
+        a = np.abs(w) ** 2
+        return self.sigma * self.c6 * ((a * a * w) @ self._G)
 
 
 def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, ModeSet, build_p6, sextic_dft, sextic_grid
+from .poly import HomPoly, ModeSet, Sextic, build_p6
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -283,9 +283,11 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
 
     where h(tau) is the sixth power of the L6 norm of the free evolution of
     the componentwise modulus of u (trigonometric-polynomial normalization).
-    The x-integral is the sextic's dense DFT on the minimal grid, on all tau
-    nodes at once; the tau-integral is a trapezoidal sum on 12 M^2 + 8 nodes,
-    M = max |m|.  Both are exact for the trigonometric degrees involved.
+    The x-integral mean_x |w|^6 is the value of a Sextic with sigma = 1 (the
+    quadrature is of the modulus) and c6 = 6 on all tau nodes at once, and
+    c6/6 scales the tau mean; the tau-integral is a trapezoidal sum on
+    12 M^2 + 8 nodes, M = max |m|.  Both are exact for the trigonometric
+    degrees involved.
     """
     modes = np.asarray(mode_set.modes)
     amps = np.abs(np.asarray(u, dtype=complex))
@@ -294,9 +296,8 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
     n_tau = 12 * mode_set.M_param ** 2 + 8
     tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
     phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))  # (n_tau, modes)
-    h = sextic_dft(phases * amps[None, :], *sextic_grid(modes), False)   # (n_tau,)
-    val = np.mean(np.exp(1j * tau * a) * h)
-    return c6 / 6.0 * float(val.real)
+    h = Sextic(mode_set, 1, 6.0)(phases * amps[None, :])   # (n_tau,)
+    return c6 / 6.0 * float(np.mean(np.exp(1j * tau * a) * h).real)
 
 
 def strichartz_identity_check(mode_set: ModeSet, a: int, u: np.ndarray, c6: float = 1.0,

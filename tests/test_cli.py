@@ -181,6 +181,14 @@ def test_budget_exit(tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("argv", [["normal-form", "--modes", "1", "--order", "3"],
+                                  ["drift", "--modes", "1", "--order", "3", "--T", "1"]])
+def test_suggest_gamma_budget_exit(tmp_path, monkeypatch, argv):
+    # the gamma scan stops at the shared pair budget: 9 + 36 pairs by q = 2 on 3 modes
+    monkeypatch.setattr(nf, "_MAX_PAIRS", 40)
+    assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_BUDGET
+
+
 def test_manifest_roundtrip(tmp_path):
     # replaying a manifest's config reproduces the artifact bit for bit
     code, out = run(tmp_path / "a", "certify", "--seed", "5", "--hmax", "10")
@@ -248,6 +256,15 @@ def test_invalid_parameters_exit_config(tmp_path, argv):
     ["drift", "--modes", "2", "--T", "nan"],
     ["drift", "--modes", "2", "--eps-list", "0.1,nan"],
     ["certify", "--alpha", "nan"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--beta-s", "0"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--beta-s", "-1"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--beta-s", "nan"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--rho", "nan"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--rho", "0"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--kappa", "nan"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--kappa", "inf"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--c", "nan"],
+    ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "nan"],
 ])
 def test_bad_value_is_a_config_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -6,7 +6,7 @@ import pytest
 from qnls.dynamics import (action_drift, gamma_from_certificate, integrate,
                            plan_parameters, remainder_g, remainder_scaling,
                            sobolev_profile_state, strichartz_scan)
-from qnls import flows
+from qnls import flows, poly
 from qnls.errors import BudgetError
 from qnls.nf import NormalFormConfig, birkhoff, transform_state
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2
@@ -169,6 +169,9 @@ def test_remainder_zero_and_support(rng):
     assert np.max(np.abs(remainder_g(u2, fine, 2))) < 1e-18
     with pytest.raises(ValueError):
         remainder_g(u, fine, 10)
+    for sigma, c6 in ((0, 1.0), (2, 1.0), (1, 0.0), (1, math.nan), (-1, math.inf)):
+        with pytest.raises(ValueError):
+            remainder_g(u, fine, 2, sigma, c6)
 
 
 def test_remainder_scaling_slope():
@@ -176,6 +179,22 @@ def test_remainder_scaling_slope():
     assert res["slope"] <= -(0.45 - 0.4) + 0.1
     norms = [r["g_norm"] for r in res["rows"]]
     assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def test_window_transform_leaves_the_keys_unlisted(monkeypatch, rng):
+    # integration at M=64 and the remainder on the M_f=160 window evaluate the
+    # sextic only through its window transform; listing its keys would fail
+    def listed(ms):
+        raise AssertionError("the sextic's keys were listed")
+
+    monkeypatch.setattr(poly, "momentum_buckets", listed)
+    ms, fs, z2, p6 = _system(64)
+    traj = integrate(z2, p6, random_state(ms, rng, norm=0.1), T=5e-4, dt=1e-4)
+    assert traj.times.size == 6 and traj.norm_drift() < 1e-12
+    assert "idx_k" not in vars(p6)
+    u = sobolev_profile_state(160, s=0.45, eps=1.0, seed=1)
+    g = remainder_g(u, ModeSet.symmetric(160), 32)
+    assert g.shape == (65,) and np.all(np.isfinite(g)) and np.any(g)
 
 
 def test_sobolev_profile_norm():
@@ -297,6 +316,8 @@ def test_plan_examples():
         plan_parameters(1e-2, nu=3.0, alpha=1.0)
     with pytest.raises(ValueError):
         plan_parameters(2.0, nu=1.0, alpha=1.0)
+    with pytest.raises(ValueError, match="beta_s"):
+        plan_parameters(1e-2, nu=1.0, alpha=1.0, beta_s=0.0)   # was a ZeroDivisionError
 
 
 def test_gamma_from_certificate():

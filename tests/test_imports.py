@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module, and importing
+"""Every name a library module imports is used in that module, no library
+module imports another's private (underscore-prefixed) name, and importing
 the library loads no SciPy."""
 
 import ast
@@ -34,6 +35,29 @@ def test_scanner_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
+
+
+def private_imports(source: str) -> set[str]:
+    """Underscore-prefixed names, dunders aside, that a library module imports
+    from another qnls module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qnls"):
+            names |= {a.name for a in node.names
+                      if a.name.startswith("_") and not a.name.endswith("__")}
+    return names
+
+
+def test_scanner_flags_a_private_name():
+    src = ("from . import __version__, poly\nfrom .poly import _from_arrays, HomPoly\n"
+           "from qnls.spectral import _posy_ascent\nfrom numpy import _NoValue\n")
+    assert private_imports(src) == {"_from_arrays", "_posy_ascent"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == set()
 
 
 def test_import_loads_no_scipy():

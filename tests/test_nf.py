@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from qnls import flows, spectral
+from qnls import flows, nf, spectral
 from qnls.errors import BudgetError
 from qnls.nf import (NormalFormConfig, ad_z2, birkhoff, check_krgamma,
                      epsilon_r, lie_transform, solve_cohomological,
@@ -300,6 +300,16 @@ def test_check_krgamma(setup_m1):
     # the budget guard fires at q=2, where the running total reaches 833 pairs
     with pytest.raises(BudgetError):
         check_krgamma(ms5, fs5, k=1, r=3, gamma=g, max_pairs=800)
+
+
+def test_suggest_gamma_keeps_the_pair_budget(monkeypatch):
+    # the scan raises before the table that crosses the shared budget, as
+    # check_krgamma does: 7**2 + 28**2 = 833 pairs by q = 2 on 7 modes
+    ms = ModeSet.symmetric(3)
+    fs = freqs_conv(sample_conv_potential(1.0, 3, seed=2), ms)
+    monkeypatch.setattr(nf, "_MAX_PAIRS", 800)
+    with pytest.raises(BudgetError, match="half-degree 2"):
+        suggest_gamma(ms, fs, k=1, r=3)
 
 
 @pytest.mark.parametrize("scope", ["mode", "ALL", ""])

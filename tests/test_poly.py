@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter, defaultdict
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,8 @@ from qnls import cli, poly
 from qnls.nf import NormalFormConfig, birkhoff, solve_cohomological, suggest_gamma
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
-from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson,
-                       poly_from_json, poly_to_json, sextic_dft, sextic_grid)
+from qnls.poly import (HomPoly, ModeSet, Sextic, build_p6, build_z2, coeff_close, poisson,
+                       poly_from_json, poly_to_json)
 from conftest import is_zero, random_balanced, random_state
 
 WINDOWS = st.sampled_from([ModeSet.symmetric(1), ModeSet.symmetric(2), ModeSet.symmetric(3),
@@ -507,7 +508,8 @@ def fft_sextic_grid(modes):
 
 def fft_sextic(u, idx, N, gradient):
     """The window kernel by np.fft on a zero-filled spectrum, kept as the
-    oracle of the dense-DFT kernel sextic_dft."""
+    oracle of the dense-DFT kernel of Sextic: the window coefficients of
+    |w|^4 w (gradient) or the mean of |w|^6 (value)."""
     spec = np.zeros(u.shape[:-1] + (N,), dtype=complex)
     spec[..., idx] = u
     w = np.fft.ifft(spec) * N
@@ -524,16 +526,48 @@ def fft_sextic(u, idx, N, gradient):
 def test_sextic_dft_matches_fft_oracle(modes, rows, rng):
     shape = rows + (len(modes),)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    F, G = sextic_grid(modes)
+    p6 = Sextic(ModeSet(modes))     # sigma = c6 = 1: the value is mean |w|^6 / 6
     oracle = fft_sextic_grid(modes)
     for gradient in (True, False):
-        got, want = sextic_dft(u, F, G, gradient), fft_sextic(u, *oracle, gradient)
+        got = p6.gradient(u) if gradient else 6.0 * p6(u)
+        want = fft_sextic(u, *oracle, gradient)
         assert got.shape == want.shape
         if gradient:    # per state, relative to the oracle's norm
             err, scale = np.linalg.norm(got - want, axis=-1), np.linalg.norm(want, axis=-1)
         else:
             err, scale = np.abs(got - want), np.abs(want)
         assert np.all(err <= 1e-13 * scale)
+
+
+def eager_sextic_table(ms, sigma, c6):
+    """The key arrays as the sextic listed them at construction: every (k, l)
+    pair of index triples with equal momentum, buckets in order of first
+    appearance, k outer; class sizes 3!/(multiplicities!) of each side."""
+    buckets = defaultdict(list)
+    for t in combinations_with_replacement(range(ms.size), 3):
+        buckets[sum(ms.modes[i] for i in t)].append(t)
+    k = [a for b in buckets.values() for a in b for _ in b]
+    l = [c for b in buckets.values() for _ in b for c in b]
+    size = lambda t: 6 // math.prod(math.factorial(n) for n in Counter(t).values())
+    return {"idx_k": np.array(k, dtype=np.intp), "idx_l": np.array(l, dtype=np.intp),
+            "coef": np.full(len(k), complex(sigma * c6 / 6.0)),
+            "csize": np.array([float(size(a) * size(c)) for a, c in zip(k, l)])}
+
+
+@pytest.mark.parametrize("ms", [ModeSet.symmetric(M) for M in range(9)]
+                         + [ModeSet.dirichlet(4), ModeSet((0, 2, 5)), ModeSet((-4, -1, 3, 7))],
+                         ids=lambda ms: str(ms.modes))
+def test_sextic_builds_eager_keys_on_first_read(ms):
+    for sigma, c6 in ((1, 1.3), (-1, 1.7)):
+        want = eager_sextic_table(ms, sigma, c6)
+        for first in want:      # any key array read first builds all four
+            P = build_p6(ms, sigma=sigma, c6=c6)
+            assert not set(want) & set(vars(P))
+            getattr(P, first)
+            for name, arr in want.items():
+                got = vars(P)[name]
+                assert got.dtype == arr.dtype and got.shape == arr.shape
+                assert got.tobytes() == arr.tobytes(), name
 
 
 def test_build_z2():
