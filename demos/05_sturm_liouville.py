@@ -32,10 +32,9 @@ for sp in (0.0, 1.0):
     print(f"H^{sp} ratio: {sobolev_ratio(basis, v, sp):.4g}")
 
 # interaction coefficients: near momentum conservation in the eigenbasis
-coeffs = p6_eigen_coeffs(basis, q_window=6)
-big = max(abs(v) for v in coeffs.values())
-print(f"{len(coeffs)} sextic eigen-coefficients, largest {big:.4g}")
-print("decay bound:", p6_decay_constant(coeffs))
+P6 = p6_eigen_coeffs(basis, q_window=6)
+print(f"{len(P6)} sextic eigen-coefficients, largest {np.abs(P6.coef).max():.4g}")
+print("decay bound:", p6_decay_constant(P6))
 
 fs = freqs_mult(basis)
 print(f"frequency remainder |w - n^2|_inf = {fs.frac_inf:.4g}")

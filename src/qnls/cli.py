@@ -127,6 +127,8 @@ def cmd_certify(args, out: Path) -> int:
         bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
         if args.kind == "strong" and not args.alpha > 0:
             raise ConfigError("alpha must be positive")
+        if resonance.enumeration_size(omega, bounds, args.kind) == 0:
+            raise ConfigError("the enumeration bounds leave no tuple to check")
     if args.kind == "strong":
         cert = resonance.certify_strong(omega, bounds, alpha=args.alpha)
     else:
@@ -213,13 +215,11 @@ def cmd_drift(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
     with _parameters():
         eps_list = [float(x) for x in str(args.eps_list).split(",")]
-        dynamics.check_eps_list(eps_list)
+        dynamics.check_drift(eps_list, args.T)
     if args.k not in ms:
         raise ConfigError("mode k outside the window")
     if not args.dt > 0:
         raise ConfigError("dt must be positive")
-    if not args.T >= 0:
-        raise ConfigError("T must be non-negative")
     gamma = args.gamma
     if gamma is None:
         gamma = nf.suggest_gamma(ms, omega, k=args.k, r=args.order)

@@ -15,6 +15,8 @@ from . import flows, nf
 from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
 from .spectral import japanese, split_levels, sup_norm
 
+_MAX_KEYS = 5_000_000   # sextic keys one window of strichartz_scan may hold
+
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
     if z2.q != 1 or np.any(z2.idx_k != z2.idx_l):
@@ -52,7 +54,7 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: float,
+def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
               max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
@@ -76,13 +78,8 @@ def integrate(z2: HomPoly, p6: HomPoly | None, u0: np.ndarray, T: float, dt: flo
     if u0.ndim not in (1, 2) or u0.shape[-1] != ms.size:
         raise ValueError("initial state does not match the mode set")
 
-    quadratic = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2))
-    if p6 is None:
-        grad, energy = (lambda u: omega * u), quadratic
-    else:
-        p6_grad = p6.gradient
-        grad = lambda u: omega * u + p6_grad(u)
-        energy = lambda u: quadratic(u) + float(p6(u))
+    grad = lambda u: omega * u + p6.gradient(u)
+    energy = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2)) + float(p6(u))
 
     n_steps = max(1, int(round(T / dt)))
     h = T / n_steps
@@ -192,11 +189,14 @@ class DriftResult:
                    for r in self.rows)
 
 
-def check_eps_list(eps_list) -> None:
+def check_drift(eps_list, T: float) -> None:
     """Raise ValueError unless the eps values are positive, with at least two
-    distinct ones (the drift exponent is a log-log fit against eps)."""
+    distinct ones, and T is positive (the drift exponent is a log-log fit of
+    the drifts, all 0 at T = 0, against eps)."""
     if not all(e > 0 for e in eps_list) or len(set(eps_list)) < 2:
         raise ValueError("eps values must be positive, with at least two distinct ones")
+    if not T > 0:
+        raise ValueError("T must be positive")
 
 
 def check_scan(M_list, c6: float, multistart: int) -> None:
@@ -223,7 +223,7 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float
     direction variance of the near-resonant couplings.  All eps values
     advance together as one stack.
     """
-    check_eps_list(eps_list)
+    check_drift(eps_list, T)
     ms = z2.mode_set
     ki = ms.index(k)
     rng = np.random.default_rng([seed, 0])
@@ -236,10 +236,8 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float
     if nf_result is not None:
         # every stored sample of every trajectory through one stacked transform;
         # its rows flow on their own, so each equals the single-state transform
-        cfg = nf_result.config
         v = nf.transform_state(np.concatenate([t.states for t in trajs]),
-                               nf_result.generators, "forward",
-                               flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
+                               nf_result.generators, "forward")
         vk = np.abs(v[:, ki].reshape(len(trajs), -1)) ** 2
         transformed = np.max(np.abs(vk - vk[:, :1]), axis=1).tolist()
     rows = []
@@ -275,7 +273,7 @@ class ScanResult:
 
 
 def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 600,
-                    seed: int = 0, budget_keys: int = 5_000_000) -> ScanResult:
+                    seed: int = 0) -> ScanResult:
     """Level-sup norm S(M) of the sextic modulus for each window size; being
     a norm of the modulus, it does not depend on the sign of the sextic.
 
@@ -292,7 +290,7 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
     for M in sorted(M_list):
         ms = ModeSet.symmetric(M)
         # the sextic's key count, without building it
-        if sum(len(b) ** 2 for b in momentum_buckets(ms)) > budget_keys:
+        if sum(len(b) ** 2 for b in momentum_buckets(ms)) > _MAX_KEYS:
             raise BudgetError(f"strichartz_scan budget exceeded at M={M}")
         P = build_p6(ms, c6=c6)
         levels = split_levels(P, np.asarray(ms.modes, dtype=float) ** 2)

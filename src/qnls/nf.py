@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,14 +31,15 @@ _MAX_PAIRS = 200_000_000
 
 @dataclass
 class NormalFormConfig:
+    # fixed by the paper: P's half-degree, A and B_p of eps_r, flow step and tolerance
+    p: ClassVar[int] = 3
+    A: ClassVar[float] = 2.0
+    B_p: ClassVar[float] = 100.0
+    flow_dt: ClassVar[float] = 0.05
+    flow_tol: ClassVar[float] = 1e-14
     r: int
     gamma: float
-    p: int = 3
     J_max: int | None = None
-    A: float = 2.0
-    B_p: float = 100.0
-    flow_dt: float = 0.05
-    flow_tol: float = 1e-14
     norm_multistart: int = 16
     norm_iters: int = 300
     norm_lower_levels: object = "all"   # or an int: ascent only on the top-K levels
@@ -174,8 +176,6 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
         raise ValueError("the perturbation must be real-valued")
     if P.q != cfg.p:
         raise ValueError(f"perturbation half-degree {P.q} does not match p={cfg.p}")
-    if cfg.p < 2:
-        raise ValueError("perturbation must have half-degree p >= 2")
 
     norm_p = norm_h(P, omega.omega_int, multistart=cfg.norm_multistart,
                     iters=cfg.norm_iters, seed=cfg.seed,
@@ -220,7 +220,8 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
 
 
 def transform_state(u: np.ndarray, generators, direction: str = "forward",
-                    flow_dt: float = 0.05, flow_tol: float = 1e-14) -> np.ndarray:
+                    flow_dt: float = NormalFormConfig.flow_dt,
+                    flow_tol: float = NormalFormConfig.flow_tol) -> np.ndarray:
     """Apply tau (forward) or tau^{-1} (inverse) to a state (n,), or to each
     row of a stack (B, n): the rows flow on their own, so each equals the
     one-state transform bit for bit.
@@ -259,21 +260,21 @@ class KRGammaReport:
         return self.n_violations == 0
 
 
-def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int, max_pairs: int):
+def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int):
     """Tables of |Omega| between multisets of equal size q = 1..r.
 
     For each q the multisets of q modes are listed with their frequency sums
     and their multiplicities of mode k; the table |sums[i] - sums[j]| is then
     yielded in blocks of 4096 rows as (multis, sums, mult_k, rows, diff).
     BudgetError is raised before any table whose pairs would take the running
-    total past max_pairs.
+    total past _MAX_PAIRS.
     """
     w = {m: omega.value(m) for m in mode_set.modes}
     pairs = 0
     for q in range(1, r + 1):
         n = math.comb(mode_set.size + q - 1, q)
         pairs += n * n
-        if pairs > max_pairs:
+        if pairs > _MAX_PAIRS:
             raise BudgetError(f"divisor enumeration budget exceeded at half-degree {q}")
         multis = list(combinations_with_replacement(mode_set.modes, q))
         sums = np.array([sum(w[m] for m in t) for t in multis])
@@ -287,7 +288,7 @@ def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
                   scope: str = "all") -> float:
     """A gamma guaranteed to pass check_krgamma on this truncation: half the
     smallest nonzero |Omega| over keys of half-degree <= r, capped at 0.999,
-    found within check_krgamma's default pair budget (BudgetError beyond it).
+    found within check_krgamma's pair budget (BudgetError beyond it).
 
     The only scope, "all", keeps gamma below every nonzero divisor, so the
     resonant set is exactly the equal-multiset kernel and the generator's
@@ -297,14 +298,14 @@ def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     if scope != "all":
         raise ValueError(f"unknown scope {scope!r}; the only scope is 'all'")
     best = math.inf
-    for *_, diff in _divisor_blocks(mode_set, omega, k, r, _MAX_PAIRS):
+    for *_, diff in _divisor_blocks(mode_set, omega, k, r):
         diff[diff == 0.0] = np.inf
         best = min(best, float(diff.min()))
     return min(0.5 * best, 0.999)
 
 
 def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
-                  gamma: float, max_pairs: int = _MAX_PAIRS) -> KRGammaReport:
+                  gamma: float) -> KRGammaReport:
     """Search for gamma-resonant keys of half-degree <= r that fail to commute
     with |u_k|^2 (unequal multiplicity of mode k on the two sides).
 
@@ -314,8 +315,7 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     if k not in mode_set:
         raise ValueError("mode k outside the mode set")
     report = KRGammaReport(mode=k, r=r, gamma=gamma, pairs_checked=0)
-    for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r,
-                                                           max_pairs):
+    for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r):
         bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])
         report.n_violations += int(np.count_nonzero(bad))
         listed = 200 - len(report.violations)

@@ -209,8 +209,8 @@ class HomPoly:
     def restrict(self, keep, coef=None, *, is_real: bool | None = None) -> "HomPoly":
         """The keys selected by keep (a mask or index array), in their order,
         with their own coefficients or with coef; exact zeros are dropped."""
-        return _from_arrays(self.mode_set, self.q, self.idx_k[keep], self.idx_l[keep],
-                            self.coef[keep] if coef is None else coef, is_real)
+        return from_arrays(self.mode_set, self.q, self.idx_k[keep], self.idx_l[keep],
+                           self.coef[keep] if coef is None else coef, is_real)
 
     # ------------------------------------------------------------------ basics
 
@@ -232,8 +232,8 @@ class HomPoly:
     def is_real(self) -> bool:
         """True iff the reality condition P_{l,k} = conj(P_{k,l}) holds."""
         if self._is_real is None:
-            swapped = _from_arrays(self.mode_set, self.q, self.idx_l, self.idx_k,
-                                   np.conj(self.coef))
+            swapped = from_arrays(self.mode_set, self.q, self.idx_l, self.idx_k,
+                                  np.conj(self.coef))
             self._is_real = coeff_close(self, swapped, ref=self)
         return self._is_real
 
@@ -263,10 +263,10 @@ class HomPoly:
         coef = self.coef.copy()
         coef[at[shared]] += other.coef[shared]
         # a key new to the sum starts as 0j + c, which turns a -0.0 part into 0.0
-        return _from_arrays(self.mode_set, self.q,
-                            np.concatenate([self.idx_k, other.idx_k[new]]),
-                            np.concatenate([self.idx_l, other.idx_l[new]]),
-                            np.concatenate([coef, 0j + other.coef[new]]))
+        return from_arrays(self.mode_set, self.q,
+                           np.concatenate([self.idx_k, other.idx_k[new]]),
+                           np.concatenate([self.idx_l, other.idx_l[new]]),
+                           np.concatenate([coef, 0j + other.coef[new]]))
 
     def __neg__(self) -> "HomPoly":
         return self.restrict(slice(None), -self.coef, is_real=self._is_real)
@@ -372,7 +372,7 @@ class HomPoly:
         return 2.0 * grad.reshape(u.shape)
 
 
-def _from_arrays(mode_set, q, idx_k, idx_l, coef, is_real=None) -> HomPoly:
+def from_arrays(mode_set, q, idx_k, idx_l, coef, is_real=None) -> HomPoly:
     """A plain HomPoly on canonical index rows; exact zeros are dropped."""
     out = HomPoly.__new__(HomPoly)
     out._set(mode_set, q, idx_k, idx_l, coef, is_real)
@@ -461,7 +461,7 @@ def poisson(P: HomPoly, Q: HomPoly) -> HomPoly:
     rows = np.concatenate(rows) if rows else np.zeros((0, 2 * q), dtype=np.intp)
     k, l = rows[:, :q], rows[:, q:]
     coef = complex_div(complex_mul(2j, _complex(*tot)), _class_sizes(k, l))
-    return _from_arrays(P.mode_set, q, k, l, coef, True if (P.is_real and Q.is_real) else None)
+    return from_arrays(P.mode_set, q, k, l, coef, True if (P.is_real and Q.is_real) else None)
 
 
 # -------------------------------------------------------------- constructors
@@ -477,7 +477,7 @@ def build_z2(mode_set: ModeSet, omega) -> HomPoly:
     if omega.shape != (mode_set.size,):
         raise ValueError("frequency vector does not match the mode set")
     diag = np.arange(mode_set.size)[:, None]
-    return _from_arrays(mode_set, 1, diag, diag, (0.5 * omega).astype(complex), is_real=True)
+    return from_arrays(mode_set, 1, diag, diag, (0.5 * omega).astype(complex), is_real=True)
 
 
 def momentum_buckets(mode_set: ModeSet) -> list[np.ndarray]:

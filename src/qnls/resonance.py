@@ -23,6 +23,8 @@ import numpy as np
 from .errors import BudgetError
 from .spectral import FrequencySet, japanese
 
+_MAX_TUPLES = 50_000_000   # (q, m, h) tuples one certification run may inspect
+
 
 def _zigzag(k: int) -> int:
     return 2 * k if k >= 0 else -2 * k - 1
@@ -123,10 +125,13 @@ def enumeration_size(omega, b: NRBounds, kind: str = "strong") -> int:
 
 
 def _certify(omega, b: NRBounds, *, kind: str, alpha: float | None,
-             s_star: float | None, max_tuples: int = 50_000_000) -> NRCertificate:
+             s_star: float | None) -> NRCertificate:
     window, table = _omega_window(omega, b.h_max)
-    if enumeration_size(omega, b, kind) > max_tuples:
+    size = enumeration_size(omega, b, kind)
+    if size > _MAX_TUPLES:
         raise BudgetError("enumeration budget exceeded; shrink NRBounds")
+    if size == 0:
+        raise ValueError("no tuple to check: a zero-sum m needs q >= 2 and |m|_1 >= 2")
     wvals = np.array([table[h] for h in window])
     jh = np.array([japanese(h) for h in window])
     fitted = math.inf
@@ -173,18 +178,18 @@ def _certify(omega, b: NRBounds, *, kind: str, alpha: float | None,
                          violations=violations)
 
 
-def certify_weak(omega, b: NRBounds, s_star: float, **kw) -> NRCertificate:
+def certify_weak(omega, b: NRBounds, s_star: float) -> NRCertificate:
     """Fit the largest gamma of the weak non-resonance inequality over NRBounds."""
     if b.a_max < 1:
         b = NRBounds(b.q_max, b.m1_max, b.h_max, a_max=10 ** 9)
-    return _certify(omega, b, kind="weak", alpha=None, s_star=s_star, **kw)
+    return _certify(omega, b, kind="weak", alpha=None, s_star=s_star)
 
 
-def certify_strong(omega, b: NRBounds, alpha: float, **kw) -> NRCertificate:
+def certify_strong(omega, b: NRBounds, alpha: float) -> NRCertificate:
     """Fit the largest rho of the strong non-resonance inequality over NRBounds."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _certify(omega, b, kind="strong", alpha=alpha, s_star=None, **kw)
+    return _certify(omega, b, kind="strong", alpha=alpha, s_star=None)
 
 
 def recompute_worst_case(cert: NRCertificate, omega) -> float:

@@ -31,21 +31,22 @@ def japanese(x) -> float:
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Per-mode frequencies split as an integer part plus a bounded remainder."""
+    """Per-mode frequencies omega = omega_int + omega_frac: integer part plus remainder."""
 
     mode_set: ModeSet
-    omega: np.ndarray
     omega_int: np.ndarray
     omega_frac: np.ndarray
 
     def __post_init__(self):
         n = self.mode_set.size
-        if self.omega.shape != (n,) or self.omega_int.shape != (n,):
+        if self.omega_int.shape != (n,) or self.omega_frac.shape != (n,):
             raise ValueError("frequency arrays do not match the mode set")
-        if not np.array_equal(self.omega, self.omega_int + self.omega_frac):
-            raise ValueError("omega must equal omega_int + omega_frac exactly as stored")
         if not np.any(self.omega_int):
             raise ValueError("integer frequency part must be a nonzero vector")
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.omega_int + self.omega_frac
 
     @property
     def int_inf(self) -> float:
@@ -74,7 +75,7 @@ def freqs_conv(V, mode_set: ModeSet) -> FrequencySet:
     modes = np.asarray(mode_set.modes, dtype=float)
     omega_int = (modes ** 2)
     omega_frac = SQRT_2PI * V
-    return FrequencySet(mode_set, omega_int + omega_frac, omega_int, omega_frac)
+    return FrequencySet(mode_set, omega_int, omega_frac)
 
 
 def project(P: HomPoly, omega_int, a: int) -> HomPoly:

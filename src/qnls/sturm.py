@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .errors import BudgetError
-from .poly import ModeSet
+from .poly import HomPoly, ModeSet, from_arrays
 from .spectral import FrequencySet, japanese
+
+_MAX_WINDOW = 12   # largest window of p6_eigen_coeffs: C(14, 3)^2 = 132,496 keys
 
 
 @dataclass
@@ -98,52 +100,47 @@ def eigenfunction_values(basis: SLBasis, n_grid: int) -> tuple[np.ndarray, np.nd
     return x, basis.eigvecs @ S.T
 
 
-def p6_eigen_coeffs(basis: SLBasis, q_window: int, max_window: int = 12) -> dict:
-    """Sextic interaction coefficients in the eigenbasis,
+def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> HomPoly:
+    """Sextic interaction in the eigenbasis, a real HomPoly on [1, q_window]
+    with coefficients
 
-        Q_{k,l} = int_0^pi f_{k1} f_{k2} f_{k3} f_{l1} f_{l2} f_{l3} dx,
+        Q_{k,l} = int_0^pi f_{k1} f_{k2} f_{k3} f_{l1} f_{l2} f_{l3} dx
 
-    for all index multisets within [1, q_window], by quadrature that is exact
-    for the trigonometric degrees involved.
+    on every pair of index multisets (exact zeros dropped), by quadrature that
+    is exact for the trigonometric degrees involved.
     """
-    if q_window > max_window:
+    if q_window > _MAX_WINDOW:
         raise BudgetError("eigenbasis window exceeds the budget guard")
     if q_window > basis.n_max:
         raise ValueError("window exceeds the computed spectrum")
+    ms = ModeSet.dirichlet(q_window)
     n_grid = 6 * basis.N_basis + 2
     _, F = eigenfunction_values(basis, n_grid)
-    triples = list(combinations_with_replacement(range(1, q_window + 1), 3))
-    T = np.empty((len(triples), n_grid))
-    for i, t in enumerate(triples):
-        T[i] = F[t[0] - 1] * F[t[1] - 1] * F[t[2] - 1]
-    # int_0^pi = (1/2) int_T for even integrands (products of six odd factors)
+    triples = np.array(list(combinations_with_replacement(range(q_window), 3)))
+    T = F[triples[:, 0]] * F[triples[:, 1]] * F[triples[:, 2]]
+    # int_0^pi = (1/2) int_T for even integrands (products of six odd factors);
+    # T @ T.T is symmetric bit for bit, so Q_{l,k} = Q_{k,l} exactly
     G = (T @ T.T) * (0.5 * 2.0 * np.pi / n_grid)
-    out = {}
-    for i, ki in enumerate(triples):
-        for j, lj in enumerate(triples):
-            if j < i:
-                continue
-            val = G[i, j]
-            out[(ki, lj)] = val
-            if j > i:
-                out[(lj, ki)] = val
-    return out
+    n = len(triples)
+    return from_arrays(ms, 3, np.repeat(triples, n, axis=0), np.tile(triples, (n, 1)),
+                       G.ravel().astype(complex), is_real=True)
 
 
-def p6_decay_constant(coeffs: dict) -> dict:
-    """Fitted C of |Q_{k,l}| <= C sum_{nu,mu in {-1,1}^3} <nu.k + mu.l>^{-2}."""
-    signs = [np.array(s) for s in
-             [(a, b, c, d, e, f) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
-              for d in (-1, 1) for e in (-1, 1) for f in (-1, 1)]]
-    best = 0.0
-    arg = None
-    for (k, l), val in coeffs.items():
-        idx = np.array(k + l, dtype=float)
-        bound = sum(japanese(float(s @ idx)) ** -2.0 for s in signs)
-        c = abs(val) / bound
-        if c > best:
-            best, arg = c, (k, l)
-    return {"C_fit": best, "argmax": arg}
+def p6_decay_constant(P: HomPoly) -> dict:
+    """Fitted C of |Q_{k,l}| <= C sum_{nu,mu in {-1,1}^3} <nu.k + mu.l>^{-2}
+    over the keys of P, with the first key that attains it."""
+    modes = np.asarray(P.mode_set.modes)
+    idx = np.hstack([modes[P.idx_k], modes[P.idx_l]]).astype(float)
+    bound = np.zeros(len(P))
+    for s in product((-1, 1), repeat=6):
+        # the reciprocal of the exact square <x>^2 is what libm's pow gives
+        # for <x> ** -2.0; numpy's power can differ in the last bit
+        w = japanese(idx @ np.array(s, dtype=float))
+        bound += 1.0 / (w * w)
+    c = np.abs(P.coef) / bound
+    i = int(np.argmax(c))
+    return {"C_fit": float(c[i]),
+            "argmax": tuple(tuple(modes[ix[i]].tolist()) for ix in (P.idx_k, P.idx_l))}
 
 
 def freqs_mult(basis: SLBasis) -> FrequencySet:
@@ -151,8 +148,7 @@ def freqs_mult(basis: SLBasis) -> FrequencySet:
     ms = ModeSet.dirichlet(basis.n_max)
     n = np.arange(1, basis.n_max + 1, dtype=float)
     omega_int = n ** 2
-    return FrequencySet(ms, omega_int + (basis.lambdas - omega_int),
-                        omega_int, basis.lambdas - omega_int)
+    return FrequencySet(ms, omega_int, basis.lambdas - omega_int)
 
 
 def sobolev_ratio(basis: SLBasis, v: np.ndarray, s_prime: float) -> float:

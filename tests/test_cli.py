@@ -265,6 +265,9 @@ def test_invalid_parameters_exit_config(tmp_path, argv):
     ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--kappa", "inf"],
     ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--c", "nan"],
     ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "nan"],
+    ["drift", "--modes", "2", "--T", "0", "--eps-list", "0.1,0.05"],   # all drifts 0
+    ["certify", "--kind", "strong", "--qmax", "1"],                   # no zero-sum m
+    ["certify", "--kind", "strong", "--m1max", "1"],
 ])
 def test_bad_value_is_a_config_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -28,7 +28,7 @@ def _system(M, seed=None, scale=0.3):
 def test_integrate_linear_closed_form(rng):
     ms, fs, z2, _ = _system(1, seed=4)
     u0 = random_state(ms, rng, norm=0.4)
-    traj = integrate(z2, None, u0, T=1.0, dt=1e-3)
+    traj = integrate(z2, HomPoly(ms, 3, is_real=True), u0, T=1.0, dt=1e-3)
     exact = np.exp(-1j * np.outer(traj.times, fs.omega)) * u0[None, :]
     # per-mode modulus is exact for the midpoint map
     assert np.max(np.abs(np.abs(traj.states) - np.abs(u0)[None, :])) < 1e-13
@@ -101,7 +101,7 @@ def test_integrate_stack_matches_single_rows(case):
     if case == "zero_row":
         u0[1] = 0.0
     if case == "linear":
-        p6 = None
+        p6 = HomPoly(ms, 3, is_real=True)
     trajs = integrate(z2, p6, u0, T=10.0, dt=0.005, max_samples=40)
     assert len(trajs) == 3
     for u, traj in zip(u0, trajs):
@@ -143,7 +143,8 @@ def test_linear_comparison_trivial_cases(rng):
     u0 = random_state(ms, rng, norm=0.1)
     # without the sextic term, only the midpoint phase error remains
     phase_err = np.max(np.abs(fs.omega)) ** 3 * 1e-6 * 1.0 / 12 * 0.1
-    assert linear_comparison(fs, z2, None, u0, T=1.0, dt=1e-3) < 2 * phase_err
+    no_sextic = HomPoly(ms, 3, is_real=True)
+    assert linear_comparison(fs, z2, no_sextic, u0, T=1.0, dt=1e-3) < 2 * phase_err
     # deviation vanishes linearly with the horizon
     bound = 2e-4 * np.linalg.norm(p6.gradient(u0))
     assert linear_comparison(fs, z2, p6, u0, T=1e-4, dt=1e-5) < bound
@@ -210,8 +211,10 @@ def test_strichartz_scan_small():
     assert len(scan.exponents) == 2
     assert scan.exponents[1] < scan.exponents[0]
     assert all(r.lower <= r.upper for r in scan.rows)
-    with pytest.raises(BudgetError):
-        strichartz_scan([16], budget_keys=1000)
+    # M=32 has 19,131,541 sextic keys, past the 5,000,000-key budget; they
+    # are counted per momentum bucket, none is listed
+    with pytest.raises(BudgetError, match="M=32"):
+        strichartz_scan([32])
 
 
 @pytest.mark.parametrize("M_list", [[1, 1], [2, 1, 2], [0, 1], [-1, 2], []])
@@ -222,7 +225,8 @@ def test_strichartz_scan_needs_distinct_positive_sizes(M_list):
 
 def test_action_drift_linear_is_zero(rng):
     ms, fs, z2, _ = _system(2, seed=3)
-    res = action_drift(None, z2, None, k=1, eps_list=[0.1, 0.05], T=5.0, dt=0.01)
+    res = action_drift(None, z2, HomPoly(ms, 3, is_real=True), k=1, eps_list=[0.1, 0.05],
+                       T=5.0, dt=0.01)
     assert all(r.drift_raw < 1e-13 for r in res.rows)
     assert all(r.drift_transformed is None for r in res.rows)
 
@@ -232,6 +236,14 @@ def test_action_drift_needs_two_distinct_positive_eps(eps_list):
     ms, fs, z2, _ = _system(2, seed=3)
     with pytest.raises(ValueError):
         action_drift(None, z2, None, k=1, eps_list=eps_list, T=1.0, dt=0.01)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+def test_action_drift_needs_positive_T(T):
+    # at T = 0 every drift is 0 and the log-log fit of the exponent has no data
+    ms, fs, z2, p6 = _system(2, seed=3)
+    with pytest.raises(ValueError, match="T must be positive"):
+        action_drift(None, z2, p6, k=1, eps_list=[0.1, 0.05], T=T, dt=0.01)
 
 
 def test_action_drift_rows_keep_eps_order():

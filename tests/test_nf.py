@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from qnls import flows, nf, spectral
+from qnls import dynamics, flows, nf, resonance, spectral, sturm
 from qnls.errors import BudgetError
 from qnls.nf import (NormalFormConfig, ad_z2, birkhoff, check_krgamma,
                      epsilon_r, lie_transform, solve_cohomological,
@@ -140,13 +140,13 @@ def test_lie_transform_against_exponential_oracle(setup_m1, rng):
 def test_epsilon_r_examples():
     ms = ModeSet.symmetric(5)
     fs = freqs_conv(np.zeros(11), ms)
-    cfg = NormalFormConfig(r=5, gamma=0.1, A=2.0, B_p=10.0)
-    # direct formula evaluation with <|w_f|> = 1, log<|w_i|> = log 26
-    want = (0.1 / (2.0 * 10.0 * 5 ** 5 * 1.0 * 1.0 * math.log(26.0))) ** 0.25
+    cfg = NormalFormConfig(r=5, gamma=0.1)
+    # direct formula evaluation with A = 2, B_p = 100, <|w_f|> = 1, log<|w_i|> = log 26
+    want = (0.1 / (2.0 * 100.0 * 5 ** 5 * 1.0 * 1.0 * math.log(26.0))) ** 0.25
     assert epsilon_r(cfg, 1.0, fs) == pytest.approx(want, rel=1e-13)
-    cfg2 = NormalFormConfig(r=5, gamma=0.2, A=2.0, B_p=10.0)
+    cfg2 = NormalFormConfig(r=5, gamma=0.2)
     assert epsilon_r(cfg2, 1.0, fs) == pytest.approx(want * 2 ** 0.25, rel=1e-13)
-    cfg3 = NormalFormConfig(r=6, gamma=0.1, A=2.0, B_p=10.0)
+    cfg3 = NormalFormConfig(r=6, gamma=0.1)
     assert epsilon_r(cfg3, 1.0, fs) < epsilon_r(cfg, 1.0, fs)
 
 
@@ -280,7 +280,7 @@ def test_flow_closeness_bound(rng):
     assert np.linalg.norm(v - u) <= 2 * chi.q * upper * 0.5 ** (2 * chi.q - 1) * (1 + 1e-9)
 
 
-def test_check_krgamma(setup_m1):
+def test_check_krgamma(setup_m1, monkeypatch):
     # free frequencies on a window containing 1, 5, 7: 2 w5 = w1 + w7 resonates
     ms = ModeSet.dirichlet(7)
     fs = freqs_conv(np.zeros(7), ms)
@@ -298,8 +298,39 @@ def test_check_krgamma(setup_m1):
     rep2 = check_krgamma(ms5, fs5, k=1, r=3, gamma=g)
     assert rep2.certified and rep2.pairs_checked == 7 ** 2 + 28 ** 2 + 84 ** 2
     # the budget guard fires at q=2, where the running total reaches 833 pairs
-    with pytest.raises(BudgetError):
-        check_krgamma(ms5, fs5, k=1, r=3, gamma=g, max_pairs=800)
+    monkeypatch.setattr(nf, "_MAX_PAIRS", 800)
+    with pytest.raises(BudgetError, match="half-degree 2"):
+        check_krgamma(ms5, fs5, k=1, r=3, gamma=g)
+
+
+_MS = ModeSet.symmetric(1)
+_FS = freqs_conv(np.zeros(3), _MS)
+_REMOVED_SETTINGS = {
+    "strichartz_scan-budget_keys": lambda: dynamics.strichartz_scan([1], budget_keys=10),
+    "certify_strong-max_tuples": lambda: resonance.certify_strong(
+        _FS, resonance.NRBounds(2, 2, 1), alpha=0.4, max_tuples=10),
+    "certify_weak-max_tuples": lambda: resonance.certify_weak(
+        _FS, resonance.NRBounds(2, 2, 1), s_star=1.0, max_tuples=10),
+    "check_krgamma-max_pairs": lambda: check_krgamma(_MS, _FS, 1, 2, 0.5, max_pairs=10),
+    "p6_eigen_coeffs-max_window": lambda: sturm.p6_eigen_coeffs(None, 5, max_window=12),
+    "FrequencySet-omega": lambda: spectral.FrequencySet(_MS, _FS.omega, _FS.omega_int,
+                                                        _FS.omega_frac),
+    **{f"NormalFormConfig-{name}": (lambda name=name: NormalFormConfig(
+        r=5, gamma=0.5, **{name: getattr(NormalFormConfig, name)}))
+       for name in ("p", "A", "B_p", "flow_dt", "flow_tol")},
+}
+
+
+@pytest.mark.parametrize("call", _REMOVED_SETTINGS.values(), ids=_REMOVED_SETTINGS)
+def test_removed_settings_are_not_accepted(call):
+    # budgets are module constants and the paper's constants class constants
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_paper_constants_read_as_before():
+    cfg = NormalFormConfig(r=5, gamma=0.5)
+    assert (cfg.p, cfg.A, cfg.B_p, cfg.flow_dt, cfg.flow_tol) == (3, 2.0, 100.0, 0.05, 1e-14)
 
 
 def test_suggest_gamma_keeps_the_pair_budget(monkeypatch):

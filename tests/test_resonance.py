@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qnls import resonance
 from qnls.errors import BudgetError
 from qnls.poly import ModeSet
 from qnls.resonance import (NRBounds, certify_strong, certify_weak,
@@ -121,10 +122,20 @@ def test_certify_strong_shift_invariance():
     assert again.fitted == pytest.approx(base.fitted, rel=1e-9)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     omega = {k: float(k * k) + 0.1 for k in range(-30, 31)}
+    monkeypatch.setattr(resonance, "_MAX_TUPLES", 1000)
     with pytest.raises(BudgetError):
-        certify_strong(omega, NRBounds(4, 6, 30), alpha=0.3, max_tuples=1000)
+        certify_strong(omega, NRBounds(4, 6, 30), alpha=0.3)
+
+
+@pytest.mark.parametrize("b", [NRBounds(1, 4, 10), NRBounds(3, 1, 10)])
+def test_empty_strong_enumeration_is_an_error(b):
+    # a zero-sum m needs q >= 2 and |m|_1 >= 2; the weak run still has tuples
+    fs = freqs_conv(np.zeros(21), ModeSet.symmetric(10))
+    assert enumeration_size(fs, b, "strong") == 0 < enumeration_size(fs, b, "weak")
+    with pytest.raises(ValueError, match="no tuple"):
+        certify_strong(fs, b, alpha=0.4)
 
 
 def test_qstar_cases():

@@ -1,12 +1,15 @@
 import math
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from qnls.errors import BudgetError
-from qnls.sturm import (dirichlet_eig, freqs_mult, p6_decay_constant,
-                        p6_eigen_coeffs, sobolev_ratio, verify_ef_decay,
-                        verify_ev_asymptotics)
+from qnls.poly import ModeSet
+from qnls.spectral import japanese
+from qnls.sturm import (dirichlet_eig, eigenfunction_values, freqs_mult,
+                        p6_decay_constant, p6_eigen_coeffs, sobolev_ratio,
+                        verify_ef_decay, verify_ev_asymptotics)
 from qnls.resonance import sample_mult_potential
 
 
@@ -71,9 +74,45 @@ def test_sobolev_equivalence(random_basis):
             assert 0.1 < r < 10.0
 
 
+def _dict_oracle(basis, q_window):
+    """The former dict construction: both orderings of every pair of triples,
+    exact zeros kept."""
+    n_grid = 6 * basis.N_basis + 2
+    _, F = eigenfunction_values(basis, n_grid)
+    triples = list(combinations_with_replacement(range(1, q_window + 1), 3))
+    T = np.empty((len(triples), n_grid))
+    for i, t in enumerate(triples):
+        T[i] = F[t[0] - 1] * F[t[1] - 1] * F[t[2] - 1]
+    G = (T @ T.T) * (0.5 * 2.0 * np.pi / n_grid)
+    out = {}
+    for i, ki in enumerate(triples):
+        for j, lj in enumerate(triples):
+            if j < i:
+                continue
+            out[(ki, lj)] = G[i, j]
+            if j > i:
+                out[(lj, ki)] = G[i, j]
+    return out
+
+
+def _decay_oracle(coeffs):
+    """The former per-key loop of p6_decay_constant over a dict."""
+    signs = [np.array(s) for s in product((-1, 1), repeat=6)]
+    best, arg = 0.0, None
+    for (k, l), val in coeffs.items():
+        idx = np.array(k + l, dtype=float)
+        bound = sum(japanese(float(s @ idx)) ** -2.0 for s in signs)
+        c = abs(val) / bound
+        if c > best:
+            best, arg = c, (k, l)
+    return {"C_fit": best, "argmax": arg}
+
+
 def test_p6_eigen_coeffs_free_case():
     b = dirichlet_eig(np.zeros(1), n_max=8)
-    co = p6_eigen_coeffs(b, q_window=5)
+    P = p6_eigen_coeffs(b, q_window=5)
+    co = P.coeffs
+    assert P.mode_set == ModeSet.dirichlet(5) and P.q == 3 and P.is_real
     # closed form: int_0^pi (2/pi)^3 sin^6 = 5/(2 pi^2)
     assert co[((1, 1, 1), (1, 1, 1))] == pytest.approx(5 / (2 * math.pi ** 2), rel=1e-12)
     # trigonometric orthogonality: nonzero only when some signed sum vanishes
@@ -84,12 +123,28 @@ def test_p6_eigen_coeffs_free_case():
                     for signs in [tuple(2 * np.array(signs) - 1)]}
             assert 0 in sums
     # full symmetry
-    assert co[((1, 1, 2), (1, 1, 1))] == pytest.approx(co[((1, 1, 1), (1, 1, 2))], rel=1e-12)
+    assert co[((1, 1, 2), (1, 1, 1))] == co[((1, 1, 1), (1, 1, 2))]
+
+
+@pytest.mark.parametrize("q_window", [5, 6])
+@pytest.mark.parametrize("which", ["free", "random"])
+def test_p6_eigen_coeffs_match_the_dict_oracle(random_basis, which, q_window):
+    b = random_basis if which == "random" else dirichlet_eig(np.zeros(1), 50, 200)
+    P = p6_eigen_coeffs(b, q_window)
+    want = _dict_oracle(b, q_window)
+    got = P.coeffs
+    assert len(want) == math.comb(q_window + 2, 3) ** 2
+    # every nonzero value bit for bit; the keys P drops are the exact zeros
+    assert all(got[key] == val for key, val in want.items() if val != 0)
+    zeros = {key for key, val in want.items() if val == 0}
+    assert set(want) - set(got) == zeros and set(got) <= set(want)
+    if which == "free":     # 28 and 72 of the orthogonal products sum to exactly 0.0
+        assert zeros
+    assert p6_decay_constant(P) == _decay_oracle(want)
 
 
 def test_p6_eigen_coeffs_random(random_basis):
-    co = p6_eigen_coeffs(random_basis, q_window=5)
-    rep = p6_decay_constant(co)
+    rep = p6_decay_constant(p6_eigen_coeffs(random_basis, q_window=5))
     assert np.isfinite(rep["C_fit"]) and rep["C_fit"] > 0
     with pytest.raises(BudgetError):
         p6_eigen_coeffs(random_basis, q_window=13)
