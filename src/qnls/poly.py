@@ -23,6 +23,9 @@ kernels may fuse a multiply and an add), so which sums cancel to exactly 0.0,
 hence every key count, is reproducible bit for bit.  ``coeffs`` is a derived
 read-only mapping {(k, l) mode tuples: coefficient}, rebuilt on each access.
 
+The bracket codes an output key as rank(k) * S + rank(l) from per-mode tables
+of merged-row ranks, and keeps the codes it has listed in one sorted table.
+
 The gradient reads a plan built once per polynomial from its key arrays: the
 distinct sorted k-rows and l-rows, the sparse matrix of coef * csize between
 them, and the 0/1 sparse matrix that sums the conj-side slot products into
@@ -138,18 +141,28 @@ def _class_sizes(idx_k: np.ndarray, idx_l: np.ndarray) -> np.ndarray:
     return _perm_counts(idx_k).astype(float) * _perm_counts(idx_l)
 
 
-def _key_codes(idx_k: np.ndarray, idx_l: np.ndarray, n: int) -> np.ndarray:
-    """A distinct int64 per key, rank(k) * S + rank(l): a sorted row a of q
-    of the n modes has rank sum_t C(a_t + t, t + 1) in 0..S-1, S = C(n+q-1, q)
-    (the combinatorial number system), which grows far slower than n**q."""
-    q = idx_k.shape[1]
-    S = math.comb(n + q - 1, q)
-    if S * S >= 2 ** 63:
-        raise OverflowError(f"keys of half-degree {q} on {n} modes overflow an int64 code")
+def _ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rank sum_t C(a_t + t, t + 1) of each sorted row a of q of the n modes:
+    distinct rows get distinct ranks in 0..C(n+q-1, q)-1 (the combinatorial
+    number system, which grows far slower than n**q)."""
+    q = rows.shape[1]
     table = np.array([[math.comb(x, t + 1) for t in range(q)] for x in range(n + q - 1)],
                      dtype=np.int64).reshape(n + q - 1, q)
     t = np.arange(q)
-    return table[idx_k + t, t].sum(axis=1) * S + table[idx_l + t, t].sum(axis=1)
+    return table[rows + t, t].sum(axis=1)
+
+
+def _code_base(n: int, q: int) -> int:
+    """S = C(n+q-1, q), the number of ranks: a key's code is rank(k) * S + rank(l)."""
+    S = math.comb(n + q - 1, q)
+    if S * S >= 2 ** 63:
+        raise OverflowError(f"keys of half-degree {q} on {n} modes overflow an int64 code")
+    return S
+
+
+def _key_codes(idx_k: np.ndarray, idx_l: np.ndarray, n: int) -> np.ndarray:
+    """A distinct int64 per key, rank(k) * S + rank(l)."""
+    return _ranks(idx_k, n) * _code_base(n, idx_k.shape[1]) + _ranks(idx_l, n)
 
 
 def _find(hay: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -411,16 +424,33 @@ def _entries(P: HomPoly, side: str):
     return j, other[rows].astype(small), reduced.astype(small), weight
 
 
-def _pairs(jP: np.ndarray, jQ: np.ndarray):
-    """(P entry, Q entry) index pairs with equal j, in the order of loops over
-    j (first appearance in P), then P entries, then Q entries; at most
-    _BLOCK pairs at a time."""
-    _, first = np.unique(jP, return_index=True)
-    for j in jP[np.sort(first)]:
-        ps, qs = np.flatnonzero(jP == j), np.flatnonzero(jQ == j)
-        for r in range(0, ps.size * qs.size, _BLOCK):
-            r = np.arange(r, min(r + _BLOCK, ps.size * qs.size))
-            yield ps[r // qs.size], qs[r % qs.size]
+def _unique(codes: np.ndarray):
+    """np.unique(codes, return_index=True, return_inverse=True), by one
+    unstable argsort (np.unique's stable sort takes up to 3x as long on a
+    block of codes): the first appearance of a code is the least position in
+    its run of equal codes."""
+    order = np.argsort(codes)
+    ordered = codes[order]
+    step = np.empty(codes.size, dtype=bool)
+    step[:1], step[1:] = True, ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(step)
+    inv = np.empty(codes.size, dtype=np.intp)
+    inv[order] = np.cumsum(step) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), inv
+
+
+def _merged(X: np.ndarray, Y: np.ndarray, n: int):
+    """(ix, iy, rows, ranks): for every pair of distinct rows x of X and y of
+    Y the sorted row x + y and its rank, in flat tables, and an offset ix per
+    row of X and iy per row of Y such that ix + iy is the place of their pair."""
+    (_, fx, ix), (_, fy, iy) = (np.unique(_ranks(Z, n), return_index=True, return_inverse=True)
+                                for Z in (X, Y))
+    x, y = X[fx], Y[fy]
+    shape = (len(x), len(y))
+    rows = np.sort(np.concatenate([np.broadcast_to(x[:, None], shape + x.shape[1:]),
+                                   np.broadcast_to(y[None], shape + y.shape[1:])], axis=2), axis=2)
+    rows = rows.reshape(-1, rows.shape[2])
+    return ix * len(y), iy, rows, _ranks(rows, n)
 
 
 def poisson(P: HomPoly, Q: HomPoly) -> HomPoly:
@@ -428,36 +458,56 @@ def poisson(P: HomPoly, Q: HomPoly) -> HomPoly:
 
     Both inputs must be balanced on the same mode set; the result has
     half-degree q + q' - 1 and canonical symmetric coefficients.  Each
-    product of a P entry and a Q entry is added, in loop order, to the total
-    of its output key; the pairs are expanded in blocks whose sums continue
-    from the running totals, so the totals are the same sums in the same order.
+    product of a P entry and a Q entry is added, in loop order (j in order of
+    first appearance in P, then P entries, then Q entries), to the total of
+    its output key; the pairs are expanded in blocks of at most _BLOCK whose
+    sums continue from the running totals, so the totals are the same sums in
+    the same order.  A pair's output rows are sorted(P's other-side row + Q's
+    reduced row) and sorted(P's reduced row + Q's other-side row), so for
+    each j the ranks of all merged rows are tabulated over the distinct rows
+    of each side, and a pair's key code is two table reads.  The codes listed
+    so far stay sorted, and each block inserts its new ones.
     """
     P._check_same_space(Q)
     n, q = P.mode_set.size, P.q + Q.q - 1
-    codes = np.zeros(0, dtype=np.int64)     # output keys in order of first appearance
-    rows, tot = [], np.zeros((2, 0))        # their rows; real and imaginary totals
+    # the sorted codes of the output keys and each key's place in order of first
+    # appearance, after a sentinel above every code
+    known, known_id = np.array([np.iinfo(np.int64).max]), np.array([-1])
+    rows, tot = [], np.zeros((2, 0))        # keys' rows; real and imaginary totals
     for sign, sides in ((1.0, "lk"), (-1.0, "kl")):
         jP, otherP, redP, wP = _entries(P, sides[0])
         jQ, otherQ, redQ, wQ = _entries(Q, sides[1])
-        for ip, iq in _pairs(jP, jQ):
-            a = np.sort(np.concatenate([otherP[ip], redQ[iq]], axis=1), axis=1)
-            b = np.sort(np.concatenate([redP[ip], otherQ[iq]], axis=1), axis=1)
+        _, j_first = np.unique(jP, return_index=True)
+        for j in jP[np.sort(j_first)]:
+            ps, qs = np.flatnonzero(jP == j), np.flatnonzero(jQ == j)
+            if not qs.size:
+                continue
+            S = _code_base(n, q)
             # dP/dconj(u_j) dQ/du_j has keys (a, b); dP/du_j dQ/dconj(u_j) has (b, a)
-            k, l = (a, b) if sign > 0 else (b, a)
-            uniq, first, inv = np.unique(_key_codes(k, l, n), return_index=True,
-                                         return_inverse=True)
-            ids = _find(codes, uniq)
-            new = np.flatnonzero(ids < 0)
-            new = new[np.argsort(first[new])]
-            ids[new] = codes.size + np.arange(new.size)
-            codes = np.concatenate([codes, uniq[new]])
-            rows.append(np.concatenate([k[first[new]], l[first[new]]], axis=1))
-            tot = np.concatenate([tot, np.zeros((2, new.size))], axis=1)
-            # each key's running total first, then the block's terms in order
-            seq = np.concatenate([np.arange(uniq.size), inv])
-            prod = complex_mul(wP[ip], wQ[iq])
-            for part, w in zip(tot, (prod.real, prod.imag)):
-                part[ids] = np.bincount(seq, np.concatenate([part[ids], sign * w]))
+            a, b = _merged(otherP[ps], redQ[qs], n), _merged(redP[ps], otherQ[qs], n)
+            (pk, qk, k_rows, k_rank), (pl, ql, l_rows, l_rank) = (a, b) if sign > 0 else (b, a)
+            k_code = k_rank * S
+            for start in range(0, ps.size * qs.size, _BLOCK):
+                # P entry x and Q entry y of each pair; its k-row and l-row places
+                x, y = np.divmod(np.arange(start, min(start + _BLOCK, ps.size * qs.size)), qs.size)
+                kx, lx = pk[x] + qk[y], pl[x] + ql[y]
+                uniq, first, inv = _unique(k_code[kx] + l_rank[lx])
+                at = np.searchsorted(known, uniq)
+                ids = np.where(known[at] == uniq, known_id[at], -1)
+                miss = ids < 0
+                new = np.flatnonzero(miss)
+                new = new[np.argsort(first[new])]
+                ids[new] = tot.shape[1] + np.arange(new.size)
+                known = np.insert(known, at[miss], uniq[miss])
+                known_id = np.insert(known_id, at[miss], ids[miss])
+                f = first[new]
+                rows.append(np.concatenate([k_rows[kx[f]], l_rows[lx[f]]], axis=1))
+                tot = np.concatenate([tot, np.zeros((2, new.size))], axis=1)
+                # each key's running total first, then the block's terms in order
+                seq = np.concatenate([np.arange(uniq.size), inv])
+                prod = complex_mul(wP[ps[x]], wQ[qs[y]])
+                for part, w in zip(tot, (prod.real, prod.imag)):
+                    part[ids] = np.bincount(seq, np.concatenate([part[ids], sign * w]))
     rows = np.concatenate(rows) if rows else np.zeros((0, 2 * q), dtype=np.intp)
     k, l = rows[:, :q], rows[:, q:]
     coef = complex_div(complex_mul(2j, _complex(*tot)), _class_sizes(k, l))

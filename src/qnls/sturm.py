@@ -106,8 +106,11 @@ def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> HomPoly:
 
         Q_{k,l} = int_0^pi f_{k1} f_{k2} f_{k3} f_{l1} f_{l2} f_{l3} dx
 
-    on every pair of index multisets (exact zeros dropped), by quadrature that
-    is exact for the trigonometric degrees involved.
+    on every pair of index multisets, by quadrature that is exact for the
+    trigonometric degrees involved.  A value at or below the rounding bound
+    n_grid * eps * sum_x |f_k1 f_k2 f_k3 f_l1 f_l2 f_l3| * w of its sum (w the
+    quadrature weight) is dropped as the noise of an analytic zero, so on the
+    free basis the keys are the nonzero integrals whatever N_basis is.
     """
     if q_window > _MAX_WINDOW:
         raise BudgetError("eigenbasis window exceeds the budget guard")
@@ -120,7 +123,11 @@ def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> HomPoly:
     T = F[triples[:, 0]] * F[triples[:, 1]] * F[triples[:, 2]]
     # int_0^pi = (1/2) int_T for even integrands (products of six odd factors);
     # T @ T.T is symmetric bit for bit, so Q_{l,k} = Q_{k,l} exactly
-    G = (T @ T.T) * (0.5 * 2.0 * np.pi / n_grid)
+    w = 0.5 * 2.0 * np.pi / n_grid
+    G = (T @ T.T) * w
+    # a dot product of n_grid terms errs by at most n_grid * eps * (|T| @ |T|.T)
+    A = np.abs(T)
+    G[np.abs(G) <= n_grid * np.finfo(float).eps * (A @ A.T) * w] = 0.0
     n = len(triples)
     return from_arrays(ms, 3, np.repeat(triples, n, axis=0), np.tile(triples, (n, 1)),
                        G.ravel().astype(complex), is_real=True)

@@ -154,6 +154,40 @@ def test_no_silent_overflow():
         big + big
 
 
+def test_bracket_overflow_is_an_error():
+    # half-degree 8 + 8 - 1 = 15 on 41 modes: C(55, 15)**2 is past 2**63, and
+    # the two keys share mode 0, so the bracket has pairs whose codes would wrap
+    ms = ModeSet.symmetric(20)
+    P = HomPoly(ms, 8, {((0,) * 8, (0,) * 8): 1.0})
+    Q = HomPoly(ms, 8, {((0,) * 7 + (1,), (0,) * 8): 1.0})
+    assert math.comb(ms.size + 14, 15) ** 2 >= 2 ** 63
+    with pytest.raises(OverflowError):
+        poisson(P, Q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 7]))
+def test_poisson_matches_dict_oracle_across_block_splits(data, block):
+    # blocks of 1 and 7 pairs split every j group at arbitrary pairs: the
+    # running totals must carry the same sums in the same order across them
+    ms = data.draw(WINDOWS)
+    P, Q = draw_poly(data, ms), draw_poly(data, ms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCK", block)
+        got = poisson(P, Q)
+    assert_bits(got, dict_poisson(P, Q))
+
+
+def test_poisson_on_sextic_across_block_splits():
+    ms = ModeSet.symmetric(3)
+    P6 = build_p6(ms)
+    chi, _ = solve_cohomological(P6, freqs_conv(sample_conv_potential(1.0, 3, 0), ms), gamma=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCK", 7)
+        got = poisson(chi, P6)
+    assert_bits(got, dict_poisson(chi, P6))
+
+
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=1, max_size=8),
        data=st.data())

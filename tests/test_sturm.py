@@ -95,6 +95,27 @@ def _dict_oracle(basis, q_window):
     return out
 
 
+def _rounding_bound(basis, q_window):
+    """n_grid * eps * sum_x |T_k(x)| |T_l(x)| * w per key, the worst-case
+    rounding error of each quadrature sum: a value within it is noise."""
+    n_grid = 6 * basis.N_basis + 2
+    _, F = eigenfunction_values(basis, n_grid)
+    triples = list(combinations_with_replacement(range(1, q_window + 1), 3))
+    A = np.abs(np.array([F[t[0] - 1] * F[t[1] - 1] * F[t[2] - 1] for t in triples]))
+    B = n_grid * np.finfo(float).eps * (A @ A.T) * (0.5 * 2.0 * np.pi / n_grid)
+    return {(ki, lj): B[i, j] for i, ki in enumerate(triples) for j, lj in enumerate(triples)}
+
+
+def _free_integral_sign_sums(q_window):
+    """For each key of the free basis, the sum of prod(s) over the sign vectors
+    s in {-1, 1}^6 with s . (k, l) = 0: the integral of the six sines is
+    -sum / (8 pi^2), so it is exactly zero where the sum is."""
+    signs = np.array(list(product((-1, 1), repeat=6)))
+    triples = list(combinations_with_replacement(range(1, q_window + 1), 3))
+    return {(k, l): int(signs[signs @ np.array(k + l) == 0].prod(axis=1).sum())
+            for k in triples for l in triples}
+
+
 def _decay_oracle(coeffs):
     """The former per-key loop of p6_decay_constant over a dict."""
     signs = [np.array(s) for s in product((-1, 1), repeat=6)]
@@ -123,7 +144,19 @@ def test_p6_eigen_coeffs_free_case():
                     for signs in [tuple(2 * np.array(signs) - 1)]}
             assert 0 in sums
     # full symmetry
-    assert co[((1, 1, 2), (1, 1, 1))] == co[((1, 1, 1), (1, 1, 2))]
+    assert co[((1, 1, 3), (1, 1, 1))] == co[((1, 1, 1), (1, 1, 3))]
+
+
+@pytest.mark.parametrize("N_basis", [32, 80, 200])
+def test_p6_eigen_coeffs_free_keys_hold_across_the_basis_size(N_basis):
+    # the keys are the analytically nonzero integrals, whatever the quadrature
+    # grid and BLAS summation order, and no rounding noise
+    P = p6_eigen_coeffs(dirichlet_eig(np.zeros(1), 8, N_basis), q_window=5)
+    sums = _free_integral_sign_sums(5)
+    assert len(P) == 535
+    assert set(P.coeffs) == {key for key, v in sums.items() if v}
+    for key, val in P.coeffs.items():
+        assert val == pytest.approx(-sums[key] / (8 * math.pi ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("q_window", [5, 6])
@@ -131,15 +164,19 @@ def test_p6_eigen_coeffs_free_case():
 def test_p6_eigen_coeffs_match_the_dict_oracle(random_basis, which, q_window):
     b = random_basis if which == "random" else dirichlet_eig(np.zeros(1), 50, 200)
     P = p6_eigen_coeffs(b, q_window)
-    want = _dict_oracle(b, q_window)
+    want, bound = _dict_oracle(b, q_window), _rounding_bound(b, q_window)
     got = P.coeffs
     assert len(want) == math.comb(q_window + 2, 3) ** 2
-    # every nonzero value bit for bit; the keys P drops are the exact zeros
-    assert all(got[key] == val for key, val in want.items() if val != 0)
-    zeros = {key for key, val in want.items() if val == 0}
-    assert set(want) - set(got) == zeros and set(got) <= set(want)
-    if which == "free":     # 28 and 72 of the orthogonal products sum to exactly 0.0
-        assert zeros
+    # every value past its rounding bound bit for bit, and far past it; the
+    # keys P drops are the values at or below the bound
+    noise = {key for key, val in want.items() if abs(val) <= bound[key]}
+    assert all(got[key] == val for key, val in want.items() if key not in noise)
+    assert set(want) - set(got) == noise and set(got) <= set(want)
+    assert all(abs(val) > 1e6 * bound[key] for key, val in got.items())
+    if which == "free":     # exactly the integrals that vanish analytically
+        assert noise == {key for key, v in _free_integral_sign_sums(q_window).items() if not v}
+    else:
+        assert not noise
     assert p6_decay_constant(P) == _decay_oracle(want)
 
 
