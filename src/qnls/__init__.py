@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .poly import (HomPoly, ModeSet, build_p6, build_z2, poisson, poly_from_json,
                    poly_to_json)
-from .spectral import (FrequencySet, NormEnclosure, freqs_conv, japanese,
+from .spectral import (FrequencySet, NormEnclosure, SexticLevel0, freqs_conv, japanese,
                        level_enclosures, norm_c, norm_h, project, split_levels,
                        strichartz_identity_check, sup_norm)
 from .nf import (NormalFormConfig, NormalFormResult, birkhoff, check_krgamma,

@@ -12,10 +12,12 @@ import numpy as np
 
 from .errors import BudgetError
 from . import flows, nf
-from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
-from .spectral import japanese, split_levels, sup_norm
+# build_p6 and split_levels are not called here; perfbench/tracing.py wraps them on this module
+from .poly import HomPoly, ModeSet, Sextic, build_p6
+from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
-_MAX_KEYS = 5_000_000   # sextic keys one window of strichartz_scan may hold
+_TRACED = (build_p6, split_levels)
+_MAX_ENTRIES = 5_000_000    # sorted triples x starts that one window of strichartz_scan may hold
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -200,9 +202,11 @@ def check_drift(eps_list, T: float) -> None:
 
 
 def check_scan(M_list, c6: float, multistart: int) -> None:
-    """Raise ValueError unless the window sizes are at least 1 and distinct
-    (the scan's exponents divide by log2 of the ratio of two sizes), c6 is
-    finite and positive, and the ascent has at least one start."""
+    """Raise ValueError unless there is a window size, the sizes are at least 1
+    and distinct (the scan's exponents divide by log2 of the ratio of two
+    sizes), c6 is finite and positive, and the ascent has at least one start."""
+    if not len(M_list):
+        raise ValueError("strichartz_scan needs at least one window size M")
     if min(M_list) < 1 or len(set(M_list)) < len(M_list):
         raise ValueError("window sizes M must be distinct and at least 1")
     if not (math.isfinite(c6) and c6 > 0):
@@ -265,7 +269,9 @@ class ScanRow:
 @dataclass
 class ScanResult:
     rows: list[ScanRow]
-    exponents: list[float]      # log2(S(2M)/S(M)) on the witnessed lower values
+    # log2(S(M')/S(M)) / log2(M'/M) between consecutive windows M < M', on the
+    # witnessed lower values
+    exponents: list[float]
 
     def monotone(self) -> bool:
         vals = [r.lower for r in self.rows]
@@ -279,30 +285,37 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
 
     The witnessed lower bound comes from ascent on spectral level a = 0, with
     the previous window's witness embedded among the starts so that S is
-    non-decreasing by construction.  The upper bound is level 0's l1 norm, the
-    largest of any level: with C_{p,e} the ordered triples of momentum p and
-    energy e, level a counts sum C_{p,e} C_{p,e-a} ordered pairs, which
-    Cauchy-Schwarz bounds strictly by the level-0 count sum C_{p,e}^2.
+    non-decreasing by construction.  The ascent lists none of the sextic's
+    keys: it runs on cells, as sup_norm does for a spectral.SexticLevel0.  The
+    window's sorted triples, grouped by momentum p and energy e = sum m^2,
+    give A_{p,e}(y), the sum of y_k1 y_k2 y_k3 over the ordered triples of
+    cell (p, e), and level 0 at y is (c6/6) sum A_{p,e}^2.  The upper bound
+    is level 0's l1 norm, counted: with C_{p,e} the number of ordered
+    triples of cell (p, e), it is (c6/6) sum C_{p,e}^2.  It is the largest
+    of any level: level a counts sum C_{p,e} C_{p,e-a} ordered pairs, which
+    Cauchy-Schwarz bounds strictly by the level-0 count.  A window's work
+    arrays hold its sorted triples times its starts, at most _MAX_ENTRIES:
+    M = 32 fits, M = 64 does not.
     """
     check_scan(M_list, c6, multistart)
     rows = []
     prev_witness = None
     for M in sorted(M_list):
         ms = ModeSet.symmetric(M)
-        # the sextic's key count, without building it
-        if sum(len(b) ** 2 for b in momentum_buckets(ms)) > _MAX_KEYS:
+        # the ascent's work arrays, counted before any is built: sup_norm takes
+        # max(multistart, n + 2) starts, plus the previous witness
+        starts = max(multistart, ms.size + 2) + (prev_witness is not None)
+        if math.comb(ms.size + 2, 3) * starts > _MAX_ENTRIES:
             raise BudgetError(f"strichartz_scan budget exceeded at M={M}")
-        P = build_p6(ms, c6=c6)
-        levels = split_levels(P, np.asarray(ms.modes, dtype=float) ** 2)
         extra = None
         if prev_witness is not None:
             embedded = np.zeros(ms.size)
             off = (ms.size - prev_witness.size) // 2
             embedded[off: off + prev_witness.size] = prev_witness
             extra = embedded[None, :]
-        enc = sup_norm(levels[0].modulus(), multistart=multistart,
-                       iters=iters, seed=seed, extra_starts=extra)
-        rows.append(ScanRow(M=M, lower=enc.lower, upper=levels[0].l1(), dominant_level=0))
+        enc = sup_norm(SexticLevel0(ms, c6), multistart=multistart, iters=iters, seed=seed,
+                       extra_starts=extra)
+        rows.append(ScanRow(M=M, lower=enc.lower, upper=enc.upper, dominant_level=0))
         prev_witness = enc.witness
     exponents = []
     for a, b in zip(rows, rows[1:]):

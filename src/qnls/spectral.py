@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import HomPoly, ModeSet, Sextic, build_p6
+from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# entries (modes x pairs x starts) that one block of the sextic cell gradient gathers
+_GATHER = 1 << 16
 
 
 def japanese(x) -> float:
@@ -113,50 +115,98 @@ class NormEnclosure:
         return {"lower": self.lower, "upper": self.upper, "witness": w}
 
 
-def _posy_ascent(problems, nmodes: int, iters: int) -> list[tuple[float, np.ndarray]]:
-    """Projected-gradient ascent of sum_i w_i * prod_s y[slots_i_s] on the
-    nonnegative unit sphere from each row of starts, for problems (slots, w,
-    starts) of one slot width, all together; returns each problem's best (f, y).
-    A start's value sums its terms in key order (numpy's pairwise sum for a lone
-    start); its gradient, rebuilt only after it moves, sums each mode's terms in
-    (key, slot) order.  A problem stops once all its steps are below 1e-16: its
-    starts freeze and its pairs leave.  Steps are capped at 1e50, above the
-    0.25 * 1.2**600 < 1e47 of the 600 iterations that callers run at most."""
-    nb, nk = [len(st) for _, _, st in problems], [len(w) for _, w, _ in problems]
-    Y = np.vstack([st for _, _, st in problems])
-    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    first = np.cumsum([0] + nb[:-1])                # first start of each problem
-    # pairs, key-major in each problem: start, index into Y.ravel() per slot, weight
-    prow = np.concatenate([np.tile(np.arange(r, r + b), k) for r, b, k in zip(first, nb, nk)])
-    gT = np.vstack([np.repeat(s, b, axis=0) for (s, _, _), b in zip(problems, nb)])
-    gT += prow[:, None] * nmodes
-    pw = np.concatenate([np.repeat(w, b) for (_, w, _), b in zip(problems, nb)])
-    width, done, blocks = gT.shape[1], np.zeros(len(Y), bool), list(zip(nk, nb, first))
-    # arrays reused by every iteration, as fresh ones cost a page fault per 4 KiB
-    flat, vec = np.empty((3, gT.size)), np.empty((2, len(pw)))
+def _ascend(kernel, starts: np.ndarray, nb: list[int],
+            iters: int) -> list[tuple[float, np.ndarray]]:
+    """Projected-gradient ascent on the nonnegative unit sphere from each row of
+    starts, for problems of nb[i] consecutive starts, all together; returns each
+    problem's best (f, y).  A start steps by eta along its gradient, projected
+    back to the orthant and the sphere; it keeps a step that raises its value,
+    and eta grows by 1.2 on a kept step and halves on a refused one.  A problem
+    stops once all its steps are below 1e-16: its starts freeze.  Steps are
+    capped at 1e50, above the 0.25 * 1.2**600 < 1e47 of the 600 iterations that
+    callers run at most.
 
-    def value(yb):
-        yb.ravel().take(gidx, out=ys, mode="clip")          # ys[s, i] = y[gT[i, s]]
+    The kernel holds the objective: kernel.value(Y) is the value of each row of
+    Y, kernel.gradient(moving, done) the gradient rows of the moving starts at
+    the point last passed to value, and kernel.retire(done) drops the work of
+    stopped problems."""
+    Y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    first = np.cumsum([0] + nb[:-1])                # first start of each problem
+    done = np.zeros(len(Y), bool)
+    f, eta = kernel.value(Y), np.full(len(Y), 0.25)
+    G = kernel.gradient(np.ones(len(Y), bool), done)
+    for _ in range(iters):
+        cand = np.maximum(Y + eta[:, None] * G, 0.0)
+        nrm = np.sqrt((cand * cand).sum(axis=1))   # np.linalg.norm(cand, axis=1), inlined
+        dead = nrm == 0
+        if dead.any():
+            cand[dead], nrm[dead] = Y[dead], 1.0
+        cand /= nrm[:, None]
+        fc = kernel.value(cand)
+        better = fc > f
+        np.copyto(Y, cand, where=better[:, None])
+        f = np.where(better, fc, f)
+        eta = np.minimum(eta * np.where(better, 1.2, 0.5), 1e50)
+        stop = np.repeat(np.maximum.reduceat(eta, first) < 1e-16, nb) & ~done
+        moving = better & ~stop
+        G[moving] = kernel.gradient(moving, done)
+        if stop.any():
+            done |= stop
+            if done.all():
+                break
+            kernel.retire(done)
+    return [(float(f[i]), Y[i]) for i in [r + np.argmax(f[r:r + b]) for b, r in zip(nb, first)]]
+
+
+class _Posy:
+    """Kernel of _ascend for posynomials sum_i w_i * prod_s y[slots_i_s] of one
+    slot width, one per problem (slots, w) with nb[i] starts.  A start's value
+    sums its terms in key order (numpy's pairwise sum for a lone start); its
+    gradient sums each mode's terms in (key, slot) order.  Stopped problems'
+    pairs leave."""
+
+    def __init__(self, terms, nb: list[int], nmodes: int):
+        nk, first = [len(w) for _, w in terms], np.cumsum([0] + nb[:-1])
+        self.nmodes = nmodes
+        # pairs, key-major in each problem: start, index into Y.ravel() per slot, weight
+        self.prow = np.concatenate([np.tile(np.arange(r, r + b), k)
+                                    for r, b, k in zip(first, nb, nk)])
+        gT = np.vstack([np.repeat(s, b, axis=0) for (s, _), b in zip(terms, nb)])
+        gT += self.prow[:, None] * nmodes
+        self.pw = np.concatenate([np.repeat(w, b) for (_, w), b in zip(terms, nb)])
+        self.width, self.blocks = gT.shape[1], list(zip(nk, nb, first))
+        # arrays reused by every iteration, as fresh ones cost a page fault per 4 KiB
+        self.flat, self.vec = np.empty((3, gT.size)), np.empty((2, len(self.pw)))
+        self._pairs(gT)
+
+    def _pairs(self, gT):
+        self.gT, self.gidx = gT, gT.T.copy()
+        self.ys, self.pre = (a[:gT.size].reshape(self.width, -1) for a in self.flat[:2])
+
+    def value(self, yb):
+        ys, pre, pw = self.ys, self.pre, self.pw
+        yb.ravel().take(self.gidx, out=ys, mode="clip")     # ys[s, i] = y[gT[i, s]]
         pre[0] = 1.0                            # pre[s]: the product of the slots before s
-        for s in range(1, width):
+        for s in range(1, self.width):
             np.multiply(pre[s - 1], ys[s - 1], out=pre[s])
-        terms = np.multiply(pre[-1], ys[-1], out=vec[0, :len(pw)])
+        terms = np.multiply(pre[-1], ys[-1], out=self.vec[0, :len(pw)])
         np.multiply(terms, pw, out=terms)
         fv, a = np.zeros(len(yb)), 0
-        for k, b, r in blocks:                  # each start's terms, summed over keys
+        for k, b, r in self.blocks:             # each start's terms, summed over keys
             terms[a:a + k * b].reshape(k, b).sum(axis=0, out=fv[r:r + b])
             a += k * b
         return fv
 
-    def gradient(moving):  # at these starts, of the point last passed to value
-        sel = None if (moving | done).all() else np.flatnonzero(moving[prow])
+    def gradient(self, moving, done):
+        width, flat, gT = self.width, self.flat, self.gT
+        sel = None if (moving | done).all() else np.flatnonzero(moving[self.prow])
         if sel is None:                         # every pair, in place
-            y, p, wsel, out = ys, pre, pw, flat[2]
+            y, p, wsel, out = self.ys, self.pre, self.pw, flat[2]
         else:       # the moved starts' pairs; value rewrites ys and pre
             n = sel.size
-            p = pre.take(sel, axis=1, out=flat[2, :width * n].reshape(width, n), mode="clip")
-            y = ys.take(sel, axis=1, out=flat[1, :width * n].reshape(width, n), mode="clip")
-            wsel, out = pw.take(sel, out=vec[1, :n], mode="clip"), flat[0]
+            p = self.pre.take(sel, axis=1, out=flat[2, :width * n].reshape(width, n), mode="clip")
+            y = self.ys.take(sel, axis=1, out=flat[1, :width * n].reshape(width, n), mode="clip")
+            wsel, out = self.pw.take(sel, out=self.vec[1, :n], mode="clip"), flat[0]
         for s in range(width - 2, -1, -1):      # y[s + 1]: the product of the slots after s
             np.multiply(p[s], y[s + 1], out=p[s])
             if s:
@@ -165,66 +215,157 @@ def _posy_ascent(problems, nmodes: int, iters: int) -> list[tuple[float, np.ndar
         contrib[...] = np.multiply(p, wsel, out=p).T
         bins = gT if sel is None else gT.take(   # into the spent rows of y
             sel, axis=0, out=flat[1, :p.size].view(np.intp).reshape(-1, width), mode="clip")
-        return np.bincount(bins.ravel(), contrib.ravel(), moving.size * nmodes).reshape(-1, nmodes)
+        G = np.bincount(bins.ravel(), contrib.ravel(), moving.size * self.nmodes)
+        return G.reshape(-1, self.nmodes)[moving]
 
-    gidx, (ys, pre) = gT.T.copy(), (a[:gT.size].reshape(width, -1) for a in flat[:2])
-    f, eta, G = value(Y), np.full(len(Y), 0.25), gradient(np.ones(len(Y), bool))
-    for _ in range(iters):
-        cand = np.maximum(Y + eta[:, None] * G, 0.0)
-        nrm = np.sqrt((cand * cand).sum(axis=1))   # np.linalg.norm(cand, axis=1), inlined
-        dead = nrm == 0
-        if dead.any():
-            cand[dead], nrm[dead] = Y[dead], 1.0
-        cand /= nrm[:, None]
-        fc = value(cand)
-        better = fc > f
-        np.copyto(Y, cand, where=better[:, None])
-        f = np.where(better, fc, f)
-        eta = np.minimum(eta * np.where(better, 1.2, 0.5), 1e50)
-        stop = np.repeat(np.maximum.reduceat(eta, first) < 1e-16, nb) & ~done
-        moving = better & ~stop
-        G[moving] = gradient(moving)[moving]
-        if stop.any():
-            done |= stop
-            if done.all():
-                break
-            alive = ~done[prow]
-            prow, pw, gT = prow[alive], pw[alive], gT[alive]
-            blocks = [(k, b, r) for k, b, r in blocks if not done[r]]
-            gidx, (ys, pre) = gT.T.copy(), (a[:gT.size].reshape(width, -1) for a in flat[:2])
-    return [(float(f[i]), Y[i]) for i in [r + np.argmax(f[r:r + b]) for b, r in zip(nb, first)]]
+    def retire(self, done):
+        alive = ~done[self.prow]
+        self.prow, self.pw = self.prow[alive], self.pw[alive]
+        self.blocks = [(k, b, r) for k, b, r in self.blocks if not done[r]]
+        self._pairs(self.gT[alive])
+
+
+def _posy_ascent(problems, nmodes: int, iters: int) -> list[tuple[float, np.ndarray]]:
+    """_ascend of the posynomials of problems (slots, w, starts) of one slot
+    width on nmodes modes, all together; returns each problem's best (f, y)."""
+    nb = [len(st) for _, _, st in problems]
+    kernel = _Posy([(slots, w) for slots, w, _ in problems], nb, nmodes)
+    return _ascend(kernel, np.vstack([st for _, _, st in problems]), nb, iters)
+
+
+def _starts(nmodes: int, multistart: int, seed: int, extra_starts=None) -> np.ndarray:
+    """The multistart of one ascent: max(multistart - 1 - nmodes, 1) random rows
+    from seed, the all-ones row, eye + 1e-3, then the moduli of extra_starts."""
+    rng = np.random.default_rng(seed)
+    starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
+              np.ones((1, nmodes)), np.eye(nmodes) + 1e-3]
+    if extra_starts is not None:
+        starts.append(np.abs(np.asarray(extra_starts, float)).reshape(-1, nmodes) + 1e-12)
+    return np.vstack(starts)
 
 
 def _enclosures(mods, seeds, multistart: int, iters: int, extra_starts=None):
     """Enclosures of modulus polynomials from one ascent call, each from its seed's starts."""
-    nmodes, problems = mods[0].mode_set.size, []
-    for P, seed in zip(mods, seeds):
-        rng = np.random.default_rng(seed)
-        starts = [np.abs(rng.standard_normal((max(multistart - 1 - nmodes, 1), nmodes))) + 1e-9,
-                  np.ones((1, nmodes)), np.eye(nmodes) + 1e-3]
-        if extra_starts is not None:
-            starts.append(np.abs(np.asarray(extra_starts, float)).reshape(-1, nmodes) + 1e-12)
-        problems.append((np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize,
-                         np.vstack(starts)))
+    nmodes = mods[0].mode_set.size
+    problems = [(np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize,
+                 _starts(nmodes, multistart, seed, extra_starts)) for P, seed in zip(mods, seeds)]
     # min guards against roundoff at tight enclosures
     return [NormEnclosure(min(lower, upper), upper, y) for upper, (lower, y)
             in zip([P.l1() for P in mods], _posy_ascent(problems, nmodes, iters))]
 
 
-def sup_norm(P: HomPoly, multistart: int = 64, iters: int = 500, seed: int = 0,
+@dataclass(frozen=True)
+class SexticLevel0:
+    """The level-0 part of the modulus of build_p6(mode_set, c6=c6) at the
+    integer frequencies m^2, split_levels(...)[0].modulus(): coefficient c6/6
+    on every ordered tuple (k, l) of the window with sum k = sum l and
+    sum k^2 = sum l^2.  It is held as its window and c6 alone: sup_norm
+    encloses it on cells of sorted triples and lists none of its keys."""
+
+    mode_set: ModeSet
+    c6: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.c6) and self.c6 > 0):
+            raise ValueError("c6 must be finite and positive")
+
+
+def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, seed: int = 0,
              extra_starts=None) -> NormEnclosure:
     """Enclosure of sup_{||u||<=1} P(u) for a modulus polynomial P (real,
     nonnegative coefficients), such as P.modulus() of any polynomial.
 
     The ascent runs over the nonnegative orthant of the sphere, which holds
     the maximum since |P(u)| <= P(|u|) componentwise.  The upper bound is the
-    l1 norm over ordered tuples.
+    l1 norm over ordered tuples.  A SexticLevel0 ascends on its cells (_Cells)
+    from the same starts, and its l1 norm is counted.
     """
+    if isinstance(P, SexticLevel0):
+        starts = _starts(P.mode_set.size, multistart, seed, extra_starts)
+        cells = _Cells(P.mode_set, P.c6, len(starts))
+        [(lower, y)] = _ascend(cells, starts, [len(starts)], iters)
+        return NormEnclosure(min(lower, cells.upper), cells.upper, y)
     if not np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
         raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
     if not len(P):
         return NormEnclosure(0.0, 0.0, np.zeros(P.mode_set.size))
     return _enclosures([P], [seed], multistart, iters, extra_starts)[0]
+
+
+class _Cells:
+    """Kernel of _ascend for the level-0 part of the sextic modulus on a window
+    (coefficient c6/6 on every ordered tuple that conserves momentum and the
+    energy sum of m^2), one problem of nb starts.  Its value at y is
+
+        (c6/6) sum_c A_c(y)^2,    A_c(y) = sum_t mult_t y_t1 y_t2 y_t3,
+
+    where t runs over the sorted triples t1 <= t2 <= t3 of cell c, one
+    (momentum, energy) pair, and mult_t in {1, 3, 6} counts the orderings of
+    t.  Its gradient at mode j, (c6/3) A_c(t) mult_t times the other two slots
+    summed over every slot of every triple t that holds j, regrouped by the
+    other two modes, is c6 sum_{a <= b} w_ab A_c(j,a,b) y_a y_b, with w_ab = 2
+    for a < b and 1 for a = b.  upper = (c6/6) sum_c n_c^2 is the part's l1
+    norm, with n_c the number of ordered triples in cell c."""
+
+    def __init__(self, mode_set: ModeSet, c6: float, nb: int):
+        n, m = mode_set.size, np.asarray(mode_set.modes, dtype=np.int64)
+        lo, hi = 3 * m.min(), 3 * (m * m).max() + 1
+        code = lambda *slots: (sum(slots) - lo) * hi + sum(x * x for x in slots)
+        T = np.concatenate(momentum_buckets(mode_set))      # (N, 3) sorted triples
+        codes, cell, size = np.unique(code(*m[T].T), return_inverse=True, return_counts=True)
+        # cells by size, largest first, so that the k-th triples of the cells with
+        # more than k are a layer that adds into a prefix of the cells
+        rank = np.argsort(np.argsort(-size, kind="stable"))
+        cell = rank[cell]
+        by_cell, within = np.argsort(cell, kind="stable"), np.empty(len(T), np.intp)
+        within[by_cell] = np.arange(len(T)) - np.searchsorted(cell[by_cell], cell[by_cell])
+        order = np.lexsort((cell, within))
+        T, cell, self.layers = T[order], cell[order], np.bincount(within)
+        eq = (T[:, 0] == T[:, 1]) + (T[:, 1] == T[:, 2]).astype(np.intp)
+        counts = np.bincount(np.repeat(cell, np.array([6, 3, 1])[eq]))
+        self.c6, self.upper = c6, c6 / 6.0 * float((counts * counts).sum())
+        # rows y_a y_b of the pairs a <= b, scaled by 1, 3 and 6: a triple reads
+        # mult * y_t1 y_t2 from the row that its eq picks
+        self.pa, self.pb = np.triu_indices(n)
+        pair = np.empty((n, n), dtype=np.intp)
+        pair[self.pa, self.pb] = pair[self.pb, self.pa] = np.arange(self.pa.size)
+        self.t12, self.t3 = pair[T[:, 0], T[:, 1]] + (2 - eq) * self.pa.size, T[:, 2]
+        self.w = np.where(self.pa == self.pb, 1.0, 2.0)[:, None]
+        # the cell of the triple (j, a, b) for every mode j and pair a <= b
+        self.gcell = rank[np.searchsorted(codes, code(m[:, None], m[self.pa], m[self.pb]))].ravel()
+        # arrays reused by every iteration, as fresh ones cost a page fault per 4 KiB
+        self.P2 = np.empty((3, self.pa.size, nb))
+        self.prod, self.y3 = np.empty((len(T), nb)), np.empty((len(T), nb))
+        self.block = max(1, _GATHER // self.gcell.size)
+        self.X = np.empty(self.gcell.size * min(self.block, nb))
+
+    def value(self, Y):
+        Yt, P2, prod = Y.T.copy(), self.P2, self.prod
+        np.multiply(Yt[self.pa], Yt[self.pb], out=P2[0])
+        np.multiply(P2[0], 3.0, out=P2[1])
+        np.multiply(P2[0], 6.0, out=P2[2])
+        P2.reshape(-1, P2.shape[2]).take(self.t12, axis=0, out=prod, mode="clip")
+        np.multiply(prod, Yt.take(self.t3, axis=0, out=self.y3, mode="clip"), out=prod)
+        at, A = self.layers[0], prod[:self.layers[0]]
+        for k in self.layers[1:]:
+            A[:k] += prod[at:at + k]
+            at += k
+        return self.c6 / 6.0 * np.einsum("cs,cs->s", A, A)
+
+    def gradient(self, moving, done):  # at these starts, of the point last passed to value
+        cols, A, n2 = np.flatnonzero(moving), self.prod[:self.layers[0]], self.pa.size
+        G = np.empty((self.gcell.size // n2, cols.size))
+        for i in range(0, cols.size, self.block):     # X[j, ab, s] = A_c(j,a,b) at start s
+            c = cols[i:i + self.block]
+            X = (A[:, c] if c.size < A.shape[1] else A).take(
+                self.gcell, axis=0, out=self.X[:self.gcell.size * c.size].reshape(-1, c.size),
+                mode="clip")
+            np.einsum("jps,ps->js", X.reshape(len(G), n2, c.size), self.P2[0][:, c] * self.w,
+                      out=G[:, i:i + c.size])
+        return self.c6 * G.T
+
+    def retire(self, done):
+        """One problem: the ascent ends when it stops."""
 
 
 def check_lower_levels(k) -> None:

@@ -1,16 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnls.dynamics import (action_drift, gamma_from_certificate, integrate,
                            plan_parameters, remainder_g, remainder_scaling,
                            sobolev_profile_state, strichartz_scan)
-from qnls import flows, poly
+from qnls import dynamics, flows, poly, spectral
 from qnls.errors import BudgetError
 from qnls.nf import NormalFormConfig, birkhoff, transform_state
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2
-from qnls.spectral import freqs_conv
+from qnls.spectral import NormEnclosure, freqs_conv, split_levels, sup_norm
 from qnls.resonance import sample_conv_potential
 from conftest import random_state
 
@@ -205,22 +207,94 @@ def test_sobolev_profile_norm():
     assert hs == pytest.approx(0.3, rel=1e-12)
 
 
-def test_strichartz_scan_small():
+def test_strichartz_scan_small(monkeypatch):
     scan = strichartz_scan([1, 2, 4], multistart=24, iters=400, seed=0)
     assert scan.monotone()
     assert len(scan.exponents) == 2
     assert scan.exponents[1] < scan.exponents[0]
     assert all(r.lower <= r.upper for r in scan.rows)
-    # M=32 has 19,131,541 sextic keys, past the 5,000,000-key budget; they
-    # are counted per momentum bucket, none is listed
-    with pytest.raises(BudgetError, match="M=32"):
-        strichartz_scan([32])
+    # M=64 holds 366,145 sorted triples times 131 starts, past the 5,000,000-entry
+    # budget; they are counted in closed form, none is listed
+    def listed(ms):
+        raise AssertionError("the window's triples were listed")
+
+    monkeypatch.setattr(spectral, "momentum_buckets", listed)
+    monkeypatch.setattr(poly, "momentum_buckets", listed)
+    with pytest.raises(BudgetError, match="M=64"):
+        strichartz_scan([64])
+
+
+def test_strichartz_budget_admits_m32(monkeypatch):
+    # M=32 holds 47,905 sorted triples times 68 starts (M=16's witness among them)
+    seen = []
+
+    def ascent(P, multistart, iters, seed, extra_starts=None):
+        seen.append(P.mode_set.size)
+        return NormEnclosure(1.0, 1.0, np.full(P.mode_set.size, P.mode_set.size ** -0.5))
+
+    monkeypatch.setattr(dynamics, "sup_norm", ascent)
+    strichartz_scan([16, 32])
+    assert seen == [33, 65]
 
 
 @pytest.mark.parametrize("M_list", [[1, 1], [2, 1, 2], [0, 1], [-1, 2], []])
 def test_strichartz_scan_needs_distinct_positive_sizes(M_list):
-    with pytest.raises(ValueError):
+    match = None if M_list else "at least one window size"
+    with pytest.raises(ValueError, match=match):
         strichartz_scan(M_list, multistart=2, iters=5)
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_level0(M, c6, window="symmetric"):
+    """The oracle path: level 0 of the sextic modulus, listed key by key."""
+    ms = getattr(ModeSet, window)(M)
+    return split_levels(build_p6(ms, c6=c6), np.asarray(ms.modes, dtype=float) ** 2)[0].modulus()
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 8), c6=st.sampled_from([1.0, 1.7]), n_starts=st.integers(1, 12),
+       window=st.sampled_from(["symmetric", "dirichlet"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sextic_cells_match_the_sparse_level0(M, c6, n_starts, window, seed):
+    P = _sparse_level0(M, c6, window)
+    n = P.mode_set.size
+    rng = np.random.default_rng(seed)
+    Y = np.abs(rng.standard_normal((n_starts, n))) * (rng.random((n_starts, n)) > 0.2)
+    moving, done = rng.random(n_starts) < 0.6, np.zeros(n_starts, bool)
+    terms = [(np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize)]
+    posy, cells = spectral._Posy(terms, [n_starts], n), spectral._Cells(P.mode_set, c6, n_starts)
+    np.testing.assert_allclose(cells.value(Y), posy.value(Y), rtol=1e-13, atol=0)
+    want, got = posy.gradient(moving, done), cells.gradient(moving, done)
+    assert got.shape == want.shape == (moving.sum(), n)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("c6", [1.0, 1.7])
+@pytest.mark.parametrize("M", range(1, 9))
+def test_sextic_cells_count_the_level0_l1(M, c6):
+    upper = spectral._Cells(ModeSet.symmetric(M), c6, 1).upper
+    assert upper == pytest.approx(_sparse_level0(M, c6).l1(), rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strichartz_scan_matches_the_sparse_path(seed):
+    M_list, scan = [1, 2, 4, 8], strichartz_scan([1, 2, 4, 8], seed=seed)
+    lower, upper, witness = [], [], None
+    for M in M_list:      # the scan's loop on the listed level-0 modulus, through sup_norm
+        P, extra = _sparse_level0(M, 1.0), None
+        if witness is not None:
+            extra = np.zeros((1, P.mode_set.size))
+            off = (P.mode_set.size - witness.size) // 2
+            extra[0, off:off + witness.size] = witness
+        enc = sup_norm(P, multistart=48, iters=600, seed=seed, extra_starts=extra)
+        lower.append(enc.lower)
+        upper.append(P.l1())
+        witness = enc.witness
+    exponents = [math.log2(b / a) for a, b in zip(lower, lower[1:])]
+    assert [r.M for r in scan.rows] == M_list
+    assert [r.lower for r in scan.rows] == pytest.approx(lower, rel=1e-12)
+    assert [r.upper for r in scan.rows] == pytest.approx(upper, rel=1e-12)
+    assert scan.exponents == pytest.approx(exponents, rel=1e-12)
 
 
 def test_action_drift_linear_is_zero(rng):
