@@ -84,6 +84,16 @@ def _parameters():
         raise ConfigError(str(exc)) from exc
 
 
+def _add_system(p: argparse.ArgumentParser, *flags: str):
+    """Declare on p the flags _system reads besides --modes and --seed, or the
+    named ones of them (certify and sturm take --s-star, strichartz --c6)."""
+    specs = {"--potential": dict(type=str), "--s-star": dict(type=float, default=1.0),
+             "--sigma": dict(type=int, default=1, choices=[1, -1]),
+             "--c6": dict(type=float, default=1.0)}
+    for flag in flags or specs:
+        p.add_argument(flag, **specs[flag])
+
+
 def _system(args):
     """Window, frequencies, Z2 and P6 of the truncated system on --modes."""
     with _parameters():
@@ -93,8 +103,6 @@ def _system(args):
             if isinstance(doc, dict) and "V" not in doc:
                 raise ConfigError('potential file holds an object without "V"')
             V = np.asarray(doc["V"] if isinstance(doc, dict) else doc, dtype=float)
-            if V.shape != (ms.size,):
-                raise ConfigError(f"potential file must carry {ms.size} real coefficients")
         else:
             V = resonance.sample_conv_potential(args.s_star, args.modes, args.seed)
         omega = freqs_conv(V, ms)
@@ -127,6 +135,8 @@ def cmd_certify(args, out: Path) -> int:
         bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
         if args.kind == "strong" and not args.alpha > 0:
             raise ConfigError("alpha must be positive")
+        if args.kind == "weak" and not args.s_star > 0:
+            raise ConfigError("s_star must be positive")
         if resonance.enumeration_size(omega, bounds, args.kind) == 0:
             raise ConfigError("the enumeration bounds leave no tuple to check")
     if args.kind == "strong":
@@ -282,25 +292,16 @@ def cmd_strichartz(args, out: Path) -> int:
 # --------------------------------------------------------------------- main
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=str, default=None, help="JSON file with defaults")
-    p.add_argument("--out", type=str, default="runs/latest")
-
-
-def build_parser(defaults: dict | None = None, required: bool = True) -> argparse.ArgumentParser:
-    """The command-line parser; defaults (the fields of a --config file)
-    replace each subcommand's own defaults, so explicit flags still win, and
-    a flag they set is not required.  With required=False no flag is."""
-    defaults = defaults or {}
-    need = lambda dest: required and dest not in defaults
+def build_parser(required: bool = True) -> argparse.ArgumentParser:
+    """The command-line parser; with required=False no flag is required."""
     ap = argparse.ArgumentParser(prog="qnls", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="resolve experiment parameters from the scaling recipe")
-    p.add_argument("--eps", type=float, required=need("eps"))
-    p.add_argument("--nu", type=float, required=need("nu"))
-    p.add_argument("--alpha", type=float, required=need("alpha"))
-    p.add_argument("--beta-s", dest="beta_s", type=float, default=1.0)
+    p.add_argument("--eps", type=float, required=required)
+    p.add_argument("--nu", type=float, required=required)
+    p.add_argument("--alpha", type=float, required=required)
+    p.add_argument("--beta-s", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
@@ -314,38 +315,32 @@ def build_parser(defaults: dict | None = None, required: bool = True) -> argpars
     p.add_argument("--m1max", type=int, default=4)
     p.add_argument("--hmax", type=int, default=20)
     p.add_argument("--amax", type=int, default=0, help="0 = automatic cap")
-    p.add_argument("--s-star", dest="s_star", type=float, default=1.0)
+    _add_system(p, "--s-star")
     p.add_argument("--free", action="store_true", help="use the unperturbed frequencies k^2")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sturm", help="Dirichlet eigenbasis of a sampled even potential")
-    p.add_argument("--s-star", dest="s_star", type=float, default=2.0)
+    _add_system(p, "--s-star")
     p.add_argument("--nmax", type=int, default=50)
-    p.set_defaults(func=cmd_sturm)
+    p.set_defaults(func=cmd_sturm, s_star=2.0)
 
     p = sub.add_parser("normal-form", help="Birkhoff normal form of the truncated system")
-    p.add_argument("--modes", type=int, required=need("modes"))
-    p.add_argument("--order", type=int, required=need("order"))
+    p.add_argument("--modes", type=int, required=required)
+    p.add_argument("--order", type=int, required=required)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--j-max", dest="j_max", type=int, default=None)
+    p.add_argument("--j-max", type=int, default=None)
     p.add_argument("--multistart", type=int, default=16,
                    help="ascent restarts per norm enclosure")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--s-star", dest="s_star", type=float, default=1.0)
-    p.add_argument("--sigma", type=int, default=1, choices=[1, -1])
-    p.add_argument("--c6", type=float, default=1.0)
+    _add_system(p)
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("simulate", help="integrate the truncated flow, stream CSV")
-    p.add_argument("--modes", type=int, required=need("modes"))
+    p.add_argument("--modes", type=int, required=required)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--T", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--s-star", dest="s_star", type=float, default=1.0)
-    p.add_argument("--sigma", type=int, default=1, choices=[1, -1])
-    p.add_argument("--c6", type=float, default=1.0)
+    _add_system(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("drift", help="action-drift scaling experiment")
@@ -353,29 +348,26 @@ def build_parser(defaults: dict | None = None, required: bool = True) -> argpars
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--j-max", dest="j_max", type=int, default=None)
-    p.add_argument("--eps-list", dest="eps_list", type=str, default="0.1,0.07,0.05")
+    p.add_argument("--j-max", type=int, default=None)
+    p.add_argument("--eps-list", type=str, default="0.1,0.07,0.05")
     p.add_argument("--T", type=float, default=1000.0)
     p.add_argument("--dt", type=float, default=0.002)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--s-star", dest="s_star", type=float, default=1.0)
-    p.add_argument("--sigma", type=int, default=1, choices=[1, -1])
-    p.add_argument("--c6", type=float, default=1.0)
+    _add_system(p)
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("strichartz", help="scan the sextic level-sup norm over windows")
-    p.add_argument("--m-list", dest="m_list", type=str, default="1,2,4,8,16")
+    p.add_argument("--m-list", type=str, default="1,2,4,8,16")
     p.add_argument("--multistart", type=int, default=48)
-    p.add_argument("--c6", type=float, default=1.0)
+    _add_system(p, "--c6")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_strichartz)
 
     for name, sp in sub.choices.items():
-        _add_common(sp)
+        sp.add_argument("--config", type=str, help="JSON file of flag values")
+        sp.add_argument("--out", type=str, default="runs/latest")
         if name != "plan":      # the planner draws nothing
             sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(**defaults)
     return ap
 
 
@@ -389,22 +381,31 @@ def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
 
 
 def _parse_with_config(argv: list[str]) -> argparse.Namespace:
-    """Parse argv; the fields of a --config file become the subcommand's
-    defaults and argv is parsed again, so argparse decides precedence for every
-    spelling of a flag (--eps 1, --eps=1, --ep 1) and a file can set a required
-    flag.  The first pass, before the file is read, requires no flag."""
+    """Parse argv; each field of a --config file becomes a --flag=value token
+    after the subcommand and before argv's flags, so argparse checks it as a
+    typed flag and an explicit flag wins in every spelling (--eps 1, --ep 1).
+    Switches take true or false, null keeps a default, and a manifest's
+    command field may name the subcommand.  The first pass requires no flag."""
     args = _parse(build_parser(required=False), argv)
-    defaults = {}
-    if args.config:
-        overrides = _read_json(args.config, "config")
-        if not isinstance(overrides, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, val in overrides.items():
-            dest = key.replace("-", "_")
-            if dest not in vars(args):
-                raise ConfigError(f"unknown config field: {key}")
-            defaults[dest] = val
-    return _parse(build_parser(defaults), argv)
+    fields = _read_json(args.config, "config") if args.config else {}
+    if not isinstance(fields, dict):
+        raise ConfigError("config file must hold a JSON object")
+    known, tokens = vars(args).keys() - {"command", "func", "config"}, []
+    for key, val in fields.items():
+        dest = key.replace("-", "_")
+        if key == "command" and val == args.command or val is None and dest in known:
+            continue
+        if dest not in known:
+            raise ConfigError(f"unknown config field: {key}")
+        switch = isinstance(getattr(args, dest), bool)      # a store_true flag
+        if switch != isinstance(val, bool) or isinstance(val, (list, dict)):
+            raise ConfigError(f"config field {key} must be "
+                              + ("true or false" if switch else "a number or a string"))
+        if val is not False:        # every flag is spelled -- and its dest
+            flag = "--" + dest.replace("_", "-")
+            tokens.append(flag if switch else f"{flag}={val}")
+    at = argv.index(args.command) + 1
+    return _parse(build_parser(), argv[:at] + tokens + argv[at:])
 
 
 def main(argv=None) -> int:

@@ -10,14 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
 from . import flows, nf
 # build_p6 and split_levels are not called here; perfbench/tracing.py wraps them on this module
 from .poly import HomPoly, ModeSet, Sextic, build_p6
 from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (build_p6, split_levels)
-_MAX_ENTRIES = 5_000_000    # sorted triples x starts that one window of strichartz_scan may hold
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -293,20 +291,14 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
     is level 0's l1 norm, counted: with C_{p,e} the number of ordered
     triples of cell (p, e), it is (c6/6) sum C_{p,e}^2.  It is the largest
     of any level: level a counts sum C_{p,e} C_{p,e-a} ordered pairs, which
-    Cauchy-Schwarz bounds strictly by the level-0 count.  A window's work
-    arrays hold its sorted triples times its starts, at most _MAX_ENTRIES:
-    M = 32 fits, M = 64 does not.
+    Cauchy-Schwarz bounds strictly by the level-0 count.  sup_norm's entry
+    budget, spectral._MAX_ENTRIES, admits M = 32 and refuses M = 64.
     """
     check_scan(M_list, c6, multistart)
     rows = []
     prev_witness = None
     for M in sorted(M_list):
         ms = ModeSet.symmetric(M)
-        # the ascent's work arrays, counted before any is built: sup_norm takes
-        # max(multistart, n + 2) starts, plus the previous witness
-        starts = max(multistart, ms.size + 2) + (prev_witness is not None)
-        if math.comb(ms.size + 2, 3) * starts > _MAX_ENTRIES:
-            raise BudgetError(f"strichartz_scan budget exceeded at M={M}")
         extra = None
         if prev_witness is not None:
             embedded = np.zeros(ms.size)
@@ -360,7 +352,7 @@ class Plan:
 def gamma_from_certificate(rho: float, alpha: float, k: int, r: int) -> float:
     """Resonance cutoff gamma = rho * (2<k>)^{-e^{alpha r}} of the scaling
     recipe, from a fitted strong-non-resonance constant."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("certificate constant rho must be positive")
     return rho * (2.0 * japanese(k)) ** (-math.exp(alpha * r))
 

@@ -93,7 +93,7 @@ class NormalFormResult:
 
 def epsilon_r(cfg: NormalFormConfig, normP_H: float, omega: FrequencySet) -> float:
     """Radius (gamma / (A B_p r^5 <|w_f|> ||P||_H log<|w_i|>))^(1/(2p-2))."""
-    if normP_H <= 0:
+    if not normP_H > 0:
         raise ValueError("||P||_H must be positive")
     den = (cfg.A * cfg.B_p * cfg.r ** 5 * japanese(omega.frac_inf)
            * normP_H * math.log(japanese(omega.int_inf)))

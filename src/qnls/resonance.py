@@ -38,7 +38,7 @@ def mode_gaussian(seed: int, k: int) -> float:
 
 def sample_conv_potential(s_star: float, M: int, seed: int) -> np.ndarray:
     """Fourier coefficients V_k = X_k <k>^{-s*} on the window [-M, M]."""
-    if s_star <= 0:
+    if not s_star > 0:
         raise ValueError("s_star must be positive")
     modes = range(-M, M + 1)
     return np.array([mode_gaussian(seed, k) * japanese(k) ** (-s_star) for k in modes])
@@ -47,7 +47,7 @@ def sample_conv_potential(s_star: float, M: int, seed: int) -> np.ndarray:
 def sample_mult_potential(s_star: float, K: int, seed: int) -> np.ndarray:
     """Cosine coefficients (w_0..w_K) of the even, mean-zero random potential
     sum_{k>=1} X_k <k>^{-s*} cos(kx); w_0 = 0."""
-    if s_star <= 1.5:
+    if not s_star > 1.5:
         raise ValueError("s_star must exceed 3/2 in the multiplicative case")
     w = np.zeros(K + 1)
     for k in range(1, K + 1):
@@ -180,6 +180,8 @@ def _certify(omega, b: NRBounds, *, kind: str, alpha: float | None,
 
 def certify_weak(omega, b: NRBounds, s_star: float) -> NRCertificate:
     """Fit the largest gamma of the weak non-resonance inequality over NRBounds."""
+    if not s_star > 0:
+        raise ValueError("s_star must be positive")
     if b.a_max < 1:
         b = NRBounds(b.q_max, b.m1_max, b.h_max, a_max=10 ** 9)
     return _certify(omega, b, kind="weak", alpha=None, s_star=s_star)
@@ -187,7 +189,7 @@ def certify_weak(omega, b: NRBounds, s_star: float) -> NRCertificate:
 
 def certify_strong(omega, b: NRBounds, alpha: float) -> NRCertificate:
     """Fit the largest rho of the strong non-resonance inequality over NRBounds."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     return _certify(omega, b, kind="strong", alpha=alpha, s_star=None)
 
@@ -234,7 +236,7 @@ def qstar_reduce(omega, m, h, gamma: float, B: float, s_star: float) -> QStarRep
     if any(a > b for a, b in zip(jh, jh[1:])):
         raise ValueError("h must be sorted by <h_j>")
     sup_b = max(abs(table[k] - k * k) * japanese(k) ** s_star for k in table)
-    if B < sup_b:
+    if not B >= sup_b:
         raise ValueError(f"B={B} is below sup_k |w_k - k^2|<k>^{s_star} = {sup_b:.6g}")
     q = len(h)
     thresholds = []

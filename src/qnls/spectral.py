@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError
 from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MAX_ENTRIES = 5_000_000    # sorted triples x starts one _Cells may hold: M = 32 fits, 64 not
 # entries (modes x pairs x starts) that one block of the sextic cell gradient gathers
 _GATHER = 1 << 16
 
@@ -66,13 +68,13 @@ def freqs_conv(V, mode_set: ModeSet) -> FrequencySet:
     """Frequencies omega_j = j^2 + sqrt(2*pi) * V_j of the convolution problem.
 
     V is the per-mode vector of Fourier coefficients of the potential; they
-    must be real numbers (possibly stored as complex with zero imaginary part).
+    must be finite real numbers (possibly stored as complex with zero imaginary part).
     """
     V = np.asarray(V)
     if V.shape != (mode_set.size,):
-        raise ValueError("potential does not match the mode set")
-    if np.iscomplexobj(V) and np.any(V.imag != 0):
-        raise ValueError("potential Fourier coefficients must be real")
+        raise ValueError(f"the potential must carry {mode_set.size} coefficients, one per mode")
+    if np.iscomplexobj(V) and np.any(V.imag != 0) or not np.isfinite(V).all():
+        raise ValueError("potential Fourier coefficients must be finite real numbers")
     V = V.real.astype(float)
     modes = np.asarray(mode_set.modes, dtype=float)
     omega_int = (modes ** 2)
@@ -278,10 +280,12 @@ def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, 
     The ascent runs over the nonnegative orthant of the sphere, which holds
     the maximum since |P(u)| <= P(|u|) componentwise.  The upper bound is the
     l1 norm over ordered tuples.  A SexticLevel0 ascends on its cells (_Cells)
-    from the same starts, and its l1 norm is counted.
+    from the same starts, its l1 norm counted and its work arrays held to _MAX_ENTRIES.
     """
     if isinstance(P, SexticLevel0):
         starts = _starts(P.mode_set.size, multistart, seed, extra_starts)
+        if math.comb(P.mode_set.size + 2, 3) * len(starts) > _MAX_ENTRIES:
+            raise BudgetError(f"sup_norm budget exceeded at M={P.mode_set.M_param}")
         cells = _Cells(P.mode_set, P.c6, len(starts))
         [(lower, y)] = _ascend(cells, starts, [len(starts)], iters)
         return NormEnclosure(min(lower, cells.upper), cells.upper, y)

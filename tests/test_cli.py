@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from qnls import nf
-from qnls.cli import (EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main)
+from qnls.cli import (EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, _parse_with_config,
+                      build_parser, main)
 
 
 def run(tmp_path, *argv):
@@ -189,17 +191,33 @@ def test_suggest_gamma_budget_exit(tmp_path, monkeypatch, argv):
     assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_BUDGET
 
 
+_RUNS = {
+    "plan": ["--eps", "1e-2", "--nu", "1", "--alpha", "1", "--kappa", "2"],
+    "certify": ["--seed", "5", "--hmax", "10"],
+    "sturm": ["--nmax", "12", "--seed", "3"],
+    "normal-form": ["--modes", "1", "--order", "3", "--gamma", "0.5", "--j-max", "5",
+                    "--sigma", "-1"],
+    "simulate": ["--modes", "2", "--T", "2", "--dt", "0.01", "--seed", "3"],
+    "drift": ["--modes", "2", "--eps-list", "0.1,0.05", "--T", "1", "--dt", "0.01", "--svg"],
+    "strichartz": ["--m-list", "1,2", "--multistart", "16", "--c6", "1.5", "--svg"],
+}
+
+
 def test_manifest_roundtrip(tmp_path):
-    # replaying a manifest's config reproduces the artifact bit for bit
-    code, out = run(tmp_path / "a", "certify", "--seed", "5", "--hmax", "10")
-    assert code == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    cfg = tmp_path / "replay.json"
-    cfg.write_text(json.dumps({k: v for k, v in manifest["config"].items()
-                               if k not in ("out", "func")}))
-    code2 = main(["certify", "--config", str(cfg), "--out", str(tmp_path / "b")])
-    assert code2 == EXIT_OK
-    assert (out / "cert.json").read_text() == (tmp_path / "b" / "cert.json").read_text()
+    # replaying a manifest's config, its command field included, reproduces
+    # every artifact bit for bit and the manifest but for its out
+    for command, argv in _RUNS.items():
+        code, out = run(tmp_path / command / "a", command, *argv)
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = tmp_path / command / "replay.json"
+        cfg.write_text(json.dumps({k: v for k, v in manifest["config"].items() if k != "out"}))
+        code2, out2 = run(tmp_path / command / "b", command, "--config", str(cfg))
+        assert code2 == code, command
+        replayed = json.loads((out2 / "manifest.json").read_text())
+        assert replayed["config"].pop("out") != manifest["config"].pop("out")
+        assert replayed == manifest, command
+        for name in manifest["outputs"]:
+            assert (out2 / name).read_bytes() == (out / name).read_bytes(), (command, name)
 
 
 def test_parse_errors_are_config_errors(tmp_path):
@@ -268,6 +286,11 @@ def test_invalid_parameters_exit_config(tmp_path, argv):
     ["drift", "--modes", "2", "--T", "0", "--eps-list", "0.1,0.05"],   # all drifts 0
     ["certify", "--kind", "strong", "--qmax", "1"],                   # no zero-sum m
     ["certify", "--kind", "strong", "--m1max", "1"],
+    ["certify", "--hmax", "5", "--s-star", "nan"],                    # NaN passes x <= 0
+    ["certify", "--hmax", "5", "--s-star", "nan", "--kind", "weak"],
+    ["normal-form", "--modes", "1", "--order", "3", "--s-star", "nan"],
+    ["sturm", "--nmax", "5", "--s-star", "nan"],
+    ["certify", "--hmax", "5", "--s-star", "nan", "--kind", "weak", "--free"],
 ])
 def test_bad_value_is_a_config_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -294,3 +317,102 @@ def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="inside the computation"):
         main(["normal-form", "--modes", "1", "--order", "3", "--gamma", "0.5",
               "--j-max", "5", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("argv", [["normal-form", "--modes", "1", "--order", "3"],
+                                  ["simulate", "--modes", "1", "--T", "0.1"],
+                                  ["drift", "--modes", "1", "--T", "1", "--dt", "0.01"]])
+@pytest.mark.parametrize("text", ['{"V": [NaN, 0.0, 0.0]}', "[0.0, Infinity, 0.0]"])
+def test_non_finite_potential_file_exits_config(tmp_path, capsys, argv, text):
+    pot = tmp_path / "pot.json"
+    pot.write_text(text)
+    assert main([*argv, "--potential", str(pot), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    ap = build_parser()
+    [sub] = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options():
+    """(subcommand, action) for every option but --help and --config."""
+    return [(name, a) for name, sp in _subcommands().items() for a in sp._actions
+            if a.dest not in ("help", "config")]
+
+
+def test_parser_lint():
+    # the config-to-flag translation spells a field's flag as -- and its dest,
+    # and takes the fields whose flags store a bool for switches
+    switches = set()
+    for name, a in _options():
+        assert a.option_strings == ["--" + a.dest.replace("_", "-")], (name, a.option_strings)
+        assert type(a) in (argparse._StoreAction, argparse._StoreTrueAction), (name, a.dest)
+        if isinstance(a, argparse._StoreTrueAction):
+            switches.add(a.dest)
+    assert switches == {"free", "svg"}
+
+
+_REQUIRED = {"plan": {"eps": 0.01, "nu": 1.0, "alpha": 1.0},
+             "normal-form": {"modes": 1, "order": 3}, "simulate": {"modes": 2}}
+
+
+def _values(a):
+    """A value for the option other than its default, null, and both booleans
+    for a switch."""
+    if a.nargs == 0:
+        return [True, False]
+    if a.choices:
+        value = next(c for c in a.choices if c != a.default)
+    else:
+        value = {int: 7, float: 0.1, str: "1,3"}[a.type]
+    return [value] if a.required else [value, None]
+
+
+def _flags(fields: dict) -> list[str]:
+    tokens = []
+    for key, val in fields.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(val, bool):
+            tokens += [flag] if val else []
+        elif val is not None:
+            tokens += [flag, str(val)]
+    return tokens
+
+
+@pytest.mark.parametrize("command,dest,value", [
+    pytest.param(name, a.dest, v, id=f"{name}-{a.dest}-{v}")
+    for name, a in _options() for v in _values(a)])
+def test_config_field_parses_as_its_flag(tmp_path, command, dest, value):
+    fields = {**_REQUIRED.get(command, {}), dest: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    by_flags = vars(_parse_with_config([command, *_flags(fields)]))
+    by_file = vars(_parse_with_config([command, "--config", str(cfg)]))
+    assert by_file.pop("config") == str(cfg) and by_flags.pop("config") is None
+    assert by_file == by_flags
+    if value is not None:
+        assert by_file[dest] == value
+
+
+@pytest.mark.parametrize("argv,fields", [
+    (["simulate", "--T", "0.1"], {"modes": 2.5}),
+    (["simulate", "--T", "0.1"], {"modes": True}),
+    (["simulate", "--modes", "1", "--T", "0.1"], {"seed": 1.5}),
+    (["simulate", "--modes", "1", "--T", "0.1"], {"func": 1}),
+    (["normal-form", "--modes", "1"], {"order": 3.7}),
+    (["strichartz", "--m-list", "1,2"], {"multistart": 8.5}),
+    (["certify", "--hmax", "6"], {"kind": "medium"}),
+    (["certify", "--hmax", "6"], {"free": "yes"}),
+    (["drift", "--modes", "2", "--T", "1", "--dt", "0.01"], {"svg": "no"}),
+    (["certify", "--hmax", "6"], {"command": "sturm"}),
+    (["certify", "--hmax", "6"], {"config": None}),
+    (["certify", "--hmax", "6"], {"alpha": [0.4]}),
+])
+def test_wrongly_typed_config_field_exits_config(tmp_path, argv, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    out = tmp_path / "r"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()

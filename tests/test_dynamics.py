@@ -225,16 +225,24 @@ def test_strichartz_scan_small(monkeypatch):
 
 
 def test_strichartz_budget_admits_m32(monkeypatch):
-    # M=32 holds 47,905 sorted triples times 68 starts (M=16's witness among them)
+    # M=32 holds 47,905 sorted triples times 68 starts (M=16's witness among
+    # them); sup_norm's guard passes and the stubbed cells and ascent run
     seen = []
 
-    def ascent(P, multistart, iters, seed, extra_starts=None):
-        seen.append(P.mode_set.size)
-        return NormEnclosure(1.0, 1.0, np.full(P.mode_set.size, P.mode_set.size ** -0.5))
+    class Cells:
+        upper = 1.0
 
-    monkeypatch.setattr(dynamics, "sup_norm", ascent)
+        def __init__(self, ms, c6, nb):
+            seen.append((ms.size, nb))
+
+    def ascent(cells, starts, nb, iters):
+        return [(1.0, np.full(starts.shape[1], starts.shape[1] ** -0.5))]
+
+    monkeypatch.setattr(spectral, "_Cells", Cells)
+    monkeypatch.setattr(spectral, "_ascend", ascent)
     strichartz_scan([16, 32])
-    assert seen == [33, 65]
+    assert seen == [(33, 48), (65, 68)]
+    assert math.comb(65 + 2, 3) * 68 <= spectral._MAX_ENTRIES
 
 
 @pytest.mark.parametrize("M_list", [[1, 1], [2, 1, 2], [0, 1], [-1, 2], []])

@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from qnls import resonance
+from qnls.dynamics import gamma_from_certificate
+from qnls.nf import NormalFormConfig, epsilon_r
 from qnls.errors import BudgetError
 from qnls.poly import ModeSet
 from qnls.resonance import (NRBounds, certify_strong, certify_weak,
@@ -22,6 +24,27 @@ def test_sampling_determinism_and_extension():
     assert np.array_equal(V1, V3[4:-4])
     with pytest.raises(ValueError):
         sample_conv_potential(0.0, 5, seed=1)
+
+
+_FS1 = freqs_conv(np.zeros(3), ModeSet.symmetric(1))
+_NAN_GUARDS = {
+    "sample_conv_potential-s_star": lambda: sample_conv_potential(math.nan, 3, seed=0),
+    "sample_mult_potential-s_star": lambda: sample_mult_potential(math.nan, 3, seed=0),
+    "certify_strong-alpha": lambda: certify_strong(_FS1, NRBounds(3, 4, 5), alpha=math.nan),
+    "certify_weak-s_star": lambda: certify_weak(_FS1, NRBounds(3, 4, 5), s_star=math.nan),
+    "certify_weak-s_star-zero": lambda: certify_weak(_FS1, NRBounds(3, 4, 5), s_star=0.0),
+    "qstar_reduce-B": lambda: qstar_reduce({1: 1.0, 2: 4.0}, m=[1, -1], h=[1, 2],
+                                           gamma=1e-3, B=math.nan, s_star=1.0),
+    "gamma_from_certificate-rho": lambda: gamma_from_certificate(math.nan, 0.2, 1, 5),
+    "epsilon_r-normP_H": lambda: epsilon_r(NormalFormConfig(r=5, gamma=0.1), math.nan, _FS1),
+}
+
+
+@pytest.mark.parametrize("call", _NAN_GUARDS.values(), ids=_NAN_GUARDS)
+def test_nan_is_refused_by_every_positivity_guard(call):
+    # a comparison with NaN is false, so each guard is written "not x > bound"
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_sampling_distribution_ks():

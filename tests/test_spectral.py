@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qnls import spectral
+from qnls.errors import BudgetError
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.spectral import (NormEnclosure, freqs_conv, japanese,
                            level_enclosures, norm_c, norm_h, project,
@@ -26,6 +27,26 @@ def test_freqs_conv_examples():
     assert fs.frac_inf == pytest.approx(SQ2PI * np.max(np.abs(V)))
     with pytest.raises(ValueError):
         freqs_conv(np.full(7, 1j), ms)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_freqs_conv_needs_finite_coefficients_one_per_mode(bad):
+    ms = ModeSet.symmetric(1)
+    with pytest.raises(ValueError, match="finite real"):
+        freqs_conv(np.array([0.0, bad, 0.0]), ms)
+    with pytest.raises(ValueError, match="3 coefficients"):
+        freqs_conv(np.zeros(4), ms)
+
+
+def test_sup_norm_of_a_sextic_level0_keeps_the_entry_budget(monkeypatch):
+    # M=64 holds 366,145 sorted triples times 131 starts, past the 5,000,000-entry
+    # budget; they are counted before the cells are built, and none is listed
+    def listed(ms):
+        raise AssertionError("the window's triples were listed")
+
+    monkeypatch.setattr(spectral, "momentum_buckets", listed)
+    with pytest.raises(BudgetError, match="M=64"):
+        sup_norm(spectral.SexticLevel0(ModeSet.symmetric(64)))
 
 
 def test_frequency_split_exact():
