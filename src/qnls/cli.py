@@ -3,8 +3,9 @@ manifest and artifact persistence.
 
 Exit codes: 0 success, 2 assertion failure inside a run, 3 budget guard,
 4 configuration error.  Each command checks its parameters before the
-computations that use them; a ValueError raised inside a computation is a
-fault of the library and propagates with its traceback.
+computations that use them, through the check functions of the library's
+entry points (a BudgetError there exits 3); a ValueError raised inside a
+computation is a fault of the library and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,12 +135,7 @@ def cmd_certify(args, out: Path) -> int:
             V = resonance.sample_conv_potential(args.s_star, args.hmax, args.seed)
             omega = freqs_conv(V, window)
         bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
-        if args.kind == "strong" and not args.alpha > 0:
-            raise ConfigError("alpha must be positive")
-        if args.kind == "weak" and not args.s_star > 0:
-            raise ConfigError("s_star must be positive")
-        if resonance.enumeration_size(omega, bounds, args.kind) == 0:
-            raise ConfigError("the enumeration bounds leave no tuple to check")
+        resonance.check_certificate(omega, bounds, args.kind, args.alpha, args.s_star)
     if args.kind == "strong":
         cert = resonance.certify_strong(omega, bounds, alpha=args.alpha)
     else:
@@ -155,8 +152,7 @@ def cmd_certify(args, out: Path) -> int:
 
 def cmd_sturm(args, out: Path) -> int:
     with _parameters():
-        if args.nmax < 1:
-            raise ConfigError("nmax must be at least 1")
+        sturm.check_basis(args.nmax)
         W = resonance.sample_mult_potential(args.s_star, 4 * args.nmax, args.seed)
     basis = sturm.dirichlet_eig(W, n_max=args.nmax)
     c_est = sturm.verify_ev_asymptotics(basis)
@@ -176,18 +172,24 @@ def cmd_sturm(args, out: Path) -> int:
     return EXIT_OK
 
 
+def _nf_config(args, ms, omega, **kw) -> nf.NormalFormConfig:
+    """The NormalFormConfig of --order, --gamma, --j-max and --seed, its fields
+    checked before the gamma scan that a missing --gamma runs."""
+    with _parameters():
+        cfg = nf.NormalFormConfig(r=args.order, gamma=1.0 if args.gamma is None else args.gamma,
+                                  J_max=args.j_max, seed=args.seed, **kw)
+    if args.gamma is None:
+        cfg = replace(cfg, gamma=nf.suggest_gamma(ms, omega, k=args.k, r=args.order))
+    return cfg
+
+
 def cmd_normal_form(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
-    gamma = args.gamma
-    if gamma is None:
-        gamma = nf.suggest_gamma(ms, omega, k=args.k, r=args.order)
-    with _parameters():
-        cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max,
-                                  seed=args.seed, norm_multistart=args.multistart)
+    cfg = _nf_config(args, ms, omega, norm_multistart=args.multistart)
     result = nf.birkhoff(z2, p6, omega, cfg)
     doc = {
         "eps_r": result.eps_r,
-        "gamma": gamma,
+        "gamma": cfg.gamma,
         "norm_p": result.norm_p.to_dict() | {"witness": None},
         "tail_report": [vars(e) for e in result.tail_report],
         "truncated_degrees": result.truncated_degrees,
@@ -196,7 +198,7 @@ def cmd_normal_form(args, out: Path) -> int:
     }
     _write_json(out / "normal_form.json", doc)
     _manifest(out, args, ["normal_form.json"])
-    print(f"normal-form: M={args.modes} r={args.order} gamma={gamma:.3e} "
+    print(f"normal-form: M={args.modes} r={args.order} gamma={cfg.gamma:.3e} "
           f"eps_r={result.eps_r:.4g} tail_ok={result.tail_ok} "
           f"truncated={result.truncated_degrees}")
     return EXIT_OK if result.tail_ok else EXIT_ASSERT
@@ -206,10 +208,8 @@ def cmd_simulate(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
     if not args.eps > 0:
         raise ConfigError("eps must be positive")
-    if not args.dt > 0:
-        raise ConfigError("dt must be positive")
-    if not args.T >= 0:
-        raise ConfigError("T must be non-negative")
+    with _parameters():
+        dynamics.check_time(args.T, args.dt)
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     u0 *= args.eps / np.linalg.norm(u0)
@@ -225,26 +225,18 @@ def cmd_drift(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
     with _parameters():
         eps_list = [float(x) for x in str(args.eps_list).split(",")]
-        dynamics.check_drift(eps_list, args.T)
-    if args.k not in ms:
-        raise ConfigError("mode k outside the window")
-    if not args.dt > 0:
-        raise ConfigError("dt must be positive")
-    gamma = args.gamma
-    if gamma is None:
-        gamma = nf.suggest_gamma(ms, omega, k=args.k, r=args.order)
-    report = nf.check_krgamma(ms, omega, args.k, args.order, gamma)
+        dynamics.check_drift(ms, args.k, eps_list, args.T, args.dt)
+    cfg = _nf_config(args, ms, omega)
+    report = nf.check_krgamma(ms, omega, args.k, args.order, cfg.gamma)
     if not report.certified:
-        print(f"drift: (k={args.k}, r={args.order}, gamma={gamma:.3e}) "
+        print(f"drift: (k={args.k}, r={args.order}, gamma={cfg.gamma:.3e}) "
               f"is resonant; {report.n_violations} offending pairs")
         return EXIT_ASSERT
-    with _parameters():
-        cfg = nf.NormalFormConfig(r=args.order, gamma=gamma, J_max=args.j_max, seed=args.seed)
     result = nf.birkhoff(z2, p6, omega, cfg)
     drift = dynamics.action_drift(result, z2, p6, args.k, eps_list, args.T,
                                   args.dt, seed=args.seed)
     doc = {
-        "gamma": gamma, "eps_r": result.eps_r, "exponent": drift.exponent,
+        "gamma": cfg.gamma, "eps_r": result.eps_r, "exponent": drift.exponent,
         "transformed_no_worse": drift.transformed_no_worse,
         "rows": [vars(r) for r in drift.rows],
     }

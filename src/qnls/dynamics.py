@@ -11,11 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows, nf
+from .errors import BudgetError, check_positive
 # build_p6 and split_levels are not called here; perfbench/tracing.py wraps them on this module
 from .poly import HomPoly, ModeSet, Sextic, build_p6
 from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (build_p6, split_levels)
+_MAX_STEPS = 10 ** 7    # midpoint steps per integrate call: ten times T = 1e4 at dt = 0.01
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -54,6 +56,17 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
+def check_time(T: float, dt: float) -> int:
+    """integrate's number of midpoint steps max(1, round(T/dt)); ValueError unless
+    dt > 0 and T >= 0, BudgetError if T/dt (before rounding) exceeds _MAX_STEPS."""
+    check_positive(dt=dt)
+    if not T >= 0:
+        raise ValueError("T must be non-negative")
+    if T / dt > _MAX_STEPS:
+        raise BudgetError(f"integration budget exceeded: T/dt = {T / dt:.3g} midpoint steps")
+    return max(1, int(round(T / dt)))
+
+
 def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
               max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
@@ -66,22 +79,16 @@ def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
     build_p6 evaluates its value and gradient by dense DFT on the minimal
     grid; any other polynomial uses the generic sparse kernels.  Norm and
     energy are recorded at every stored sample.  T = 0 takes one step of
-    size 0; T < 0 is rejected.
+    size 0; check_time rejects T < 0 and more than _MAX_STEPS steps.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not T >= 0:
-        raise ValueError("T must be non-negative")
+    n_steps = check_time(T, dt)
     ms = z2.mode_set
     omega = _omega_from_z2(z2)
-    u0 = np.asarray(u0, dtype=complex)
-    if u0.ndim not in (1, 2) or u0.shape[-1] != ms.size:
-        raise ValueError("initial state does not match the mode set")
+    u0 = ms.state(u0, 2)
 
     grad = lambda u: omega * u + p6.gradient(u)
     energy = lambda u: 0.5 * float(np.sum(omega * np.abs(u) ** 2)) + float(p6(u))
 
-    n_steps = max(1, int(round(T / dt)))
     h = T / n_steps
     stride = max(1, math.ceil(n_steps / max_samples))
 
@@ -122,9 +129,7 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
         raise ValueError("the fine window must be the symmetric window [-Mf, Mf]")
     if M >= Mf:
         raise ValueError("coarse window must be strictly inside the fine window")
-    u_fine = np.asarray(u_fine, dtype=complex)
-    if u_fine.shape != (fine_ms.size,):
-        raise ValueError("state does not match the fine mode set")
+    u_fine = fine_ms.state(u_fine)
     p6 = Sextic(fine_ms, sigma, c6)
     u_cut = u_fine.copy()
     u_cut[np.abs(np.asarray(fine_ms.modes)) > M] = 0.0
@@ -189,14 +194,16 @@ class DriftResult:
                    for r in self.rows)
 
 
-def check_drift(eps_list, T: float) -> None:
-    """Raise ValueError unless the eps values are positive, with at least two
-    distinct ones, and T is positive (the drift exponent is a log-log fit of
-    the drifts, all 0 at T = 0, against eps)."""
+def check_drift(mode_set: ModeSet, k: int, eps_list, T: float, dt: float) -> None:
+    """Raise ValueError unless the window holds mode k, the eps values are
+    positive, with at least two distinct ones, and T is positive (the drift
+    exponent is a log-log fit of the drifts, all 0 at T = 0, against eps); check_time."""
+    mode_set.index(k)
     if not all(e > 0 for e in eps_list) or len(set(eps_list)) < 2:
         raise ValueError("eps values must be positive, with at least two distinct ones")
     if not T > 0:
         raise ValueError("T must be positive")
+    check_time(T, dt)
 
 
 def check_scan(M_list, c6: float, multistart: int) -> None:
@@ -207,10 +214,7 @@ def check_scan(M_list, c6: float, multistart: int) -> None:
         raise ValueError("strichartz_scan needs at least one window size M")
     if min(M_list) < 1 or len(set(M_list)) < len(M_list):
         raise ValueError("window sizes M must be distinct and at least 1")
-    if not (math.isfinite(c6) and c6 > 0):
-        raise ValueError("c6 must be finite and positive")
-    if multistart < 1:
-        raise ValueError("multistart must be at least 1")
+    check_positive(c6=c6, multistart=multistart)
 
 
 def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float,
@@ -225,8 +229,8 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float
     direction variance of the near-resonant couplings.  All eps values
     advance together as one stack.
     """
-    check_drift(eps_list, T)
     ms = z2.mode_set
+    check_drift(ms, k, eps_list, T, dt)
     ki = ms.index(k)
     rng = np.random.default_rng([seed, 0])
     shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
@@ -352,8 +356,7 @@ class Plan:
 def gamma_from_certificate(rho: float, alpha: float, k: int, r: int) -> float:
     """Resonance cutoff gamma = rho * (2<k>)^{-e^{alpha r}} of the scaling
     recipe, from a fitted strong-non-resonance constant."""
-    if not rho > 0:
-        raise ValueError("certificate constant rho must be positive")
+    check_positive(rho=rho)
     return rho * (2.0 * japanese(k)) ** (-math.exp(alpha * r))
 
 
@@ -377,10 +380,7 @@ def plan_parameters(eps: float, nu: float, alpha: float, beta_s: float = 1.0,
         raise ValueError("nu must lie in (0, 2]")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not all(math.isfinite(x) and x > 0 for x in (beta_s, rho, kappa)):
-        raise ValueError("beta_s, rho and kappa must be finite and positive")
+    check_positive(alpha=alpha, beta_s=beta_s, rho=rho, kappa=kappa)
     if not math.isfinite(c):
         raise ValueError("c must be finite")
     upsilon = (nu / 16.0) * math.exp(-3.0 * alpha)

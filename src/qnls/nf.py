@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_positive
 from . import flows
 from .poly import HomPoly, ModeSet, coeff_close, complex_div, complex_mul, poisson
 from .spectral import FrequencySet, NormEnclosure, check_lower_levels, japanese, norm_h
@@ -54,8 +54,7 @@ class NormalFormConfig:
             self.J_max = 2 * self.r
         if self.J_max < self.r + 1:
             raise ValueError("J_max must be at least r + 1")
-        if self.norm_multistart < 1:
-            raise ValueError("norm_multistart must be at least 1")
+        check_positive(norm_multistart=self.norm_multistart)
         check_lower_levels(self.norm_lower_levels)
 
 
@@ -93,8 +92,7 @@ class NormalFormResult:
 
 def epsilon_r(cfg: NormalFormConfig, normP_H: float, omega: FrequencySet) -> float:
     """Radius (gamma / (A B_p r^5 <|w_f|> ||P||_H log<|w_i|>))^(1/(2p-2))."""
-    if not normP_H > 0:
-        raise ValueError("||P||_H must be positive")
+    check_positive(normP_H=normP_H)
     den = (cfg.A * cfg.B_p * cfg.r ** 5 * japanese(omega.frac_inf)
            * normP_H * math.log(japanese(omega.int_inf)))
     return (cfg.gamma / den) ** (1.0 / (2 * cfg.p - 2))
@@ -312,8 +310,7 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     A report with no violations certifies (k, r, gamma) non-resonance on this
     truncation; it counts every offending pair and lists the first 200.
     """
-    if k not in mode_set:
-        raise ValueError("mode k outside the mode set")
+    mode_set.index(k)      # ValueError unless the window holds k
     report = KRGammaReport(mode=k, r=r, gamma=gamma, pairs_checked=0)
     for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r):
         bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])

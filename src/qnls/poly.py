@@ -44,6 +44,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .errors import check_positive
+
 # bracket pairs expanded at a time: bounds the transient memory of poisson
 _BLOCK = 1 << 14
 # entries (states x distinct rows) of each work array of the gradient kernel:
@@ -86,6 +88,9 @@ class ModeSet:
         return len(self.modes)
 
     def index(self, mode: int) -> int:
+        """Position of mode; ValueError, as list.index, if the set lacks it."""
+        if mode not in self:
+            raise ValueError(f"mode {mode} outside the mode set")
         return self._index_map[mode]
 
     @cached_property
@@ -94,6 +99,13 @@ class ModeSet:
 
     def __contains__(self, mode: int) -> bool:
         return mode in self._index_map
+
+    def state(self, u, max_ndim: float = 1) -> np.ndarray:
+        """u as a complex array of at most max_ndim axes, the last one over the modes."""
+        u = np.asarray(u, dtype=complex)
+        if u.ndim > max_ndim or u.shape[-1:] != (self.size,):
+            raise ValueError(f"state does not match the mode set of {self.size} modes")
+        return u
 
 
 # ------------------------------------------------------- exact array kernels
@@ -195,9 +207,6 @@ class HomPoly:
             key = (tuple(sorted(k)), tuple(sorted(l)))
             if len(key[0]) != q or len(key[1]) != q:
                 raise ValueError(f"key {key} does not have half-degree {q}")
-            for m in key[0] + key[1]:
-                if m not in mode_set:
-                    raise ValueError(f"mode {m} outside the mode set")
             s = data.get(key, 0j) + c
             if s == 0:
                 data.pop(key, None)
@@ -315,9 +324,7 @@ class HomPoly:
 
         Returns a float when the reality condition holds, complex otherwise.
         """
-        u = self._state(u)
-        if u.ndim != 1:
-            raise ValueError("a HomPoly is evaluated at one state at a time")
+        u = self.mode_set.state(u)
         if not len(self):
             return 0.0 if self.is_real else 0j
         terms = ((self.coef * self.csize) * np.prod(u[self.idx_k], axis=1)
@@ -329,13 +336,6 @@ class HomPoly:
                 raise ArithmeticError("real-flagged polynomial produced a complex value")
             return val.real
         return val
-
-    def _state(self, u) -> np.ndarray:
-        """u as complex states (..., n) on this polynomial's mode set."""
-        u = np.asarray(u, dtype=complex)
-        if u.shape[-1:] != (self.mode_set.size,):
-            raise ValueError("mode-set mismatch between state and polynomial")
-        return u
 
     @cached_property
     def _plan(self):
@@ -366,7 +366,7 @@ class HomPoly:
         of the result equals that state's gradient alone, bit for bit."""
         if not self.is_real:
             raise ValueError("gradient is only defined for real-valued polynomials")
-        u = self._state(u)
+        u = self.mode_set.state(u, math.inf)
         Tk, Tl, C, S = self._plan
         states = u.reshape(-1, u.shape[-1])
         grad = np.empty(states.shape, dtype=complex)
@@ -549,8 +549,7 @@ class Sextic(HomPoly):
     def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
         if sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if not (math.isfinite(c6) and c6 > 0):
-            raise ValueError("c6 must be finite and positive")
+        check_positive(c6=c6)
         self.mode_set, self.q, self._is_real, self.sigma, self.c6 = mode_set, 3, True, sigma, c6
         # F[j, x] = exp(2 pi i m_j x / N) and G = conj(F).T / N on the fewest points
         # on which cubic and quintic convolution powers on the window do not alias;
@@ -573,11 +572,11 @@ class Sextic(HomPoly):
         return getattr(self, name)
 
     def __call__(self, u: np.ndarray):
-        a = np.abs(self._state(u) @ self._F) ** 2
+        a = np.abs(self.mode_set.state(u, math.inf) @ self._F) ** 2
         return self.sigma * self.c6 / 6.0 * np.mean(a ** 3, axis=-1)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        w = self._state(u) @ self._F
+        w = self.mode_set.state(u, math.inf) @ self._F
         a = np.abs(w) ** 2
         return self.sigma * self.c6 * ((a * a * w) @ self._G)
 

@@ -20,7 +20,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_positive
 from .spectral import FrequencySet, japanese
 
 _MAX_TUPLES = 50_000_000   # (q, m, h) tuples one certification run may inspect
@@ -38,8 +38,7 @@ def mode_gaussian(seed: int, k: int) -> float:
 
 def sample_conv_potential(s_star: float, M: int, seed: int) -> np.ndarray:
     """Fourier coefficients V_k = X_k <k>^{-s*} on the window [-M, M]."""
-    if not s_star > 0:
-        raise ValueError("s_star must be positive")
+    check_positive(s_star=s_star)
     modes = range(-M, M + 1)
     return np.array([mode_gaussian(seed, k) * japanese(k) ** (-s_star) for k in modes])
 
@@ -124,14 +123,21 @@ def enumeration_size(omega, b: NRBounds, kind: str = "strong") -> int:
     return total
 
 
-def _certify(omega, b: NRBounds, *, kind: str, alpha: float | None,
-             s_star: float | None) -> NRCertificate:
-    window, table = _omega_window(omega, b.h_max)
+def check_certificate(omega, b: NRBounds, kind: str, alpha, s_star) -> None:
+    """Raise ValueError unless kind's exponent (alpha strong, s_star weak) is finite
+    and positive and the enumeration holds a tuple; BudgetError past _MAX_TUPLES."""
+    check_positive(**({"alpha": alpha} if kind == "strong" else {"s_star": s_star}))
     size = enumeration_size(omega, b, kind)
     if size > _MAX_TUPLES:
         raise BudgetError("enumeration budget exceeded; shrink NRBounds")
     if size == 0:
         raise ValueError("no tuple to check: a zero-sum m needs q >= 2 and |m|_1 >= 2")
+
+
+def _certify(omega, b: NRBounds, *, kind: str, alpha: float | None,
+             s_star: float | None) -> NRCertificate:
+    check_certificate(omega, b, kind, alpha, s_star)
+    window, table = _omega_window(omega, b.h_max)
     wvals = np.array([table[h] for h in window])
     jh = np.array([japanese(h) for h in window])
     fitted = math.inf
@@ -180,8 +186,6 @@ def _certify(omega, b: NRBounds, *, kind: str, alpha: float | None,
 
 def certify_weak(omega, b: NRBounds, s_star: float) -> NRCertificate:
     """Fit the largest gamma of the weak non-resonance inequality over NRBounds."""
-    if not s_star > 0:
-        raise ValueError("s_star must be positive")
     if b.a_max < 1:
         b = NRBounds(b.q_max, b.m1_max, b.h_max, a_max=10 ** 9)
     return _certify(omega, b, kind="weak", alpha=None, s_star=s_star)
@@ -189,8 +193,6 @@ def certify_weak(omega, b: NRBounds, s_star: float) -> NRCertificate:
 
 def certify_strong(omega, b: NRBounds, alpha: float) -> NRCertificate:
     """Fit the largest rho of the strong non-resonance inequality over NRBounds."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
     return _certify(omega, b, kind="strong", alpha=alpha, s_star=None)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_positive
 from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -100,13 +100,15 @@ def split_levels(P: HomPoly, omega_int) -> dict[int, HomPoly]:
 @dataclass
 class NormEnclosure:
     """lower is achieved by the witness state, a real nonnegative unit vector
-    where the ascent ran; upper is a rigorous bound."""
+    where the ascent ran; upper is a rigorous, finite bound."""
 
     lower: float
     upper: float
     witness: np.ndarray | None
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise OverflowError(f"enclosure bounds ({self.lower}, {self.upper}) are not finite")
         if self.lower > self.upper * (1 + 1e-12) + 1e-300:
             raise ValueError("enclosure lower bound exceeds its upper bound")
 
@@ -268,8 +270,7 @@ class SexticLevel0:
     c6: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.c6) and self.c6 > 0):
-            raise ValueError("c6 must be finite and positive")
+        check_positive(c6=self.c6)
 
 
 def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, seed: int = 0,
@@ -279,16 +280,17 @@ def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, 
 
     The ascent runs over the nonnegative orthant of the sphere, which holds
     the maximum since |P(u)| <= P(|u|) componentwise.  The upper bound is the
-    l1 norm over ordered tuples.  A SexticLevel0 ascends on its cells (_Cells)
-    from the same starts, its l1 norm counted and its work arrays held to _MAX_ENTRIES.
+    l1 norm over ordered tuples.  A SexticLevel0 ascends on its cells (_Cells) at
+    c6 = 1, as the ascent's steps are not scale-free, from the same starts, its l1
+    norm counted, its work arrays held to _MAX_ENTRIES and both bounds times c6.
     """
     if isinstance(P, SexticLevel0):
         starts = _starts(P.mode_set.size, multistart, seed, extra_starts)
         if math.comb(P.mode_set.size + 2, 3) * len(starts) > _MAX_ENTRIES:
             raise BudgetError(f"sup_norm budget exceeded at M={P.mode_set.M_param}")
-        cells = _Cells(P.mode_set, P.c6, len(starts))
+        cells = _Cells(P.mode_set, len(starts))
         [(lower, y)] = _ascend(cells, starts, [len(starts)], iters)
-        return NormEnclosure(min(lower, cells.upper), cells.upper, y)
+        return NormEnclosure(P.c6 * min(lower, cells.upper), P.c6 * cells.upper, y)
     if not np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
         raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
     if not len(P):
@@ -298,20 +300,20 @@ def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, 
 
 class _Cells:
     """Kernel of _ascend for the level-0 part of the sextic modulus on a window
-    (coefficient c6/6 on every ordered tuple that conserves momentum and the
-    energy sum of m^2), one problem of nb starts.  Its value at y is
+    at c6 = 1 (coefficient 1/6 on every ordered tuple that conserves momentum
+    and the energy sum of m^2), one problem of nb starts.  Its value at y is
 
-        (c6/6) sum_c A_c(y)^2,    A_c(y) = sum_t mult_t y_t1 y_t2 y_t3,
+        (1/6) sum_c A_c(y)^2,    A_c(y) = sum_t mult_t y_t1 y_t2 y_t3,
 
     where t runs over the sorted triples t1 <= t2 <= t3 of cell c, one
     (momentum, energy) pair, and mult_t in {1, 3, 6} counts the orderings of
-    t.  Its gradient at mode j, (c6/3) A_c(t) mult_t times the other two slots
+    t.  Its gradient at mode j, (1/3) A_c(t) mult_t times the other two slots
     summed over every slot of every triple t that holds j, regrouped by the
-    other two modes, is c6 sum_{a <= b} w_ab A_c(j,a,b) y_a y_b, with w_ab = 2
-    for a < b and 1 for a = b.  upper = (c6/6) sum_c n_c^2 is the part's l1
+    other two modes, is sum_{a <= b} w_ab A_c(j,a,b) y_a y_b, with w_ab = 2
+    for a < b and 1 for a = b.  upper = (1/6) sum_c n_c^2 is the part's l1
     norm, with n_c the number of ordered triples in cell c."""
 
-    def __init__(self, mode_set: ModeSet, c6: float, nb: int):
+    def __init__(self, mode_set: ModeSet, nb: int):
         n, m = mode_set.size, np.asarray(mode_set.modes, dtype=np.int64)
         lo, hi = 3 * m.min(), 3 * (m * m).max() + 1
         code = lambda *slots: (sum(slots) - lo) * hi + sum(x * x for x in slots)
@@ -327,7 +329,7 @@ class _Cells:
         T, cell, self.layers = T[order], cell[order], np.bincount(within)
         eq = (T[:, 0] == T[:, 1]) + (T[:, 1] == T[:, 2]).astype(np.intp)
         counts = np.bincount(np.repeat(cell, np.array([6, 3, 1])[eq]))
-        self.c6, self.upper = c6, c6 / 6.0 * float((counts * counts).sum())
+        self.upper = 1.0 / 6.0 * float((counts * counts).sum())
         # rows y_a y_b of the pairs a <= b, scaled by 1, 3 and 6: a triple reads
         # mult * y_t1 y_t2 from the row that its eq picks
         self.pa, self.pb = np.triu_indices(n)
@@ -354,7 +356,7 @@ class _Cells:
         for k in self.layers[1:]:
             A[:k] += prod[at:at + k]
             at += k
-        return self.c6 / 6.0 * np.einsum("cs,cs->s", A, A)
+        return 1.0 / 6.0 * np.einsum("cs,cs->s", A, A)
 
     def gradient(self, moving, done):  # at these starts, of the point last passed to value
         cols, A, n2 = np.flatnonzero(moving), self.prod[:self.layers[0]], self.pa.size
@@ -366,7 +368,7 @@ class _Cells:
                 mode="clip")
             np.einsum("jps,ps->js", X.reshape(len(G), n2, c.size), self.P2[0][:, c] * self.w,
                       out=G[:, i:i + c.size])
-        return self.c6 * G.T
+        return G.T
 
     def retire(self, done):
         """One problem: the ascent ends when it stops."""
@@ -436,9 +438,7 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
     degrees involved.
     """
     modes = np.asarray(mode_set.modes)
-    amps = np.abs(np.asarray(u, dtype=complex))
-    if amps.shape != (mode_set.size,):
-        raise ValueError("state does not match the mode set")
+    amps = np.abs(mode_set.state(u))
     n_tau = 12 * mode_set.M_param ** 2 + 8
     tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
     phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))  # (n_tau, modes)

@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_positive
 from .poly import HomPoly, ModeSet, from_arrays
 from .spectral import FrequencySet, japanese
 
@@ -41,6 +41,13 @@ class SLBasis:
         return float(np.max(np.abs(G - np.eye(self.n_max))))
 
 
+def check_basis(n_max: int, N_basis: int | None = None) -> None:
+    """Raise ValueError unless n_max >= 1, and N_basis >= 4 * n_max if given."""
+    check_positive(n_max=n_max)
+    if N_basis is not None and N_basis < 4 * n_max:
+        raise ValueError("N_basis must be at least 4 * n_max")
+
+
 def dirichlet_eig(W, n_max: int, N_basis: int | None = None) -> SLBasis:
     """Lowest n_max Dirichlet eigenpairs of -f'' + W f on [0, pi].
 
@@ -49,10 +56,8 @@ def dirichlet_eig(W, n_max: int, N_basis: int | None = None) -> SLBasis:
     moves the retained eigenvalues only below the stated tolerance.
     """
     from scipy.linalg import eigh    # here, so that importing qnls loads no SciPy
-    if N_basis is None:
-        N_basis = 4 * n_max
-    if N_basis < 4 * n_max:
-        raise ValueError("N_basis must be at least 4 * n_max")
+    check_basis(n_max, N_basis)
+    N_basis = N_basis or 4 * n_max
     # w_0..w_{2 N_basis}, the coefficients the Galerkin matrix reads
     W = np.asarray(W, dtype=float)[: 2 * N_basis + 1]
     w = np.zeros(2 * N_basis + 1)

@@ -8,8 +8,6 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = 10.0 ** math.floor(math.log10(hi - lo))
     if (hi - lo) / step < 2:
         step /= 2

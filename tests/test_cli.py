@@ -1,9 +1,13 @@
 import argparse
 import json
+import time
 
+import numpy as np
 import pytest
 
-from qnls import nf
+from qnls import dynamics, nf, resonance, spectral, sturm
+from qnls.errors import BudgetError
+from qnls.poly import ModeSet, build_p6, build_z2
 from qnls.cli import (EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, _parse_with_config,
                       build_parser, main)
 
@@ -416,3 +420,103 @@ def test_wrongly_typed_config_field_exits_config(tmp_path, argv, fields):
     out = tmp_path / "r"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def _free(M):
+    """z2 and p6 of the free system on [-M, M], for the library calls below."""
+    ms = ModeSet.symmetric(M)
+    return build_z2(ms, spectral.freqs_conv(np.zeros(ms.size), ms)), build_p6(ms)
+
+
+def _integrate(T, dt, M=1):
+    z2, p6 = _free(M)
+    dynamics.integrate(z2, p6, np.full(2 * M + 1, 0.1 + 0j), T, dt)
+
+
+def _drift(M=5, k=1, T=1000.0, dt=0.002):
+    z2, p6 = _free(M)
+    dynamics.action_drift(None, z2, p6, k, [0.1, 0.07, 0.05], T, dt)
+
+
+def _certify(kind, free=False, **kw):
+    window = ModeSet.symmetric(20)
+    omega = ({m: float(m * m) for m in window.modes} if free else
+             spectral.freqs_conv(resonance.sample_conv_potential(1.0, 20, 0), window))
+    bounds = resonance.NRBounds(kw.pop("qmax", 3), 4, 20)
+    getattr(resonance, f"certify_{kind}")(omega, bounds, **kw)
+
+
+# one row per input rule: the library entry point that owns it raises it, and
+# the command exits 4 (3 for a budget) with the same message before the gamma
+# scan or the integration starts
+_RULES = [
+    ("dt", lambda: _integrate(1.0, 0.0), ["simulate", "--modes", "1", "--dt", "0"], 4),
+    ("dt-drift", lambda: _drift(M=2, T=1.0, dt=-1.0),
+     ["drift", "--modes", "2", "--T", "1", "--dt", "-1"], 4),
+    ("T", lambda: _integrate(-1.0, 0.01), ["simulate", "--modes", "1", "--T", "-1"], 4),
+    ("steps", lambda: _integrate(1.0, 1e-300, M=2),
+     ["simulate", "--modes", "2", "--T", "1", "--dt", "1e-300"], 3),
+    ("steps-inf", lambda: _integrate(1e10, 1e-300, M=2),
+     ["simulate", "--modes", "2", "--T", "1e10", "--dt", "1e-300"], 3),
+    ("steps-drift", lambda: _drift(dt=1e-300), ["drift", "--dt", "1e-300"], 3),
+    ("alpha", lambda: _certify("strong", alpha=0.0), ["certify", "--alpha", "0"], 4),
+    ("alpha-plan", lambda: dynamics.plan_parameters(0.01, 1.0, 0.0),
+     ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "0"], 4),
+    ("s_star", lambda: _certify("weak", free=True, s_star=0.0),
+     ["certify", "--kind", "weak", "--free", "--s-star", "0"], 4),
+    ("s_star-sample", lambda: resonance.sample_conv_potential(0.0, 1, 0),
+     ["simulate", "--modes", "1", "--s-star", "0"], 4),
+    ("enumeration", lambda: _certify("strong", qmax=1, alpha=0.4),
+     ["certify", "--kind", "strong", "--qmax", "1"], 4),
+    ("k", lambda: _drift(M=2, k=9), ["drift", "--modes", "2", "--k", "9"], 4),
+    ("n_max", lambda: sturm.dirichlet_eig(np.zeros(3), 0), ["sturm", "--nmax", "0"], 4),
+    ("c6", lambda: dynamics.strichartz_scan([1], c6=0.0),
+     ["strichartz", "--m-list", "1", "--c6", "0"], 4),
+    ("c6-sextic", lambda: build_p6(ModeSet.symmetric(1), c6=float("inf")),
+     ["normal-form", "--modes", "1", "--order", "3", "--c6", "inf"], 4),
+    ("multistart", lambda: dynamics.strichartz_scan([1], multistart=0),
+     ["strichartz", "--m-list", "1", "--multistart", "0"], 4),
+    ("multistart-nf", lambda: nf.NormalFormConfig(r=3, gamma=0.5, norm_multistart=0),
+     ["normal-form", "--modes", "1", "--order", "3", "--multistart", "0"], 4),
+    ("j_max", lambda: nf.NormalFormConfig(r=4, gamma=1.0, J_max=3),
+     ["normal-form", "--modes", "12", "--order", "4", "--j-max", "3"], 4),
+    ("j_max-drift", lambda: nf.NormalFormConfig(r=5, gamma=1.0, J_max=3),
+     ["drift", "--modes", "5", "--order", "5", "--j-max", "3"], 4),
+    ("order", lambda: nf.NormalFormConfig(r=1, gamma=1.0),
+     ["normal-form", "--modes", "5", "--order", "1"], 4),
+]
+
+
+@pytest.mark.parametrize("library,argv,code", [r[1:] for r in _RULES],
+                         ids=[r[0] for r in _RULES])
+def test_each_input_rule_is_raised_by_its_library_owner(tmp_path, capsys, monkeypatch,
+                                                        library, argv, code):
+    with pytest.raises(BudgetError if code == EXIT_BUDGET else ValueError) as exc:
+        library()
+    assert type(exc.value) in (ValueError, BudgetError)
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("the command ran past its parameter checks")
+
+    monkeypatch.setattr(nf, "suggest_gamma", reached)
+    monkeypatch.setattr(dynamics, "integrate", reached)
+    out = tmp_path / "r"
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(out)]) == code
+    assert time.perf_counter() - start < 5.0
+    kind = "budget exceeded" if code == EXIT_BUDGET else "config error"
+    assert capsys.readouterr().err == f"{kind}: {exc.value}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_commands_raise_one_config_error():
+    # the commands check through the library's rules; the one rule of their
+    # own is simulate --eps, which no library function reads
+    import ast
+    from pathlib import Path
+
+    import qnls.cli
+    tree = ast.parse(Path(qnls.cli.__file__).read_text())
+    raises = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+              and f.name.startswith("cmd_") for n in ast.walk(f) if isinstance(n, ast.Raise)]
+    assert raises == ["cmd_simulate"]

@@ -232,7 +232,7 @@ def test_strichartz_budget_admits_m32(monkeypatch):
     class Cells:
         upper = 1.0
 
-        def __init__(self, ms, c6, nb):
+        def __init__(self, ms, nb):
             seen.append((ms.size, nb))
 
     def ascent(cells, starts, nb, iters):
@@ -269,9 +269,10 @@ def test_sextic_cells_match_the_sparse_level0(M, c6, n_starts, window, seed):
     Y = np.abs(rng.standard_normal((n_starts, n))) * (rng.random((n_starts, n)) > 0.2)
     moving, done = rng.random(n_starts) < 0.6, np.zeros(n_starts, bool)
     terms = [(np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize)]
-    posy, cells = spectral._Posy(terms, [n_starts], n), spectral._Cells(P.mode_set, c6, n_starts)
-    np.testing.assert_allclose(cells.value(Y), posy.value(Y), rtol=1e-13, atol=0)
-    want, got = posy.gradient(moving, done), cells.gradient(moving, done)
+    # the cells run at c6 = 1; the level-0 part at c6 is c6 times theirs
+    posy, cells = spectral._Posy(terms, [n_starts], n), spectral._Cells(P.mode_set, n_starts)
+    np.testing.assert_allclose(c6 * cells.value(Y), posy.value(Y), rtol=1e-13, atol=0)
+    want, got = posy.gradient(moving, done), c6 * cells.gradient(moving, done)
     assert got.shape == want.shape == (moving.sum(), n)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
@@ -280,7 +281,7 @@ def test_sextic_cells_match_the_sparse_level0(M, c6, n_starts, window, seed):
 @pytest.mark.parametrize("c6", [1.0, 1.7])
 @pytest.mark.parametrize("M", range(1, 9))
 def test_sextic_cells_count_the_level0_l1(M, c6):
-    upper = spectral._Cells(ModeSet.symmetric(M), c6, 1).upper
+    upper = c6 * spectral._Cells(ModeSet.symmetric(M), 1).upper
     assert upper == pytest.approx(_sparse_level0(M, c6).l1(), rel=1e-14)
 
 
@@ -357,7 +358,8 @@ def test_action_drift_passes_long_horizons_unclamped(monkeypatch):
         return run(z2, p6, u0, 0.1, dt, **kw)     # a short run stands in
 
     monkeypatch.setattr(dynamics, "integrate", spy)
-    res = action_drift(None, z2, p6, k=1, eps_list=[0.1, 0.05, 0.07], T=2e5, dt=0.01)
+    # 2e5 at dt = 0.1 is 2e6 steps, within the step budget (2e7 at dt = 0.01 is not)
+    res = action_drift(None, z2, p6, k=1, eps_list=[0.1, 0.05, 0.07], T=2e5, dt=0.1)
     assert seen == [((3, ms.size), 2e5)]
     assert [r.T for r in res.rows] == [2e5] * 3
 

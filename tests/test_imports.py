@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, no library
-module imports another's private (underscore-prefixed) name, and importing
-the library loads no SciPy."""
+module imports another's private (underscore-prefixed) name, importing the
+library loads no SciPy, and no message is raised from two places."""
 
 import ast
 import os
@@ -68,3 +68,30 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def raise_messages(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each string literal that is the first argument of a raised exception,
+    with every place (file:line) that raises it."""
+    places = {}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+                    and isinstance(node.exc.args[0], ast.Constant)
+                    and isinstance(node.exc.args[0].value, str)):
+                places.setdefault(node.exc.args[0].value, []).append(f"{name}:{node.lineno}")
+    return places
+
+
+def test_scanner_flags_a_message_raised_twice():
+    src = ('if a:\n    raise ValueError("dt must be positive")\n'
+           'if b:\n    raise ConfigError("dt must be positive")\n'
+           'raise BudgetError(f"{n} steps")\n')
+    assert raise_messages({"m.py": src}) == {"dt must be positive": ["m.py:2", "m.py:4"]}
+
+
+def test_each_input_rule_has_one_raise():
+    # a rule's message raised in two places is a rule with two owners: the
+    # library function that owns it is the one place, and callers call it
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert {m: at for m, at in raise_messages(sources).items() if len(at) > 1} == {}
