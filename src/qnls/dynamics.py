@@ -12,12 +12,13 @@ import numpy as np
 
 from . import flows, nf
 from .errors import BudgetError, check_positive
-# build_p6 and split_levels are not called here; perfbench/tracing.py wraps them on this module
-from .poly import HomPoly, ModeSet, Sextic, build_p6
+# split_levels is not called here; perfbench/tracing.py wraps it on this module
+from .poly import HomPoly, ModeSet, build_p6
 from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
-_TRACED = (build_p6, split_levels)
+_TRACED = (split_levels,)
 _MAX_STEPS = 10 ** 7    # midpoint steps per integrate call: ten times T = 1e4 at dt = 0.01
+_FINE_FACTOR = 5        # remainder_scaling's fine window: _FINE_FACTOR times the window
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -75,11 +76,12 @@ def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
     list of B trajectories advanced together by one midpoint solve per step.
     From the second step on, each solve starts from the previous midpoint
     (flows.midpoint_step's prev); the diagonal omega of z2 and that state set
-    only the starting guess, not the step equation.  The sextic built by
-    build_p6 evaluates its value and gradient by dense DFT on the minimal
-    grid; any other polynomial uses the generic sparse kernels.  Norm and
-    energy are recorded at every stored sample.  T = 0 takes one step of
-    size 0; check_time rejects T < 0 and more than _MAX_STEPS steps.
+    only the starting guess, not the step equation.  A Sextic (of build_p6 or
+    sturm.p6_eigen_coeffs) evaluates its value and gradient by two dense
+    products on its quadrature grid; any other polynomial uses the generic
+    sparse kernels.  Norm and energy are recorded at every stored sample.
+    T = 0 takes one step of size 0; check_time rejects T < 0 and more than
+    _MAX_STEPS steps.
     """
     n_steps = check_time(T, dt)
     ms = z2.mode_set
@@ -122,7 +124,7 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
 
         g = sigma*c6 * proj_M[ |u|^4 u - |proj_M u|^4 proj_M u ],
 
-    computed by exact convolution powers on the fine window (a Sextic's gradient).
+    computed by exact convolution powers on the fine window (build_p6's gradient).
     """
     Mf = fine_ms.M_param
     if fine_ms.modes != tuple(range(-Mf, Mf + 1)):
@@ -130,7 +132,7 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
     if M >= Mf:
         raise ValueError("coarse window must be strictly inside the fine window")
     u_fine = fine_ms.state(u_fine)
-    p6 = Sextic(fine_ms, sigma, c6)
+    p6 = build_p6(fine_ms, sigma, c6)
     u_cut = u_fine.copy()
     u_cut[np.abs(np.asarray(fine_ms.modes)) > M] = 0.0
     diff = p6.gradient(u_fine) - p6.gradient(u_cut)
@@ -150,16 +152,16 @@ def sobolev_profile_state(M_fine: int, s: float, eps: float, seed: int) -> np.nd
     return u * (eps / hs)
 
 
-def remainder_scaling(M_list, s: float, fine_factor: int = 5, seed: int = 0) -> dict:
+def remainder_scaling(M_list, s: float, seed: int = 0) -> dict:
     """||g||_{l2} against M for one fixed spectral profile of unit H^s norm
-    (sigma = c6 = 1); returns the table and the fitted log-log slope.  The
-    norm does not depend on the sign of g."""
+    (sigma = c6 = 1) on the fine windows _FINE_FACTOR * M; returns the table
+    and the fitted log-log slope.  The norm does not depend on the sign of g."""
     rows = []
-    M_top = max(M_list) * fine_factor
+    M_top = max(M_list) * _FINE_FACTOR
     u_top = sobolev_profile_state(M_top, s, 1.0, seed)
     modes_top = np.arange(-M_top, M_top + 1)
     for M in M_list:
-        Mf = fine_factor * M
+        Mf = _FINE_FACTOR * M
         sel = np.abs(modes_top) <= Mf
         u_fine = u_top[sel]
         g = remainder_g(u_fine, ModeSet.symmetric(Mf), M)
@@ -167,7 +169,7 @@ def remainder_scaling(M_list, s: float, fine_factor: int = 5, seed: int = 0) -> 
     logm = np.log([r["M"] for r in rows])
     logg = np.log([r["g_norm"] for r in rows])
     slope = float(np.polyfit(logm, logg, 1)[0])
-    return {"s": s, "fine_factor": fine_factor, "rows": rows, "slope": slope}
+    return {"s": s, "fine_factor": _FINE_FACTOR, "rows": rows, "slope": slope}
 
 
 # --------------------------------------------------------------- action drift

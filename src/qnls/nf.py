@@ -37,11 +37,11 @@ class NormalFormConfig:
     B_p: ClassVar[float] = 100.0
     flow_dt: ClassVar[float] = 0.05
     flow_tol: ClassVar[float] = 1e-14
+    norm_iters: ClassVar[int] = 300     # iterations of each norm ascent
     r: int
     gamma: float
     J_max: int | None = None
     norm_multistart: int = 16
-    norm_iters: int = 300
     norm_lower_levels: object = "all"   # or an int: ascent only on the top-K levels
     seed: int = 0
 
@@ -160,6 +160,7 @@ def lie_transform(z2_omega: FrequencySet, series: dict[int, HomPoly], chi: HomPo
     return out, sorted(set(truncated))
 
 
+@np.errstate(over="raise", invalid="raise")
 def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
              cfg: NormalFormConfig) -> NormalFormResult:
     """Iterated normal form of H = Z2 + P up to order r.
@@ -168,7 +169,7 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
     current Q^(2j') is removed by the generator of that degree and the series
     is pushed through the corresponding Lie transform.  A gamma at or above
     every divisor of a degree removes nothing there; that is a legitimate
-    degenerate input, not an error.
+    degenerate input, not an error.  Overflow and invalid arithmetic raise.
     """
     if not P.is_real:
         raise ValueError("the perturbation must be real-valued")

@@ -540,55 +540,55 @@ def momentum_buckets(mode_set: ModeSet) -> list[np.ndarray]:
 
 
 class Sextic(HomPoly):
-    """The sextic interaction of build_p6 and the one owner of the window
-    transform: its value sigma*c6/6 * mean_x |u(x)|^6 and gradient
-    sigma*c6*|u|^4 u, at a state or a stack, are evaluated by dense DFT on the
-    minimal grid.  Its key table, an ordinary HomPoly's (arithmetic on it gives
-    a plain HomPoly), is built on first read of idx_k, idx_l, coef or csize."""
+    """The sextic scale/6 * mean_x |v|^6, v = u @ F, of a synthesis matrix F
+    (modes x N quadrature points), and its gradient scale * (|v|^4 v) @ conj(F).T / N,
+    at a state or a stack, by two dense products.  Its key table, an ordinary
+    HomPoly's (arithmetic on it gives a plain HomPoly), is built on first read
+    of idx_k, idx_l, coef or csize by keys() -> (idx_k, idx_l, coef)."""
 
-    def __init__(self, mode_set: ModeSet, sigma: int = 1, c6: float = 1.0):
-        if sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
-        check_positive(c6=c6)
-        self.mode_set, self.q, self._is_real, self.sigma, self.c6 = mode_set, 3, True, sigma, c6
-        # F[j, x] = exp(2 pi i m_j x / N) and G = conj(F).T / N on the fewest points
-        # on which cubic and quintic convolution powers on the window do not alias;
-        # m_j x is reduced mod N before the exp, so every phase is below 2 pi
-        modes = np.asarray(mode_set.modes)
-        N = 3 * int(modes.max() - modes.min()) + 1
-        self._F = np.exp(2j * np.pi / N * (np.outer(modes, np.arange(N)) % N))
-        self._G = self._F.conj().T / N
+    def __init__(self, mode_set: ModeSet, F: np.ndarray, scale: float, keys):
+        self.mode_set, self.q, self._is_real, self._keys = mode_set, 3, True, keys
+        self._F, self._scale = np.asarray(F, dtype=complex), scale
+        self._G = self._F.conj().T / self._F.shape[1]
 
     def __getattr__(self, name):
-        # only a key array can be missing, before its first read: build the
-        # table, every (k, l) pair of triples within one momentum bucket, k outer
+        # only a key array can be missing, before its first read
         if name not in ("idx_k", "idx_l", "coef", "csize"):
             raise AttributeError(name)
-        buckets = momentum_buckets(self.mode_set)
-        k = np.concatenate([np.repeat(b, len(b), axis=0) for b in buckets])
-        l = np.concatenate([np.tile(b, (len(b), 1)) for b in buckets])
-        coef = np.full(len(k), complex(self.sigma * self.c6 / 6.0))
-        self._set(self.mode_set, 3, k, l, coef, True)
+        self._set(self.mode_set, 3, *self._keys(), True)
         return getattr(self, name)
 
     def __call__(self, u: np.ndarray):
         a = np.abs(self.mode_set.state(u, math.inf) @ self._F) ** 2
-        return self.sigma * self.c6 / 6.0 * np.mean(a ** 3, axis=-1)
+        return self._scale / 6.0 * np.mean(a ** 3, axis=-1)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         w = self.mode_set.state(u, math.inf) @ self._F
         a = np.abs(w) ** 2
-        return self.sigma * self.c6 * ((a * a * w) @ self._G)
+        return self._scale * ((a * a * w) @ self._G)
 
 
 def build_p6(mode_set: ModeSet, sigma: int = 1, c6: float = 1.0) -> Sextic:
     """Sextic interaction with coefficient sigma*c6/6 on every ordered tuple
-    satisfying momentum conservation k1+k2+k3 = l1+l2+l3.
+    satisfying momentum conservation k1+k2+k3 = l1+l2+l3 (the pairs of triples
+    of each momentum bucket, k outer): the Sextic of scale sigma*c6 on the DFT
+    F[j, x] = exp(2 pi i m_j x / N) on the fewest points N on which cubic and
+    quintic convolution powers on the window do not alias."""
+    if sigma not in (1, -1):
+        raise ValueError("sigma must be +1 or -1")
+    check_positive(c6=c6)
+    # m_j x is reduced mod N before the exp, so every phase is below 2 pi
+    modes = np.asarray(mode_set.modes)
+    N = 3 * int(modes.max() - modes.min()) + 1
 
-    Its gradient is sigma*c6 * (|u|^4 u) as a discrete convolution power
-    restricted to the window, evaluated by dense DFT on any window.
-    """
-    return Sextic(mode_set, sigma, c6)
+    def keys():
+        buckets = momentum_buckets(mode_set)
+        k = np.concatenate([np.repeat(b, len(b), axis=0) for b in buckets])
+        return (k, np.concatenate([np.tile(b, (len(b), 1)) for b in buckets]),
+                np.full(len(k), complex(sigma * c6 / 6.0)))
+
+    return Sextic(mode_set, np.exp(2j * np.pi / N * (np.outer(modes, np.arange(N)) % N)),
+                  sigma * c6, keys)
 
 
 # ------------------------------------------------------------- serialization

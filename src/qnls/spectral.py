@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, check_positive
-from .poly import HomPoly, ModeSet, Sextic, build_p6, momentum_buckets
+from .poly import HomPoly, ModeSet, build_p6, momentum_buckets
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_ENTRIES = 5_000_000    # sorted triples x starts one _Cells may hold: M = 32 fits, 64 not
@@ -431,7 +431,7 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
 
     where h(tau) is the sixth power of the L6 norm of the free evolution of
     the componentwise modulus of u (trigonometric-polynomial normalization).
-    The x-integral mean_x |w|^6 is the value of a Sextic with sigma = 1 (the
+    The x-integral mean_x |w|^6 is the value of build_p6 with sigma = 1 (the
     quadrature is of the modulus) and c6 = 6 on all tau nodes at once, and
     c6/6 scales the tau mean; the tau-integral is a trapezoidal sum on
     12 M^2 + 8 nodes, M = max |m|.  Both are exact for the trigonometric
@@ -442,7 +442,7 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
     n_tau = 12 * mode_set.M_param ** 2 + 8
     tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
     phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))  # (n_tau, modes)
-    h = Sextic(mode_set, 1, 6.0)(phases * amps[None, :])   # (n_tau,)
+    h = build_p6(mode_set, 1, 6.0)(phases * amps[None, :])   # (n_tau,)
     return c6 / 6.0 * float(np.mean(np.exp(1j * tau * a) * h).real)
 
 

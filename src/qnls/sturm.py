@@ -12,10 +12,11 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .errors import BudgetError, check_positive
-from .poly import HomPoly, ModeSet, from_arrays
+from .poly import HomPoly, ModeSet, Sextic
 from .spectral import FrequencySet, japanese
 
-_MAX_WINDOW = 12   # largest window of p6_eigen_coeffs: C(14, 3)^2 = 132,496 keys
+_MAX_WINDOW = 12   # largest key table of p6_eigen_coeffs: C(14, 3)^2 = 132,496 keys
+_EF_SIGMA = 1.0    # sigma of the eigenfunction decay bound of verify_ef_decay
 
 
 @dataclass
@@ -84,16 +85,16 @@ def verify_ev_asymptotics(basis: SLBasis) -> float:
     return float(np.max(n * np.abs(basis.lambdas - n.astype(float) ** 2 - basis.avg_W)))
 
 
-def verify_ef_decay(basis: SLBasis, sigma: float = 1.0) -> dict:
-    """Fitted constant of |fhat_n(k)| <= C <n+k>^{-1} <n-k>^{-1-sigma} over the
-    off-diagonal sine coefficients (|fhat_n(k)| = |c_n[k]| for k >= 1)."""
+def verify_ef_decay(basis: SLBasis) -> dict:
+    """Fitted constant of |fhat_n(k)| <= C <n+k>^{-1} <n-k>^{-1-_EF_SIGMA} over
+    the off-diagonal sine coefficients (|fhat_n(k)| = |c_n[k]| for k >= 1)."""
     n = np.arange(1, basis.n_max + 1)[:, None]
     k = np.arange(1, basis.N_basis + 1)[None, :]
-    weight = (1.0 + n + k) * (1.0 + np.abs(n - k)) ** (1.0 + sigma)
+    weight = (1.0 + n + k) * (1.0 + np.abs(n - k)) ** (1.0 + _EF_SIGMA)
     offdiag = np.abs(basis.eigvecs) * (n != k)
     vals = offdiag * weight
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    return {"C_fit": float(vals[i, j]), "sigma": sigma,
+    return {"C_fit": float(vals[i, j]), "sigma": _EF_SIGMA,
             "argmax": {"n": int(n[i, 0]), "k": int(k[0, j])}}
 
 
@@ -105,37 +106,42 @@ def eigenfunction_values(basis: SLBasis, n_grid: int) -> tuple[np.ndarray, np.nd
     return x, basis.eigvecs @ S.T
 
 
-def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> HomPoly:
-    """Sextic interaction in the eigenbasis, a real HomPoly on [1, q_window]
-    with coefficients
+def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> Sextic:
+    """Sextic interaction int_0^pi |sum_j u_j f_j|^6 dx in the eigenbasis on
+    [1, q_window]: the Sextic of scale 6 pi on the eigenfunction values at
+    n_grid = 6 N_basis + 2 points of [0, 2pi), a mean that is exact for the
+    trigonometric degrees involved.  Its keys, past a window of _MAX_WINDOW a
+    BudgetError, are every pair of index multisets with the coefficients
 
         Q_{k,l} = int_0^pi f_{k1} f_{k2} f_{k3} f_{l1} f_{l2} f_{l3} dx
 
-    on every pair of index multisets, by quadrature that is exact for the
-    trigonometric degrees involved.  A value at or below the rounding bound
+    by the same quadrature.  A value at or below the rounding bound
     n_grid * eps * sum_x |f_k1 f_k2 f_k3 f_l1 f_l2 f_l3| * w of its sum (w the
     quadrature weight) is dropped as the noise of an analytic zero, so on the
     free basis the keys are the nonzero integrals whatever N_basis is.
     """
-    if q_window > _MAX_WINDOW:
-        raise BudgetError("eigenbasis window exceeds the budget guard")
     if q_window > basis.n_max:
         raise ValueError("window exceeds the computed spectrum")
     ms = ModeSet.dirichlet(q_window)
     n_grid = 6 * basis.N_basis + 2
-    _, F = eigenfunction_values(basis, n_grid)
-    triples = np.array(list(combinations_with_replacement(range(q_window), 3)))
-    T = F[triples[:, 0]] * F[triples[:, 1]] * F[triples[:, 2]]
-    # int_0^pi = (1/2) int_T for even integrands (products of six odd factors);
-    # T @ T.T is symmetric bit for bit, so Q_{l,k} = Q_{k,l} exactly
-    w = 0.5 * 2.0 * np.pi / n_grid
-    G = (T @ T.T) * w
-    # a dot product of n_grid terms errs by at most n_grid * eps * (|T| @ |T|.T)
-    A = np.abs(T)
-    G[np.abs(G) <= n_grid * np.finfo(float).eps * (A @ A.T) * w] = 0.0
-    n = len(triples)
-    return from_arrays(ms, 3, np.repeat(triples, n, axis=0), np.tile(triples, (n, 1)),
-                       G.ravel().astype(complex), is_real=True)
+    F = eigenfunction_values(basis, n_grid)[1][:q_window]
+
+    def keys():
+        if q_window > _MAX_WINDOW:
+            raise BudgetError("eigenbasis window exceeds the budget guard")
+        triples = np.array(list(combinations_with_replacement(range(q_window), 3)))
+        T = F[triples[:, 0]] * F[triples[:, 1]] * F[triples[:, 2]]
+        # int_0^pi = (1/2) int_T for even integrands (products of six odd factors);
+        # T @ T.T is symmetric bit for bit, so Q_{l,k} = Q_{k,l} exactly
+        w = 0.5 * 2.0 * np.pi / n_grid
+        G = (T @ T.T) * w
+        # a dot product of n_grid terms errs by at most n_grid * eps * (|T| @ |T|.T)
+        A = np.abs(T)
+        G[np.abs(G) <= n_grid * np.finfo(float).eps * (A @ A.T) * w] = 0.0
+        n = len(triples)
+        return np.repeat(triples, n, axis=0), np.tile(triples, (n, 1)), G.ravel().astype(complex)
+
+    return Sextic(ms, F, 6.0 * np.pi, keys)
 
 
 def p6_decay_constant(P: HomPoly) -> dict:

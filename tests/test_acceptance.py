@@ -221,8 +221,7 @@ def certified_nf():
     z2 = build_z2(ms, fs)
     P6 = build_p6(ms)
     cfg = NormalFormConfig(r=5, gamma=gamma, J_max=6, seed=0,
-                           norm_multistart=16, norm_iters=300,
-                           norm_lower_levels=1)
+                           norm_multistart=16, norm_lower_levels=1)
     result = birkhoff(z2, P6, fs, cfg)
     return ms, fs, z2, P6, cfg, result
 
@@ -308,7 +307,7 @@ def test_criterion_9_sturm_liouville():
         b2 = dirichlet_eig(W, n_max=50, N_basis=400)
         c1, c2 = verify_ev_asymptotics(b1), verify_ev_asymptotics(b2)
         assert np.isfinite(c1) and abs(c1 - c2) <= 0.05 * c1
-        rep = verify_ef_decay(b2, sigma=1.0)
+        rep = verify_ef_decay(b2)
         assert np.isfinite(rep["C_fit"])
         rng = np.random.default_rng(9)
         for sp in (0.0, 1.0):
@@ -345,5 +344,5 @@ def test_criterion_10_action_drift():
 def test_criterion_11_remainder_scaling():
     with criterion(11, "truncation remainder decays in M at least like the "
                        "Sobolev tail bound", budget=600.0):
-        res = remainder_scaling([4, 8, 16, 32], s=0.45, fine_factor=5, seed=1)
+        res = remainder_scaling([4, 8, 16, 32], s=0.45, seed=1)
         assert res["slope"] <= -(0.45 - 0.4) + 0.1

@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ def test_normal_form_artifacts(tmp_path):
     assert doc["eps_r"] > 0
     assert all(not e["violated"] for e in doc["tail_report"])
     assert doc["resonant"]["6"]["degree"] == 6
+
+
+@pytest.mark.parametrize("c6, code", [("1e100", EXIT_OK), ("1e150", EXIT_OK),
+                                      ("1e200", EXIT_ASSERT)])
+def test_large_c6_fails_explicitly(tmp_path, capsys, c6, code):
+    # the normal form raises on overflow and invalid arithmetic rather than
+    # warning: at c6 = 1e200 its norm ascent overflows, and the run exits 2
+    # with no warning and no artifact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out = run(tmp_path, "normal-form", "--modes", "1", "--order", "3", "--c6", c6)
+    assert got == code
+    assert (out / "normal_form.json").exists() == (code == EXIT_OK)
+    if code == EXIT_ASSERT:
+        assert capsys.readouterr().err.startswith("run failed: overflow encountered")
 
 
 def test_strichartz_small(tmp_path):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, no library
 module imports another's private (underscore-prefixed) name, importing the
-library loads no SciPy, and no message is raised from two places."""
+library loads no SciPy, no message is raised from two places, and only
+build_p6 and p6_eigen_coeffs construct a Sextic."""
 
 import ast
 import os
@@ -95,3 +96,31 @@ def test_each_input_rule_has_one_raise():
     # library function that owns it is the one place, and callers call it
     sources = {p.name: p.read_text() for p in MODULES}
     assert {m: at for m, at in raise_messages(sources).items() if len(at) > 1} == {}
+
+
+def sextic_constructors(sources: dict[str, str]) -> set[str]:
+    """Each function (module.function) whose body calls Sextic(...) by name or
+    as an attribute, at any depth of nesting."""
+    found = set()
+    for name, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "Sextic" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        found.add(f"{name}.{fn.name}")
+    return found
+
+
+def test_scanner_flags_a_sextic_constructor():
+    src = ("def build(ms):\n    return Sextic(ms, F, 1.0, keys)\n"
+           "def other(ms):\n    return poly.Sextic(ms, F, 6.0, keys)\n"
+           "def reader(P):\n    return isinstance(P, Sextic) and SexticLevel0(P.mode_set)\n")
+    assert sextic_constructors({"m": src}) == {"m.build", "m.other"}
+
+
+def test_only_the_two_constructor_functions_build_a_sextic():
+    # the window sextic comes from build_p6 and the eigenbasis one from
+    # p6_eigen_coeffs; every other caller asks one of them
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert sextic_constructors(sources) == {"poly.build_p6", "sturm.p6_eigen_coeffs"}

@@ -313,11 +313,13 @@ _REMOVED_SETTINGS = {
         _FS, resonance.NRBounds(2, 2, 1), s_star=1.0, max_tuples=10),
     "check_krgamma-max_pairs": lambda: check_krgamma(_MS, _FS, 1, 2, 0.5, max_pairs=10),
     "p6_eigen_coeffs-max_window": lambda: sturm.p6_eigen_coeffs(None, 5, max_window=12),
+    "remainder_scaling-fine_factor": lambda: dynamics.remainder_scaling([4], 0.45, fine_factor=5),
+    "verify_ef_decay-sigma": lambda: sturm.verify_ef_decay(None, sigma=1.0),
     "FrequencySet-omega": lambda: spectral.FrequencySet(_MS, _FS.omega, _FS.omega_int,
                                                         _FS.omega_frac),
     **{f"NormalFormConfig-{name}": (lambda name=name: NormalFormConfig(
         r=5, gamma=0.5, **{name: getattr(NormalFormConfig, name)}))
-       for name in ("p", "A", "B_p", "flow_dt", "flow_tol")},
+       for name in ("p", "A", "B_p", "flow_dt", "flow_tol", "norm_iters")},
 }
 
 
@@ -330,7 +332,8 @@ def test_removed_settings_are_not_accepted(call):
 
 def test_paper_constants_read_as_before():
     cfg = NormalFormConfig(r=5, gamma=0.5)
-    assert (cfg.p, cfg.A, cfg.B_p, cfg.flow_dt, cfg.flow_tol) == (3, 2.0, 100.0, 0.05, 1e-14)
+    assert ((cfg.p, cfg.A, cfg.B_p, cfg.flow_dt, cfg.flow_tol, cfg.norm_iters)
+            == (3, 2.0, 100.0, 0.05, 1e-14, 300))
 
 
 def test_suggest_gamma_keeps_the_pair_budget(monkeypatch):

@@ -13,7 +13,7 @@ from qnls import cli, poly
 from qnls.nf import NormalFormConfig, birkhoff, solve_cohomological, suggest_gamma
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
-from qnls.poly import (HomPoly, ModeSet, Sextic, build_p6, build_z2, coeff_close, poisson,
+from qnls.poly import (HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson,
                        poly_from_json, poly_to_json)
 from conftest import is_zero, random_balanced, random_state
 
@@ -542,7 +542,7 @@ def fft_sextic_grid(modes):
 
 def fft_sextic(u, idx, N, gradient):
     """The window kernel by np.fft on a zero-filled spectrum, kept as the
-    oracle of the dense-DFT kernel of Sextic: the window coefficients of
+    oracle of the dense-DFT kernel of build_p6: the window coefficients of
     |w|^4 w (gradient) or the mean of |w|^6 (value)."""
     spec = np.zeros(u.shape[:-1] + (N,), dtype=complex)
     spec[..., idx] = u
@@ -560,7 +560,7 @@ def fft_sextic(u, idx, N, gradient):
 def test_sextic_dft_matches_fft_oracle(modes, rows, rng):
     shape = rows + (len(modes),)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    p6 = Sextic(ModeSet(modes))     # sigma = c6 = 1: the value is mean |w|^6 / 6
+    p6 = build_p6(ModeSet(modes))   # sigma = c6 = 1: the value is mean |w|^6 / 6
     oracle = fft_sextic_grid(modes)
     for gradient in (True, False):
         got = p6.gradient(u) if gradient else 6.0 * p6(u)

@@ -4,8 +4,9 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
+from qnls.dynamics import integrate
 from qnls.errors import BudgetError
-from qnls.poly import ModeSet
+from qnls.poly import ModeSet, Sextic, build_z2, from_arrays
 from qnls.spectral import japanese
 from qnls.sturm import (dirichlet_eig, eigenfunction_values, freqs_mult,
                         p6_decay_constant, p6_eigen_coeffs, sobolev_ratio,
@@ -61,7 +62,7 @@ def test_basis_quality(random_basis):
 
 
 def test_ef_decay(random_basis):
-    rep = verify_ef_decay(random_basis, sigma=1.0)
+    rep = verify_ef_decay(random_basis)
     assert np.isfinite(rep["C_fit"]) and rep["C_fit"] > 0
 
 
@@ -183,8 +184,62 @@ def test_p6_eigen_coeffs_match_the_dict_oracle(random_basis, which, q_window):
 def test_p6_eigen_coeffs_random(random_basis):
     rep = p6_decay_constant(p6_eigen_coeffs(random_basis, q_window=5))
     assert np.isfinite(rep["C_fit"]) and rep["C_fit"] > 0
-    with pytest.raises(BudgetError):
-        p6_eigen_coeffs(random_basis, q_window=13)
+    with pytest.raises(BudgetError):    # the guard bounds the key table only
+        p6_eigen_coeffs(random_basis, q_window=13).coef
+
+
+def _key_table(P):
+    """The eigen sextic's own keys as a plain HomPoly, on the generic kernels."""
+    return from_arrays(P.mode_set, 3, P.idx_k, P.idx_l, P.coef, is_real=True)
+
+
+@pytest.mark.parametrize("q_window", [4, 5, 6])
+@pytest.mark.parametrize("which", ["free", "random"])
+def test_eigen_sextic_matches_its_key_table(random_basis, which, q_window):
+    # value pi * mean_x |v|^6 and gradient 6 pi * (|v|^4 v) @ F.T / n_grid on the
+    # quadrature grid against the Gram key table, on a stack and row by row
+    b = random_basis if which == "random" else dirichlet_eig(np.zeros(1), 50, 200)
+    P = p6_eigen_coeffs(b, q_window)
+    assert isinstance(P, Sextic) and P.mode_set == ModeSet.dirichlet(q_window) and P.is_real
+    H = _key_table(P)
+    rng = np.random.default_rng(q_window)
+    U = rng.standard_normal((5, q_window)) + 1j * rng.standard_normal((5, q_window))
+    vals, grads = P(U), P.gradient(U)
+    assert vals.shape == (5,) and grads.shape == U.shape
+    for u, val, grad in zip(U, vals, grads):
+        want = H(u)
+        assert abs(val - want) <= 1e-13 * abs(want) and abs(P(u) - val) <= 1e-14 * abs(want)
+        g = H.gradient(u)
+        assert np.linalg.norm(grad - g) <= 1e-13 * np.linalg.norm(g)
+
+
+def _eigen_system(basis, q_window):
+    """(z2, sextic, u0) on the Dirichlet window [1, q_window] of basis."""
+    ms = ModeSet.dirichlet(q_window)
+    z2 = build_z2(ms, freqs_mult(basis).omega[:q_window])
+    rng = np.random.default_rng(7)
+    u0 = rng.standard_normal(q_window) + 1j * rng.standard_normal(q_window)
+    return z2, p6_eigen_coeffs(basis, q_window), 0.3 * u0 / np.linalg.norm(u0)
+
+
+def test_eigen_sextic_integrates_as_its_key_table(random_basis):
+    z2, P, u0 = _eigen_system(random_basis, 5)
+    got = integrate(z2, P, u0, T=1.0, dt=0.01)
+    want = integrate(z2, _key_table(P), u0, T=1.0, dt=0.01)
+    assert np.max(np.abs(got.states - want.states)) <= 1e-12 * np.linalg.norm(u0)
+    assert np.allclose(got.energy, want.energy, rtol=1e-12, atol=0.0)
+    assert got.norm_drift() < 1e-12
+
+
+def test_eigen_sextic_integrates_past_the_key_budget(random_basis):
+    # q = 13 is past _MAX_WINDOW: the sum integrates, its key table is refused
+    z2, P, u0 = _eigen_system(random_basis, 13)
+    traj = integrate(z2, P, u0, T=0.1, dt=0.002)      # dt * max omega / 2 < 0.2
+    # the midpoint rule keeps the norm to rounding and the energy to O(dt^2)
+    assert traj.norm_drift() < 1e-12 and traj.energy_drift() < 1e-5
+    for read in (lambda: P.idx_k, lambda: len(P), lambda: P + P):
+        with pytest.raises(BudgetError):
+            read()
 
 
 def test_freqs_mult(random_basis):
