@@ -209,7 +209,7 @@ def cmd_simulate(args, out: Path) -> int:
     if not args.eps > 0:
         raise ConfigError("eps must be positive")
     with _parameters():
-        dynamics.check_time(args.T, args.dt)
+        flows.check_time(args.T, args.dt)
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     u0 *= args.eps / np.linalg.norm(u0)

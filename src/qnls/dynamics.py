@@ -11,13 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows, nf
-from .errors import BudgetError, check_positive
+from .errors import check_positive
 # split_levels is not called here; perfbench/tracing.py wraps it on this module
 from .poly import HomPoly, ModeSet, build_p6
 from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (split_levels,)
-_MAX_STEPS = 10 ** 7    # midpoint steps per integrate call: ten times T = 1e4 at dt = 0.01
 _FINE_FACTOR = 5        # remainder_scaling's fine window: _FINE_FACTOR times the window
 
 
@@ -57,33 +56,23 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def check_time(T: float, dt: float) -> int:
-    """integrate's number of midpoint steps max(1, round(T/dt)); ValueError unless
-    dt > 0 and T >= 0, BudgetError if T/dt (before rounding) exceeds _MAX_STEPS."""
-    check_positive(dt=dt)
-    if not T >= 0:
-        raise ValueError("T must be non-negative")
-    if T / dt > _MAX_STEPS:
-        raise BudgetError(f"integration budget exceeded: T/dt = {T / dt:.3g} midpoint steps")
-    return max(1, int(round(T / dt)))
-
-
 def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
               max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
     u0 is one state (n,), giving a Trajectory, or a stack (B, n), giving a
     list of B trajectories advanced together by one midpoint solve per step.
-    From the second step on, each solve starts from the previous midpoint
-    (flows.midpoint_step's prev); the diagonal omega of z2 and that state set
-    only the starting guess, not the step equation.  A Sextic (of build_p6 or
-    sturm.p6_eigen_coeffs) evaluates its value and gradient by two dense
-    products on its quadrature grid; any other polynomial uses the generic
-    sparse kernels.  Norm and energy are recorded at every stored sample.
-    T = 0 takes one step of size 0; check_time rejects T < 0 and more than
-    _MAX_STEPS steps.
+    From the second step on, each solve is passed the state before it
+    (flows.midpoint_step's prev), and its starting guess extrapolates the
+    state linearly through the Cayley factor of the diagonal omega of z2;
+    omega and that state set only the guess, not the step equation.  A
+    Sextic (of build_p6 or sturm.p6_eigen_coeffs) evaluates its value and
+    gradient by two dense products on its quadrature grid; any other
+    polynomial uses the generic sparse kernels.  Norm and energy are recorded at every stored sample.
+    T = 0 takes one step of size 0; flows.check_time rejects T < 0 and more
+    than flows._MAX_STEPS steps.
     """
-    n_steps = check_time(T, dt)
+    n_steps = flows.check_time(T, dt)
     ms = z2.mode_set
     omega = _omega_from_z2(z2)
     u0 = ms.state(u0, 2)
@@ -169,7 +158,7 @@ def remainder_scaling(M_list, s: float, seed: int = 0) -> dict:
     logm = np.log([r["M"] for r in rows])
     logg = np.log([r["g_norm"] for r in rows])
     slope = float(np.polyfit(logm, logg, 1)[0])
-    return {"s": s, "fine_factor": _FINE_FACTOR, "rows": rows, "slope": slope}
+    return {"s": s, "rows": rows, "slope": slope}
 
 
 # --------------------------------------------------------------- action drift
@@ -199,13 +188,14 @@ class DriftResult:
 def check_drift(mode_set: ModeSet, k: int, eps_list, T: float, dt: float) -> None:
     """Raise ValueError unless the window holds mode k, the eps values are
     positive, with at least two distinct ones, and T is positive (the drift
-    exponent is a log-log fit of the drifts, all 0 at T = 0, against eps); check_time."""
+    exponent is a log-log fit of the drifts, all 0 at T = 0, against eps);
+    flows.check_time."""
     mode_set.index(k)
     if not all(e > 0 for e in eps_list) or len(set(eps_list)) < 2:
         raise ValueError("eps values must be positive, with at least two distinct ones")
     if not T > 0:
         raise ValueError("T must be positive")
-    check_time(T, dt)
+    flows.check_time(T, dt)
 
 
 def check_scan(M_list, c6: float, multistart: int) -> None:

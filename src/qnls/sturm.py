@@ -94,7 +94,7 @@ def verify_ef_decay(basis: SLBasis) -> dict:
     offdiag = np.abs(basis.eigvecs) * (n != k)
     vals = offdiag * weight
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    return {"C_fit": float(vals[i, j]), "sigma": _EF_SIGMA,
+    return {"C_fit": float(vals[i, j]),
             "argmax": {"n": int(n[i, 0]), "k": int(k[0, j])}}
 
 

@@ -102,6 +102,7 @@ def test_sturm_cli(tmp_path):
     doc = json.loads((out / "basis.json").read_text())
     assert len(doc["lambdas"]) == 12
     assert doc["gram_defect"] < 1e-10
+    assert set(doc["ef_decay"]) == {"C_fit", "argmax"}
 
 
 def test_drift_quick(tmp_path):

@@ -179,6 +179,7 @@ def test_remainder_zero_and_support(rng):
 
 def test_remainder_scaling_slope():
     res = remainder_scaling([4, 8, 16, 32], s=0.45, seed=1)
+    assert set(res) == {"s", "rows", "slope"}
     assert res["slope"] <= -(0.45 - 0.4) + 0.1
     norms = [r["g_norm"] for r in res["rows"]]
     assert all(b < a for a, b in zip(norms, norms[1:]))

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qnls.dynamics import _omega_from_z2
-from qnls.flows import FlowConvergenceError, _row_norms, midpoint_step
+from qnls.dynamics import _omega_from_z2, integrate
+from qnls.errors import BudgetError
+from qnls.flows import MAX_ITER, FlowConvergenceError, _row_norms, flow, midpoint_step
+from qnls.nf import transform_state
 from qnls.poly import ModeSet, build_p6, build_z2
 from qnls.resonance import sample_conv_potential
 from qnls.spectral import freqs_conv
@@ -28,6 +33,53 @@ def _reference_step(grad, u, dt, tol=1e-14, max_iter=60):
             break
         prev_res = res
     raise FlowConvergenceError("stalled")
+
+
+def _mask_step(grad, u, dt, tol=1e-14, omega=0.0, prev=None, extrapolate=True):
+    """midpoint_step with its stop decisions on boolean row masks, kept as the
+    oracle of the per-row bookkeeping.  With prev, extrapolate=False takes the
+    quintic term at the last midpoint advanced by the Cayley factor,
+    L(prev + u)/2, instead of at (u + L(2u - L prev))/2."""
+    u = np.asarray(u)
+    rows = u.reshape(-1, u.shape[-1])
+    g = grad if u.ndim > 1 else (lambda v: grad(v[0])[None])
+    scale = _row_norms(rows)
+    on = scale != 0.0
+    if not on.any():
+        return u.copy()
+    bound, floor = tol * scale, 1e4 * tol * scale
+    step, den = dt * (-1j), 1 + 0.5j * dt * omega
+    if prev is None:
+        delta = step * g(rows) / den
+    else:
+        cayley = (1 - 0.5j * dt * omega) / den
+        past = np.asarray(prev).reshape(rows.shape)
+        if extrapolate:
+            mid = 0.5 * (rows + cayley * (2 * rows - cayley * past))
+        else:
+            mid = cayley * (0.5 * (past + rows))
+        delta = step * (omega * rows + g(mid) - omega * mid) / den
+    delta[~on] = 0.0
+    prev_res = np.full(len(rows), np.inf)
+    for _ in range(MAX_ITER):
+        cand = step * g(rows + 0.5 * delta)
+        res = _row_norms(cand - delta)
+        np.copyto(delta, cand, where=on[:, None])
+        going = on & ~(res <= bound)
+        stalled = going & (res >= prev_res)
+        if stalled.any():
+            stuck = stalled & (res > floor)
+            if stuck.any():
+                raise FlowConvergenceError(
+                    f"midpoint iteration stalled at residual {res[stuck][0]:.3e} "
+                    f"(dt={dt}); reduce dt")
+            going &= ~stalled
+        if not going.any():
+            return (rows + delta).reshape(u.shape)
+        on, prev_res = going, res
+    raise FlowConvergenceError(
+        f"midpoint iteration did not converge in {MAX_ITER} iterations (dt={dt}); "
+        "reduce dt")
 
 
 def _drift_system(M):
@@ -171,8 +223,9 @@ def test_midpoint_predictor_stack_rows_match_single_rows():
 
 @pytest.fixture(scope="module")
 def drift_paths():
-    """2000 drift steps (M=5, dt=0.005) with and without the previous state
-    passed to midpoint_step, and their gradient evaluations per step."""
+    """2000 drift steps (M=5, dt=0.005) without the previous state ("none"),
+    with it ("extrapolated"), and with it through the oracle guess at the
+    last midpoint ("last_midpoint"), and their gradient evaluations per step."""
     omega, grad, stack = _drift_system(5)
     calls = [0]
 
@@ -180,29 +233,106 @@ def drift_paths():
         calls[0] += 1
         return grad(u)
 
+    steps = {"none": lambda u, prev: midpoint_step(counted, u, 0.005, omega=omega),
+             "extrapolated": lambda u, prev: midpoint_step(counted, u, 0.005,
+                                                           omega=omega, prev=prev),
+             "last_midpoint": lambda u, prev: _mask_step(counted, u, 0.005, omega=omega,
+                                                         prev=prev, extrapolate=False)}
     paths, per_step = {}, {}
-    for predict in (False, True):
+    for name, step in steps.items():
         calls[0] = 0
         u, prev, path = stack, None, []
         for _ in range(2000):
-            kw = {"prev": prev} if predict else {}
-            u, prev = midpoint_step(counted, u, 0.005, omega=omega, **kw), u
+            u, prev = step(u, prev), u
             path.append(u)
-        paths[predict], per_step[predict] = np.array(path), calls[0] / 2000
+        paths[name], per_step[name] = np.array(path), calls[0] / 2000
     return stack, paths, per_step
 
 
 def test_midpoint_predictor_same_path(drift_paths):
-    # the path without prev is the oracle: only the guess moved
+    # only the guess moved: the path stays that of either oracle guess
     stack, paths, _ = drift_paths
-    err = np.abs(paths[True] - paths[False]).max(axis=(0, 2))
-    assert np.all(err <= 1e-11 * np.linalg.norm(stack, axis=1))
+    for oracle in ("none", "last_midpoint"):
+        err = np.abs(paths["extrapolated"] - paths[oracle]).max(axis=(0, 2))
+        assert np.all(err <= 1e-11 * np.linalg.norm(stack, axis=1))
 
 
 def test_midpoint_predictor_saves_evaluations(drift_paths):
     _, _, per_step = drift_paths
-    assert per_step[False] == 8.0
-    assert per_step[True] <= 5.5
+    assert per_step["none"] == 8.0
+    assert per_step["extrapolated"] <= 3.8
+
+
+def test_midpoint_extrapolated_guess_on_linear_past():
+    # when prev is the Cayley past of u, u = L prev, the extrapolated state is
+    # L u and the guess is the oracle's L(prev + u)/2
+    omega, grad, stack = _drift_system(5)
+    for dt in (0.005, 0.05):
+        cayley = (1 - 0.5j * dt * omega) / (1 + 0.5j * dt * omega)
+        prev = stack / cayley
+        seen = []
+        midpoint_step(lambda v: seen.append(v) or grad(v), stack, dt, omega=omega, prev=prev)
+        oracle = cayley * (0.5 * (prev + stack))
+        assert np.abs(seen[0] - oracle).max() <= 1e-15 * np.abs(stack).max()
+
+
+@pytest.fixture(scope="module")
+def system3():
+    return _drift_system(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_midpoint_bookkeeping_matches_mask_oracle(system3, data):
+    # random stacks with zero rows, rows of very different size (so they stop
+    # at different iterates), dt=0.5 stalls, and NaN or overflowing gradients
+    # on some rows (an infinite residual stalls against the initial inf): the
+    # same gradient arguments, the same result or the same exception
+    omega, grad, stack = system3
+    n = stack.shape[1]
+    B = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    sizes = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.02, 0.1, 0.3, 1.0]),
+                               min_size=B, max_size=B))
+    u *= np.array(sizes)[:, None] / np.linalg.norm(u, axis=1, keepdims=True)
+    dt = data.draw(st.sampled_from([0.001, 0.005, 0.05, 0.5]))
+    tol = data.draw(st.sampled_from([1e-14, 1e-10, 1e-6]))
+    kw = {"omega": data.draw(st.sampled_from([0.0, omega]))}
+    if data.draw(st.booleans()):
+        kw["prev"] = u + 0.01 * (rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n)))
+    bad = data.draw(st.lists(st.sampled_from([1.0, 1.0, np.nan, 1e300]),
+                             min_size=B, max_size=B))
+    bad_after = data.draw(st.integers(0, 5))
+    if data.draw(st.booleans()):
+        u, kw = u[0], {k: (v if k == "omega" else v[0]) for k, v in kw.items()}
+        bad = bad[0]
+    else:
+        bad = np.array(bad)[:, None]
+
+    def run(stepper):
+        calls = []
+
+        def g(v):
+            calls.append(v.copy())
+            out = grad(v)
+            return out * bad if len(calls) > bad_after else out
+
+        try:
+            with np.errstate(all="ignore"):   # overflow and inf * 0
+                return stepper(g, u, dt, tol=tol, **kw), calls
+        except FlowConvergenceError as exc:
+            return exc, calls
+
+    got, got_calls = run(midpoint_step)
+    want, want_calls = run(_mask_step)
+    assert len(got_calls) == len(want_calls)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got_calls, want_calls))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_midpoint_nan_residual_raises():
@@ -213,3 +343,21 @@ def test_midpoint_nan_residual_raises():
         for kw in ({}, {"prev": u}):
             with pytest.raises(FlowConvergenceError, match="did not converge"):
                 midpoint_step(bad, u, 0.005, omega=omega, **kw)
+
+
+@pytest.mark.parametrize("dt, error", [(-0.05, ValueError), (math.inf, ValueError),
+                                       (0.0, ValueError), (math.nan, ValueError),
+                                       (1e-300, BudgetError)])
+def test_flow_and_integrate_check_dt(dt, error):
+    # a weak gradient whose one step of the whole time would converge
+    ms = ModeSet.symmetric(1)
+    u = np.full(ms.size, 0.1 + 0j)
+    with pytest.raises(error):
+        flow(lambda v: 1e-3 * v, u, 1.0, dt)
+    with pytest.raises(error):
+        flow(lambda v: 1e-3 * v, u, -1.0, dt)
+    weak = build_z2(ms, np.full(ms.size, 1e-3))
+    with pytest.raises(error):
+        integrate(weak, build_p6(ms), u, 1.0, dt)
+    with pytest.raises(error):
+        transform_state(u, [weak], "forward", flow_dt=dt)
