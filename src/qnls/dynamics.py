@@ -18,6 +18,7 @@ from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (split_levels,)
 _FINE_FACTOR = 5        # remainder_scaling's fine window: _FINE_FACTOR times the window
+_HISTORY = 5            # states the midpoint guess of integrate extrapolates from
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -56,16 +57,30 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
+def _extrapolation_table(omega: np.ndarray, h: float) -> np.ndarray:
+    """(_HISTORY, _HISTORY, n) table whose row p-1 extrapolates the next
+    state from the last p states u_0 (the newest), u_-1, ..., u_-(p-1) to
+    degree p-1 in the interaction picture of the linear part:
+    u1' = sum_j row[j] * u_-j with row[j] = (-1)^j C(p, j+1) L^(j+1), where
+    L = (1 - i h omega/2)/(1 + i h omega/2) is its Cayley factor (row[j] = 0
+    for j >= p).  On a linear past, u_-j = L^-j u_0, every row gives L u_0."""
+    cayley = (1 - 0.5j * h * omega) / (1 + 0.5j * h * omega)
+    signed = np.array([[(-1) ** j * math.comb(p, j + 1) for j in range(_HISTORY)]
+                       for p in range(1, _HISTORY + 1)])
+    return signed[:, :, None] * cayley ** np.arange(1, _HISTORY + 1)[:, None]
+
+
 def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
               max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
     u0 is one state (n,), giving a Trajectory, or a stack (B, n), giving a
     list of B trajectories advanced together by one midpoint solve per step.
-    From the second step on, each solve is passed the state before it
-    (flows.midpoint_step's prev), and its starting guess extrapolates the
-    state linearly through the Cayley factor of the diagonal omega of z2;
-    omega and that state set only the guess, not the step equation.  A
+    Each solve is passed a guess of the state after it (flows.midpoint_step's
+    guess): the degree-(p-1) extrapolation of the last p <= _HISTORY states
+    through the Cayley factor of the diagonal omega of z2
+    (_extrapolation_table), one einsum per step; omega and the guess set
+    only the starting increment, not the step equation.  A
     Sextic (of build_p6 or sturm.p6_eigen_coeffs) evaluates its value and
     gradient by two dense products on its quadrature grid; any other
     polynomial uses the generic sparse kernels.  Norm and energy are recorded at every stored sample.
@@ -83,10 +98,16 @@ def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
     h = T / n_steps
     stride = max(1, math.ceil(n_steps / max_samples))
 
+    table = _extrapolation_table(omega, h)
+    past = np.zeros((_HISTORY,) + u0.shape, dtype=complex)   # past[j] = u_-j
     times, states = [0.0], [u0.copy()]
-    u, u_prev = u0.copy(), None
+    u = past[0] = u0
     for step in range(1, n_steps + 1):
-        u, u_prev = flows.midpoint_step(grad, u, h, omega=omega, prev=u_prev), u
+        p = min(step, _HISTORY)
+        guess = np.einsum("jn,j...n->...n", table[p - 1, :p], past[:p])
+        u = flows.midpoint_step(grad, u, h, omega=omega, guess=guess)
+        past[1:] = past[:-1]
+        past[0] = u
         if step % stride == 0 or step == n_steps:
             times.append(step * h)
             states.append(u.copy())
@@ -167,7 +188,6 @@ def remainder_scaling(M_list, s: float, seed: int = 0) -> dict:
 @dataclass
 class DriftRow:
     eps: float
-    T: float
     drift_raw: float
     drift_transformed: float | None
     norm_drift: float
@@ -227,7 +247,6 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float
     rng = np.random.default_rng([seed, 0])
     shared = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     shared /= np.linalg.norm(shared)
-    T = float(T)
     trajs = integrate(z2, p6, np.array([eps * shared for eps in eps_list]), T, dt,
                       max_samples=max_samples)
     transformed = [None] * len(trajs)
@@ -241,7 +260,7 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float
     rows = []
     for eps, traj, tr in zip(eps_list, trajs, transformed):
         raw = float(np.max(np.abs(traj.actions[:, ki] - traj.actions[0, ki])))
-        rows.append(DriftRow(eps=float(eps), T=T, drift_raw=raw,
+        rows.append(DriftRow(eps=float(eps), drift_raw=raw,
                              drift_transformed=tr,
                              norm_drift=traj.norm_drift()))
     exponent = float(np.polyfit(np.log([r.eps for r in rows]),

@@ -27,7 +27,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def midpoint_step(grad, u: np.ndarray, dt: float, tol: float = 1e-14,
-                  omega=0.0, prev=None) -> np.ndarray:
+                  omega=0.0, guess=None) -> np.ndarray:
     """One implicit-midpoint step for i du/dt = grad(u), on one state (n,) or
     on a stack of states (B, n) that grad maps row by row.
 
@@ -36,14 +36,12 @@ def midpoint_step(grad, u: np.ndarray, dt: float, tol: float = 1e-14,
     in at most MAX_ITER iterations; each row stops at the iterate where it
     would stop on its own, and grad always gets the whole stack.  The
     quadratic invariant ||u||^2 is preserved up to the accepted residual.
-    ``omega``, the diagonal linear part of grad, and ``prev``, the state one
-    step of the same size before u, only set the starting guess: with prev
-    the quintic term is taken at the midpoint (u + u1')/2 of the state u1'
-    extrapolated linearly through u in the interaction picture,
-    u1' = L(2u - L prev) with L the Cayley factor of the linear part
-    (so the guess is L(prev + u)/2 when prev is the linear past of u),
-    otherwise at u.  Neither changes the step equation, its acceptance rule
-    or where the iteration converges.
+    ``omega``, the diagonal linear part of grad, and ``guess``, a guessed
+    u1' of the state after the step (dynamics.integrate extrapolates it from
+    the states before u), only set the starting increment: the linear part
+    is solved by its Cayley factor and the rest of grad is taken at the
+    midpoint (u + u1')/2, or at u without a guess.  Neither changes the step
+    equation, its acceptance rule or where the iteration converges.
     """
     u = np.asarray(u)
     rows = u.reshape(-1, u.shape[-1])
@@ -58,12 +56,10 @@ def midpoint_step(grad, u: np.ndarray, dt: float, tol: float = 1e-14,
     # method error.  The linear part of the guess is solved by its Cayley
     # factor.
     step, den = dt * (-1j), 1 + 0.5j * dt * omega
-    if prev is None:
+    if guess is None:
         delta = step * g(rows) / den
     else:
-        cayley = (1 - 0.5j * dt * omega) / den
-        past = np.asarray(prev).reshape(rows.shape)
-        mid = 0.5 * (rows + cayley * (2 * rows - cayley * past))
+        mid = 0.5 * (rows + np.asarray(guess).reshape(rows.shape))
         delta = step * (omega * rows + g(mid) - omega * mid) / den
     if len(live) < len(rows):
         delta[scale == 0.0] = 0.0

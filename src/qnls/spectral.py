@@ -446,16 +446,15 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
     return c6 / 6.0 * float(np.mean(np.exp(1j * tau * a) * h).real)
 
 
-def strichartz_identity_check(mode_set: ModeSet, a: int, u: np.ndarray, c6: float = 1.0,
-                              p6: HomPoly | None = None) -> tuple[float, float]:
+def strichartz_identity_check(mode_set: ModeSet, a: int, u: np.ndarray, p6: HomPoly,
+                              c6: float = 1.0) -> tuple[float, float]:
     """(direct, quadrature) values of the level-a sextic modulus at |u|.
 
-    direct evaluates the stored projection of the modulus polynomial at the
-    componentwise modulus of u; quadrature uses the time-integral identity.
+    direct evaluates the stored projection of the modulus of p6, the window
+    sextic of c6 on mode_set, at the componentwise modulus of u; quadrature
+    uses the time-integral identity.
     The modulus does not depend on the sign of the sextic.
     """
-    if p6 is None:
-        p6 = build_p6(mode_set, c6=c6)
     part = project(p6, np.asarray(mode_set.modes, dtype=float) ** 2, a).modulus()
     val = complex(part(np.abs(np.asarray(u, dtype=complex)).astype(complex)))
     direct = val.real  # nonnegative coefficients at a nonnegative state

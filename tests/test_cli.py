@@ -112,6 +112,8 @@ def test_drift_quick(tmp_path):
     assert code == EXIT_OK
     doc = json.loads((out / "drift.json").read_text())
     assert len(doc["rows"]) == 2
+    assert all(set(r) == {"eps", "drift_raw", "drift_transformed", "norm_drift"}
+               for r in doc["rows"])
     assert (out / "drift.svg").exists()
 
 

@@ -337,7 +337,6 @@ def test_action_drift_rows_keep_eps_order():
     eps_list = [0.1, 0.05, 0.07]
     res = action_drift(None, z2, p6, k=1, eps_list=eps_list, T=1, dt=0.01, seed=4)
     assert [r.eps for r in res.rows] == eps_list
-    assert all(type(r.T) is float and r.T == 1.0 for r in res.rows)
     ki = ms.index(1)
     for eps, row in zip(eps_list, res.rows):
         rng = np.random.default_rng([4, 0])
@@ -362,26 +361,38 @@ def test_action_drift_passes_long_horizons_unclamped(monkeypatch):
     # 2e5 at dt = 0.1 is 2e6 steps, within the step budget (2e7 at dt = 0.01 is not)
     res = action_drift(None, z2, p6, k=1, eps_list=[0.1, 0.05, 0.07], T=2e5, dt=0.1)
     assert seen == [((3, ms.size), 2e5)]
-    assert [r.T for r in res.rows] == [2e5] * 3
 
 
 def test_integrate_seeds_steps_from_previous_state(monkeypatch):
-    # the first step keeps the one-state guess; every later one is passed the
-    # state before it
+    # every step is passed the degree-(p-1) extrapolation of its last p <= 5
+    # states through the Cayley factor, sum_j (-1)^j C(p, j+1) L^(j+1) u_-j,
+    # one state on the first step
     ms, fs, z2, p6 = _system(2, seed=3)
-    u0 = random_state(ms, np.random.default_rng(1), norm=0.1)
+    omega = dynamics._omega_from_z2(z2)
+    cayley = (1 - 0.005j * omega) / (1 + 0.005j * omega)
     seen, step = [], flows.midpoint_step
 
     def spy(grad, u, dt, **kw):
         out = step(grad, u, dt, **kw)
-        seen.append((u, kw["prev"], out))
+        seen.append((u, kw["guess"], out))
         return out
 
     monkeypatch.setattr(flows, "midpoint_step", spy)
-    integrate(z2, p6, u0, T=0.1, dt=0.01)
-    assert len(seen) == 10 and seen[0][1] is None
-    for (u, _, out), (u_next, prev, _) in zip(seen, seen[1:]):
-        assert np.array_equal(u_next, out) and np.array_equal(prev, u)
+    rng = np.random.default_rng(1)
+    for u0 in (random_state(ms, rng, norm=0.1),
+               np.array([random_state(ms, rng, norm=0.1) for _ in range(2)])):
+        seen.clear()
+        integrate(z2, p6, u0, T=0.1, dt=0.01)
+        assert len(seen) == 10
+        states = [u0]
+        for u, guess, out in seen:
+            assert np.array_equal(u, states[-1])
+            past = states[::-1][:5]
+            p = len(past)
+            want = sum((-1) ** j * math.comb(p, j + 1) * cayley ** (j + 1) * past[j]
+                       for j in range(p))
+            assert np.abs(guess - want).max() <= 1e-14 * np.abs(u).max()
+            states.append(out)
 
 
 def test_action_drift_stacked_transform_matches_per_sample_loop():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnls.dynamics import _omega_from_z2, integrate
+from qnls import flows
+from qnls.dynamics import _HISTORY, _extrapolation_table, _omega_from_z2, integrate
 from qnls.errors import BudgetError
 from qnls.flows import MAX_ITER, FlowConvergenceError, _row_norms, flow, midpoint_step
 from qnls.nf import transform_state
@@ -35,11 +36,9 @@ def _reference_step(grad, u, dt, tol=1e-14, max_iter=60):
     raise FlowConvergenceError("stalled")
 
 
-def _mask_step(grad, u, dt, tol=1e-14, omega=0.0, prev=None, extrapolate=True):
+def _mask_step(grad, u, dt, tol=1e-14, omega=0.0, guess=None):
     """midpoint_step with its stop decisions on boolean row masks, kept as the
-    oracle of the per-row bookkeeping.  With prev, extrapolate=False takes the
-    quintic term at the last midpoint advanced by the Cayley factor,
-    L(prev + u)/2, instead of at (u + L(2u - L prev))/2."""
+    oracle of the per-row bookkeeping."""
     u = np.asarray(u)
     rows = u.reshape(-1, u.shape[-1])
     g = grad if u.ndim > 1 else (lambda v: grad(v[0])[None])
@@ -49,15 +48,10 @@ def _mask_step(grad, u, dt, tol=1e-14, omega=0.0, prev=None, extrapolate=True):
         return u.copy()
     bound, floor = tol * scale, 1e4 * tol * scale
     step, den = dt * (-1j), 1 + 0.5j * dt * omega
-    if prev is None:
+    if guess is None:
         delta = step * g(rows) / den
     else:
-        cayley = (1 - 0.5j * dt * omega) / den
-        past = np.asarray(prev).reshape(rows.shape)
-        if extrapolate:
-            mid = 0.5 * (rows + cayley * (2 * rows - cayley * past))
-        else:
-            mid = cayley * (0.5 * (past + rows))
+        mid = 0.5 * (rows + np.asarray(guess).reshape(rows.shape))
         delta = step * (omega * rows + g(mid) - omega * mid) / den
     delta[~on] = 0.0
     prev_res = np.full(len(rows), np.inf)
@@ -82,13 +76,19 @@ def _mask_step(grad, u, dt, tol=1e-14, omega=0.0, prev=None, extrapolate=True):
         "reduce dt")
 
 
+def _drift_polys(M):
+    """Z2 and P6 of the drift sweep on [-M, M] (potential seed 2)."""
+    ms = ModeSet.symmetric(M)
+    return build_z2(ms, freqs_conv(sample_conv_potential(1.0, M, 2), ms)), build_p6(ms)
+
+
 def _drift_system(M):
     """Frequencies, gradient and eps stack of the drift sweep on [-M, M]
     (potential seed 2, shared direction of seed 0)."""
-    ms = ModeSet.symmetric(M)
-    fs = freqs_conv(sample_conv_potential(1.0, M, 2), ms)
-    omega = _omega_from_z2(build_z2(ms, fs))
-    p6_grad = build_p6(ms).gradient
+    z2, p6 = _drift_polys(M)
+    ms = z2.mode_set
+    omega = _omega_from_z2(z2)
+    p6_grad = p6.gradient
     rng = np.random.default_rng([0, 0])
     d = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
     d /= np.linalg.norm(d)
@@ -185,28 +185,37 @@ def _linear_past(omega, u, dt):
     return np.exp(1j * omega * dt) * u
 
 
+def _linear_guess(omega, dt, u, prev):
+    """The state extrapolated linearly through u from prev in the interaction
+    picture, L(2u - L prev) with L the Cayley factor of omega: the guess from
+    two states, written out as an oracle."""
+    cayley = (1 - 0.5j * dt * omega) / (1 + 0.5j * dt * omega)
+    return cayley * (2 * u - cayley * prev)
+
+
 def test_midpoint_predictor_diverges_at_large_dt():
-    # the previous midpoint moves only the guess: dt=0.5 still diverges
+    # the guess moves only the starting increment: dt=0.5 still diverges
     omega, grad, stack = _drift_system(3)
     for kw in ({}, {"omega": omega}):
         for dt, fails in ((0.5, True), (0.05, False)):
             prev = _linear_past(omega, stack, dt)
-            for u, p in [(stack, prev)] + list(zip(stack, prev)):
+            guess = _linear_guess(kw.get("omega", 0.0), dt, stack, prev)
+            for u, g in [(stack, guess)] + list(zip(stack, guess)):
                 if fails:
                     with pytest.raises(FlowConvergenceError):
-                        midpoint_step(grad, u, dt, prev=p, **kw)
+                        midpoint_step(grad, u, dt, guess=g, **kw)
                 else:
-                    midpoint_step(grad, u, dt, prev=p, **kw)
+                    midpoint_step(grad, u, dt, guess=g, **kw)
 
 
 def test_midpoint_predictor_zero_rows_stay_zero():
     omega, grad, stack = _drift_system(5)
     stack[1] = 0.0
-    prev = _linear_past(omega, stack, 0.005)
-    out = midpoint_step(grad, stack, 0.005, omega=omega, prev=prev)
+    guess = _linear_guess(omega, 0.005, stack, _linear_past(omega, stack, 0.005))
+    out = midpoint_step(grad, stack, 0.005, omega=omega, guess=guess)
     assert not np.any(out[1]) and np.all(np.any(out[[0, 2]], axis=1))
     zero = np.zeros(stack.shape[1], dtype=complex)
-    assert np.array_equal(midpoint_step(grad, zero, 0.005, omega=omega, prev=zero), zero)
+    assert np.array_equal(midpoint_step(grad, zero, 0.005, omega=omega, guess=zero), zero)
 
 
 def test_midpoint_predictor_stack_rows_match_single_rows():
@@ -214,30 +223,33 @@ def test_midpoint_predictor_stack_rows_match_single_rows():
     prev = stack
     u = midpoint_step(grad, stack, 0.005, omega=omega)
     for _ in range(20):
-        out = midpoint_step(grad, u, 0.005, omega=omega, prev=prev)
-        for row, ui, pi in zip(out, u, prev):
-            single = midpoint_step(grad, ui, 0.005, omega=omega, prev=pi)
+        guess = _linear_guess(omega, 0.005, u, prev)
+        out = midpoint_step(grad, u, 0.005, omega=omega, guess=guess)
+        for row, ui, gi in zip(out, u, guess):
+            single = midpoint_step(grad, ui, 0.005, omega=omega, guess=gi)
             assert np.abs(row - single).max() <= 1e-15 * np.linalg.norm(ui)
         u, prev = out, u
 
 
 @pytest.fixture(scope="module")
 def drift_paths():
-    """2000 drift steps (M=5, dt=0.005) without the previous state ("none"),
-    with it ("extrapolated"), and with it through the oracle guess at the
-    last midpoint ("last_midpoint"), and their gradient evaluations per step."""
+    """2000 drift steps (M=5, dt=0.005) without a guess ("none"), with the
+    oracle guess extrapolated linearly from the state before ("linear"), and
+    through integrate with its five-state guess ("stencil"), and their
+    gradient evaluations per step."""
     omega, grad, stack = _drift_system(5)
     calls = [0]
 
-    def counted(u):
-        calls[0] += 1
-        return grad(u)
+    def counted(g):
+        def wrapper(u):
+            calls[0] += 1
+            return g(u)
+        return wrapper
 
-    steps = {"none": lambda u, prev: midpoint_step(counted, u, 0.005, omega=omega),
-             "extrapolated": lambda u, prev: midpoint_step(counted, u, 0.005,
-                                                           omega=omega, prev=prev),
-             "last_midpoint": lambda u, prev: _mask_step(counted, u, 0.005, omega=omega,
-                                                         prev=prev, extrapolate=False)}
+    steps = {"none": lambda u, prev: midpoint_step(counted(grad), u, 0.005, omega=omega),
+             "linear": lambda u, prev: midpoint_step(
+                 counted(grad), u, 0.005, omega=omega,
+                 guess=None if prev is None else _linear_guess(omega, 0.005, u, prev))}
     paths, per_step = {}, {}
     for name, step in steps.items():
         calls[0] = 0
@@ -246,34 +258,46 @@ def drift_paths():
             u, prev = step(u, prev), u
             path.append(u)
         paths[name], per_step[name] = np.array(path), calls[0] / 2000
+    calls[0] = 0
+    with pytest.MonkeyPatch.context() as mp:
+        step = flows.midpoint_step
+        mp.setattr(flows, "midpoint_step", lambda g, *a, **kw: step(counted(g), *a, **kw))
+        trajs = integrate(*_drift_polys(5), stack, 2000 * 0.005, 0.005, max_samples=2000)
+    paths["stencil"] = np.stack([t.states[1:] for t in trajs], axis=1)
+    per_step["stencil"] = calls[0] / 2000
     return stack, paths, per_step
 
 
 def test_midpoint_predictor_same_path(drift_paths):
     # only the guess moved: the path stays that of either oracle guess
     stack, paths, _ = drift_paths
-    for oracle in ("none", "last_midpoint"):
-        err = np.abs(paths["extrapolated"] - paths[oracle]).max(axis=(0, 2))
+    for oracle in ("none", "linear"):
+        err = np.abs(paths["stencil"] - paths[oracle]).max(axis=(0, 2))
         assert np.all(err <= 1e-11 * np.linalg.norm(stack, axis=1))
 
 
 def test_midpoint_predictor_saves_evaluations(drift_paths):
     _, _, per_step = drift_paths
     assert per_step["none"] == 8.0
-    assert per_step["extrapolated"] <= 3.8
+    assert per_step["stencil"] <= 2.1
 
 
 def test_midpoint_extrapolated_guess_on_linear_past():
-    # when prev is the Cayley past of u, u = L prev, the extrapolated state is
-    # L u and the guess is the oracle's L(prev + u)/2
+    # on the Cayley past of u, u_-j = L^-j u, each row of the table gives L u;
+    # with two states it is the linear guess L(2u - L prev)
     omega, grad, stack = _drift_system(5)
     for dt in (0.005, 0.05):
         cayley = (1 - 0.5j * dt * omega) / (1 + 0.5j * dt * omega)
-        prev = stack / cayley
-        seen = []
-        midpoint_step(lambda v: seen.append(v) or grad(v), stack, dt, omega=omega, prev=prev)
-        oracle = cayley * (0.5 * (prev + stack))
-        assert np.abs(seen[0] - oracle).max() <= 1e-15 * np.abs(stack).max()
+        table = _extrapolation_table(omega, dt)
+        past = [stack / cayley ** j for j in range(_HISTORY)]
+        for p in range(1, _HISTORY + 1):
+            assert not np.any(table[p - 1, p:])
+            guess = sum(table[p - 1, j] * past[j] for j in range(p))
+            assert np.abs(guess - cayley * stack).max() <= 1e-14 * np.abs(stack).max()
+        prev = _linear_past(omega, stack, dt)
+        two = table[1, 0] * stack + table[1, 1] * prev
+        assert np.abs(two - _linear_guess(omega, dt, stack, prev)).max() <= (
+            1e-15 * np.abs(stack).max())
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +325,7 @@ def test_midpoint_bookkeeping_matches_mask_oracle(system3, data):
     tol = data.draw(st.sampled_from([1e-14, 1e-10, 1e-6]))
     kw = {"omega": data.draw(st.sampled_from([0.0, omega]))}
     if data.draw(st.booleans()):
-        kw["prev"] = u + 0.01 * (rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n)))
+        kw["guess"] = u + 0.01 * (rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n)))
     bad = data.draw(st.lists(st.sampled_from([1.0, 1.0, np.nan, 1e300]),
                              min_size=B, max_size=B))
     bad_after = data.draw(st.integers(0, 5))
@@ -340,7 +364,7 @@ def test_midpoint_nan_residual_raises():
     omega, grad, stack = _drift_system(3)
     bad = lambda u: grad(u) * np.nan
     for u in (stack, stack[0]):
-        for kw in ({}, {"prev": u}):
+        for kw in ({}, {"guess": u}):
             with pytest.raises(FlowConvergenceError, match="did not converge"):
                 midpoint_step(bad, u, 0.005, omega=omega, **kw)
 

@@ -245,10 +245,11 @@ def test_strichartz_identity(rng):
 
 def test_strichartz_single_mode():
     ms = ModeSet.symmetric(0)
-    direct, quad = strichartz_identity_check(ms, 0, np.array([2.0 + 0j]))
+    P = build_p6(ms)
+    direct, quad = strichartz_identity_check(ms, 0, np.array([2.0 + 0j]), p6=P)
     assert direct == pytest.approx(2.0 ** 6 / 6.0, rel=1e-12)
     assert quad == pytest.approx(direct, rel=1e-12)
-    d1, q1 = strichartz_identity_check(ms, 3, np.array([2.0 + 0j]))
+    d1, q1 = strichartz_identity_check(ms, 3, np.array([2.0 + 0j]), p6=P)
     assert abs(d1) < 1e-12 and abs(q1) < 1e-12
 
 
