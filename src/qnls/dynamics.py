@@ -18,7 +18,6 @@ from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (split_levels,)
 _FINE_FACTOR = 5        # remainder_scaling's fine window: _FINE_FACTOR times the window
-_HISTORY = 5            # states the midpoint guess of integrate extrapolates from
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -57,37 +56,21 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _extrapolation_table(omega: np.ndarray, h: float) -> np.ndarray:
-    """(_HISTORY, _HISTORY, n) table whose row p-1 extrapolates the next
-    state from the last p states u_0 (the newest), u_-1, ..., u_-(p-1) to
-    degree p-1 in the interaction picture of the linear part:
-    u1' = sum_j row[j] * u_-j with row[j] = (-1)^j C(p, j+1) L^(j+1), where
-    L = (1 - i h omega/2)/(1 + i h omega/2) is its Cayley factor (row[j] = 0
-    for j >= p).  On a linear past, u_-j = L^-j u_0, every row gives L u_0."""
-    cayley = (1 - 0.5j * h * omega) / (1 + 0.5j * h * omega)
-    signed = np.array([[(-1) ** j * math.comb(p, j + 1) for j in range(_HISTORY)]
-                       for p in range(1, _HISTORY + 1)])
-    return signed[:, :, None] * cayley ** np.arange(1, _HISTORY + 1)[:, None]
-
-
 def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
               max_samples: int = 2048) -> Trajectory | list[Trajectory]:
     """Implicit-midpoint integration of i du/dt = grad(Z2 + P6)(u).
 
     u0 is one state (n,), giving a Trajectory, or a stack (B, n), giving a
-    list of B trajectories advanced together by one midpoint solve per step.
-    Each solve is passed a guess of the state after it (flows.midpoint_step's
-    guess): the degree-(p-1) extrapolation of the last p <= _HISTORY states
-    through the Cayley factor of the diagonal omega of z2
-    (_extrapolation_table), one einsum per step; omega and the guess set
-    only the starting increment, not the step equation.  A
-    Sextic (of build_p6 or sturm.p6_eigen_coeffs) evaluates its value and
-    gradient by two dense products on its quadrature grid; any other
-    polynomial uses the generic sparse kernels.  Norm and energy are recorded at every stored sample.
+    list of B trajectories advanced together by flows.steps with the
+    diagonal omega of z2.  A Sextic (of build_p6 or sturm.p6_eigen_coeffs)
+    evaluates its value and gradient by two dense products on its quadrature
+    grid; any other polynomial uses the generic sparse kernels.  Norm and
+    energy are recorded at u0 and at most max_samples (positive) later states.
     T = 0 takes one step of size 0; flows.check_time rejects T < 0 and more
     than flows._MAX_STEPS steps.
     """
     n_steps = flows.check_time(T, dt)
+    check_positive(max_samples=max_samples)
     ms = z2.mode_set
     omega = _omega_from_z2(z2)
     u0 = ms.state(u0, 2)
@@ -97,20 +80,11 @@ def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
 
     h = T / n_steps
     stride = max(1, math.ceil(n_steps / max_samples))
-
-    table = _extrapolation_table(omega, h)
-    past = np.zeros((_HISTORY,) + u0.shape, dtype=complex)   # past[j] = u_-j
     times, states = [0.0], [u0.copy()]
-    u = past[0] = u0
-    for step in range(1, n_steps + 1):
-        p = min(step, _HISTORY)
-        guess = np.einsum("jn,j...n->...n", table[p - 1, :p], past[:p])
-        u = flows.midpoint_step(grad, u, h, omega=omega, guess=guess)
-        past[1:] = past[:-1]
-        past[0] = u
+    for step, u in enumerate(flows.steps(grad, u0, h, n_steps, omega), 1):
         if step % stride == 0 or step == n_steps:
             times.append(step * h)
-            states.append(u.copy())
+            states.append(u)
     times, states = np.array(times), np.array(states)
 
     def trajectory(states):

@@ -27,16 +27,15 @@ from .spectral import FrequencySet, NormEnclosure, check_lower_levels, japanese,
 
 # ordered multiset pairs the divisor tables of one scan may hold in total
 _MAX_PAIRS = 200_000_000
+_FLOW_DT = 0.05         # step of the generator flows of transform_state
 
 
 @dataclass
 class NormalFormConfig:
-    # fixed by the paper: P's half-degree, A and B_p of eps_r, flow step and tolerance
+    # fixed by the paper: P's half-degree, A and B_p of eps_r
     p: ClassVar[int] = 3
     A: ClassVar[float] = 2.0
     B_p: ClassVar[float] = 100.0
-    flow_dt: ClassVar[float] = 0.05
-    flow_tol: ClassVar[float] = 1e-14
     norm_iters: ClassVar[int] = 300     # iterations of each norm ascent
     r: int
     gamma: float
@@ -218,15 +217,14 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
                             tail_report=tail, truncated_degrees=sorted(set(truncated)))
 
 
-def transform_state(u: np.ndarray, generators, direction: str = "forward",
-                    flow_dt: float = NormalFormConfig.flow_dt,
-                    flow_tol: float = NormalFormConfig.flow_tol) -> np.ndarray:
+def transform_state(u: np.ndarray, generators, direction: str = "forward") -> np.ndarray:
     """Apply tau (forward) or tau^{-1} (inverse) to a state (n,), or to each
     row of a stack (B, n): the rows flow on their own, so each equals the
     one-state transform bit for bit.
 
     forward composes the unit-time generator flows in construction order;
-    inverse composes the time-(-1) flows in reverse order.
+    inverse composes the time-(-1) flows in reverse order, each by flows.flow
+    at the step _FLOW_DT.
     """
     if direction == "forward":
         gens, t = list(generators), 1.0
@@ -238,7 +236,7 @@ def transform_state(u: np.ndarray, generators, direction: str = "forward",
     for chi in gens:
         if not len(chi):
             continue
-        v = flows.flow(chi.gradient, v, t, flow_dt, tol=flow_tol)
+        v = flows.flow(chi.gradient, v, t, _FLOW_DT)
     return v
 
 

@@ -60,6 +60,18 @@ def test_integrate_rejects_negative_time_and_step():
     assert traj.times.tolist() == [0.0, 0.0] and np.array_equal(traj.states[-1], u0)
 
 
+@pytest.mark.parametrize("max_samples", [0, -3, math.nan])
+def test_integrate_checks_max_samples(max_samples):
+    # 0 once divided by zero, and a negative count stored every step
+    ms, fs, z2, p6 = _system(1)
+    u0 = np.full(ms.size, 0.1 + 0j)
+    with pytest.raises(ValueError, match="max_samples must be finite and positive"):
+        integrate(z2, p6, u0, T=0.1, dt=0.01, max_samples=max_samples)
+    with pytest.raises(ValueError, match="max_samples must be finite and positive"):
+        action_drift(None, z2, p6, k=1, eps_list=[0.1, 0.05], T=0.1, dt=0.01,
+                     max_samples=max_samples)
+
+
 def test_integrate_energy_second_order(rng):
     ms, fs, z2, p6 = _system(3, seed=7)
     u0 = random_state(ms, rng, norm=0.4)
@@ -372,9 +384,9 @@ def test_integrate_seeds_steps_from_previous_state(monkeypatch):
     cayley = (1 - 0.005j * omega) / (1 + 0.005j * omega)
     seen, step = [], flows.midpoint_step
 
-    def spy(grad, u, dt, **kw):
-        out = step(grad, u, dt, **kw)
-        seen.append((u, kw["guess"], out))
+    def spy(grad, u, dt, omega, guess):
+        out = step(grad, u, dt, omega, guess)
+        seen.append((u, guess, out))
         return out
 
     monkeypatch.setattr(flows, "midpoint_step", spy)
@@ -398,7 +410,7 @@ def test_integrate_seeds_steps_from_previous_state(monkeypatch):
 def test_action_drift_stacked_transform_matches_per_sample_loop():
     ms, fs, z2, p6 = _system(2, seed=3)
     res = birkhoff(z2, p6, fs, NormalFormConfig(r=3, gamma=0.5, J_max=4))
-    cfg, ki = res.config, ms.index(1)
+    ki = ms.index(1)
     eps_list = [0.1, 0.05, 0.07]
     got = action_drift(res, z2, p6, k=1, eps_list=eps_list, T=1.0, dt=0.01,
                        max_samples=40, seed=4)
@@ -407,9 +419,7 @@ def test_action_drift_stacked_transform_matches_per_sample_loop():
     shared /= np.linalg.norm(shared)
     u0 = np.array([eps * shared for eps in eps_list])
     for row, traj in zip(got.rows, integrate(z2, p6, u0, 1.0, 0.01, max_samples=40)):
-        v = np.array([transform_state(s, res.generators, "forward",
-                                      flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
-                      for s in traj.states])
+        v = np.array([transform_state(s, res.generators, "forward") for s in traj.states])
         vk = np.abs(v[:, ki]) ** 2
         assert row.drift_transformed == float(np.max(np.abs(vk - vk[0])))
 
@@ -435,11 +445,11 @@ def test_gamma_from_certificate():
         gamma_from_certificate(0.0, 0.2, 1, 5)
 
 
-def test_action_derivative_symbolic_vs_fd():
+def test_action_derivative_symbolic_vs_fd(monkeypatch):
     # d/dt |v_k|^2 along the flow equals the bracket of the action with the
     # Hamiltonian: exactly in the raw variables, and through the residual
     # degrees j > r after the normalizing transform
-    from qnls.nf import NormalFormConfig, birkhoff, suggest_gamma, transform_state
+    from qnls.nf import NormalFormConfig, birkhoff, suggest_gamma
     from qnls.poly import HomPoly, poisson
 
     ms, fs, z2, p6 = _system(1, seed=3, scale=1.0)
@@ -464,9 +474,12 @@ def test_action_derivative_symbolic_vs_fd():
     tails = [poisson(I1, Q) for j, Q in res.resonant.items() if j > cfg.r]
     states = traj.states[::4]
     vk, sym_t = [], []
+    # the generator flows at a tenth of transform_state's step and tolerance
+    monkeypatch.setattr(flows, "_TOL", 1e-15)
     for s in states:
-        v = transform_state(s, res.generators, "forward", flow_dt=0.005,
-                            flow_tol=1e-15)
+        v = s
+        for chi in res.generators:
+            v = flows.flow(chi.gradient, v, 1.0, 0.005)
         vk.append(abs(v[ki]) ** 2)
         sym_t.append(sum(complex(B(v)).real for B in tails))
     vk, sym_t = np.array(vk), np.array(sym_t)

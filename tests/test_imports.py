@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, no library
 module imports another's private (underscore-prefixed) name, importing the
-library loads no SciPy, no message is raised from two places, and only
-build_p6 and p6_eigen_coeffs construct a Sextic."""
+library loads no SciPy, no message is raised from two places, only
+build_p6 and p6_eigen_coeffs construct a Sextic, and every midpoint step and
+Cayley factor comes from the one stepping loop of flows."""
 
 import ast
 import os
@@ -98,18 +99,27 @@ def test_each_input_rule_has_one_raise():
     assert {m: at for m, at in raise_messages(sources).items() if len(at) > 1} == {}
 
 
-def sextic_constructors(sources: dict[str, str]) -> set[str]:
-    """Each function (module.function) whose body calls Sextic(...) by name or
-    as an attribute, at any depth of nesting."""
-    found = set()
-    for name, source in sources.items():
+def functions(sources: dict[str, str]):
+    """(module.function, node) of every function defined in the sources,
+    nested ones included."""
+    for mod, source in sources.items():
         for fn in ast.walk(ast.parse(source)):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and "Sextic" in (
-                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                        found.add(f"{name}.{fn.name}")
-    return found
+                yield f"{mod}.{fn.name}", fn
+
+
+def function_calls(sources: dict[str, str], name: str) -> set[str]:
+    """Each function (module.function) whose body calls name(...) by name or
+    as an attribute, at any depth of nesting."""
+    return {at for at, fn in functions(sources)
+            if any(isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                   for node in ast.walk(fn))}
+
+
+def sextic_constructors(sources: dict[str, str]) -> set[str]:
+    """Each function (module.function) whose body calls Sextic(...)."""
+    return function_calls(sources, "Sextic")
 
 
 def test_scanner_flags_a_sextic_constructor():
@@ -124,3 +134,35 @@ def test_only_the_two_constructor_functions_build_a_sextic():
     # p6_eigen_coeffs; every other caller asks one of them
     sources = {p.stem: p.read_text() for p in MODULES}
     assert sextic_constructors(sources) == {"poly.build_p6", "sturm.p6_eigen_coeffs"}
+
+
+def cayley_factor_sites(sources: dict[str, str]) -> set[str]:
+    """Each function (module.function) that divides an expression holding an
+    imaginary literal by another one, as a Cayley factor
+    (1 - 0.5j*h*omega)/(1 + 0.5j*h*omega) does."""
+    def imaginary(node):
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
+                   for n in ast.walk(node))
+
+    return {at for at, fn in functions(sources)
+            if any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                   and imaginary(node.left) and imaginary(node.right)
+                   for node in ast.walk(fn))}
+
+
+def test_scanners_flag_midpoint_callers_and_cayley_factors():
+    src = ("def loop(g, u):\n    return midpoint_step(g, u, 0.1, 0.0, u)\n"
+           "def other(g, u):\n    return [flows.midpoint_step(g, v, 0.1, 0.0, v) for v in u]\n"
+           "def table(h, w):\n    return (1 - 0.5j * h * w) / (1 + 0.5j * h * w)\n"
+           "def phase(u):\n    return np.exp(2j * u) / 2 + u / (1 + 0.5j)\n"
+           "def reader():\n    return midpoint_step\n")
+    assert function_calls({"m": src}, "midpoint_step") == {"m.loop", "m.other"}
+    assert cayley_factor_sites({"m": src}) == {"m.table"}
+
+
+def test_one_loop_takes_every_midpoint_step():
+    # integrate and the generator flows share flows.steps, which alone calls
+    # midpoint_step and alone builds the Cayley factor of its guess
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert function_calls(sources, "midpoint_step") == {"flows.steps"}
+    assert cayley_factor_sites(sources) == {"flows._extrapolation_table"}

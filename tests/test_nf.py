@@ -225,8 +225,7 @@ def test_birkhoff_conjugation_identity(setup_m1, rng):
     res = birkhoff(z2, P6, fs, cfg)
     for _ in range(5):
         u = random_state(ms, rng, norm=res.eps_r / 2)
-        v = transform_state(u, res.generators, "forward",
-                            flow_dt=cfg.flow_dt, flow_tol=cfg.flow_tol)
+        v = transform_state(u, res.generators, "forward")
         lhs = float(z2(u)) + float(P6(u))
         rhs = res.hamiltonian_value(v)
         tol = 10 * (np.linalg.norm(u) / res.eps_r) ** (2 * cfg.J_max) \
@@ -239,11 +238,11 @@ def test_transform_state_closed_form():
     ms = ModeSet.dirichlet(1)
     chi = HomPoly(ms, 2, {((1, 1), (1, 1)): 0.5})
     a = 0.12 - 0.09j  # midpoint phase error (2|a|^2)^3 dt^2/12 stays below 1e-10
-    v = transform_state(np.array([a]), [chi], "forward", flow_dt=0.002)
+    v = flows.flow(chi.gradient, np.array([a]), 1.0, 0.002)
     want = np.exp(-2j * abs(a) ** 2) * a
     assert abs(v[0] - want) < 1e-10
     # round trip
-    w = transform_state(v, [chi], "inverse", flow_dt=0.002)
+    w = flows.flow(chi.gradient, v, -1.0, 0.002)
     assert abs(w[0] - a) < 1e-12
 
 
@@ -317,9 +316,17 @@ _REMOVED_SETTINGS = {
     "verify_ef_decay-sigma": lambda: sturm.verify_ef_decay(None, sigma=1.0),
     "FrequencySet-omega": lambda: spectral.FrequencySet(_MS, _FS.omega, _FS.omega_int,
                                                         _FS.omega_frac),
-    **{f"NormalFormConfig-{name}": (lambda name=name: NormalFormConfig(
-        r=5, gamma=0.5, **{name: getattr(NormalFormConfig, name)}))
-       for name in ("p", "A", "B_p", "flow_dt", "flow_tol", "norm_iters")},
+    **{f"NormalFormConfig-{name}": (lambda name=name, value=value: NormalFormConfig(
+        r=5, gamma=0.5, **{name: value}))
+       for name, value in (("p", 3), ("A", 2.0), ("B_p", 100.0), ("flow_dt", 0.05),
+                           ("flow_tol", 1e-14), ("norm_iters", 300))},
+    "transform_state-flow_dt": lambda: transform_state(np.zeros(3), [], flow_dt=0.05),
+    "transform_state-flow_tol": lambda: transform_state(np.zeros(3), [], flow_tol=1e-14),
+    "flow-tol": lambda: flows.flow(lambda v: v, np.ones(3), 1.0, 0.05, tol=1e-14),
+    "midpoint_step-tol": lambda: flows.midpoint_step(lambda v: v, np.ones(3), 0.05, 0.0,
+                                                     np.ones(3), tol=1e-14),
+    "midpoint_step-omega": lambda: flows.midpoint_step(lambda v: v, np.ones(3), 0.05),
+    "midpoint_step-guess": lambda: flows.midpoint_step(lambda v: v, np.ones(3), 0.05, 0.0),
 }
 
 
@@ -332,8 +339,10 @@ def test_removed_settings_are_not_accepted(call):
 
 def test_paper_constants_read_as_before():
     cfg = NormalFormConfig(r=5, gamma=0.5)
-    assert ((cfg.p, cfg.A, cfg.B_p, cfg.flow_dt, cfg.flow_tol, cfg.norm_iters)
-            == (3, 2.0, 100.0, 0.05, 1e-14, 300))
+    assert (cfg.p, cfg.A, cfg.B_p, cfg.norm_iters) == (3, 2.0, 100.0, 300)
+    # the generator flows' step and the midpoint tolerance are module constants
+    assert (nf._FLOW_DT, flows._TOL) == (0.05, 1e-14)
+    assert not hasattr(cfg, "flow_dt") and not hasattr(cfg, "flow_tol")
 
 
 def test_suggest_gamma_keeps_the_pair_budget(monkeypatch):
