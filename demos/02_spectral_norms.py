@@ -33,5 +33,5 @@ print(f"weighted norm  in [{c.lower:.6g}, {c.upper:.6g}]")
 rng = np.random.default_rng(1)
 u = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
 for a in (0, 2, -4):
-    direct, quad = strichartz_identity_check(ms, a, u, p6=p6)
+    direct, quad = strichartz_identity_check(p6, a, u)
     print(f"a={a:+d}: direct {direct:.10g}  quadrature {quad:.10g}")

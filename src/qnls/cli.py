@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics, flows, nf, resonance, sturm, svgplot
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, check_positive
 from .poly import HomPoly, ModeSet, build_p6, build_z2, poly_to_json
 from .spectral import freqs_conv
 
@@ -206,9 +206,8 @@ def cmd_normal_form(args, out: Path) -> int:
 
 def cmd_simulate(args, out: Path) -> int:
     ms, omega, z2, p6 = _system(args)
-    if not args.eps > 0:
-        raise ConfigError("eps must be positive")
     with _parameters():
+        check_positive(eps=args.eps)
         flows.check_time(args.T, args.dt)
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
@@ -226,7 +225,8 @@ def cmd_drift(args, out: Path) -> int:
     with _parameters():
         eps_list = [float(x) for x in str(args.eps_list).split(",")]
         dynamics.check_drift(ms, args.k, eps_list, args.T, args.dt)
-    cfg = _nf_config(args, ms, omega)
+    # drift.json reads only the upper bound of ||P||_H, through eps_r
+    cfg = _nf_config(args, ms, omega, norm_lower_levels=0)
     report = nf.check_krgamma(ms, omega, args.k, args.order, cfg.gamma)
     if not report.certified:
         print(f"drift: (k={args.k}, r={args.order}, gamma={cfg.gamma:.3e}) "

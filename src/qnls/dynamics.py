@@ -18,6 +18,7 @@ from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (split_levels,)
 _FINE_FACTOR = 5        # remainder_scaling's fine window: _FINE_FACTOR times the window
+_SCAN_ITERS = 600       # iterations of each strichartz_scan ascent
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -36,9 +37,15 @@ class Trajectory:
     mode_set: ModeSet
     times: np.ndarray
     states: np.ndarray          # (n_samples, n_modes) complex
-    norm_sq: np.ndarray
     energy: np.ndarray
-    actions: np.ndarray         # (n_samples, n_modes)
+
+    @property
+    def actions(self) -> np.ndarray:    # |states|^2, (n_samples, n_modes)
+        return np.abs(self.states) ** 2
+
+    @property
+    def norm_sq(self) -> np.ndarray:
+        return self.actions.sum(axis=1)
 
     def norm_drift(self) -> float:
         """Max relative drift of ||u||^2 along the trajectory."""
@@ -88,11 +95,8 @@ def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
     times, states = np.array(times), np.array(states)
 
     def trajectory(states):
-        actions = np.abs(states) ** 2
         return Trajectory(mode_set=ms, times=times, states=states,
-                          norm_sq=actions.sum(axis=1),
-                          energy=np.array([energy(s) for s in states]),
-                          actions=actions)
+                          energy=np.array([energy(s) for s in states]))
 
     if u0.ndim == 1:
         return trajectory(states)
@@ -102,11 +106,10 @@ def integrate(z2: HomPoly, p6: HomPoly, u0: np.ndarray, T: float, dt: float,
 # ----------------------------------------------------------------- remainder
 
 
-def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
-                c6: float = 1.0) -> np.ndarray:
+def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int) -> np.ndarray:
     """Truncation remainder of the sextic term on the window [-M, M]:
 
-        g = sigma*c6 * proj_M[ |u|^4 u - |proj_M u|^4 proj_M u ],
+        g = proj_M[ |u|^4 u - |proj_M u|^4 proj_M u ],
 
     computed by exact convolution powers on the fine window (build_p6's gradient).
     """
@@ -116,7 +119,7 @@ def remainder_g(u_fine: np.ndarray, fine_ms: ModeSet, M: int, sigma: int = 1,
     if M >= Mf:
         raise ValueError("coarse window must be strictly inside the fine window")
     u_fine = fine_ms.state(u_fine)
-    p6 = build_p6(fine_ms, sigma, c6)
+    p6 = build_p6(fine_ms)
     u_cut = u_fine.copy()
     u_cut[np.abs(np.asarray(fine_ms.modes)) > M] = 0.0
     diff = p6.gradient(u_fine) - p6.gradient(u_cut)
@@ -138,8 +141,8 @@ def sobolev_profile_state(M_fine: int, s: float, eps: float, seed: int) -> np.nd
 
 def remainder_scaling(M_list, s: float, seed: int = 0) -> dict:
     """||g||_{l2} against M for one fixed spectral profile of unit H^s norm
-    (sigma = c6 = 1) on the fine windows _FINE_FACTOR * M; returns the table
-    and the fitted log-log slope.  The norm does not depend on the sign of g."""
+    on the fine windows _FINE_FACTOR * M; returns the table and the fitted
+    log-log slope."""
     rows = []
     M_top = max(M_list) * _FINE_FACTOR
     u_top = sobolev_profile_state(M_top, s, 1.0, seed)
@@ -169,7 +172,6 @@ class DriftRow:
 
 @dataclass
 class DriftResult:
-    mode: int
     rows: list[DriftRow]
     exponent: float
 
@@ -181,12 +183,12 @@ class DriftResult:
 
 def check_drift(mode_set: ModeSet, k: int, eps_list, T: float, dt: float) -> None:
     """Raise ValueError unless the window holds mode k, the eps values are
-    positive, with at least two distinct ones, and T is positive (the drift
-    exponent is a log-log fit of the drifts, all 0 at T = 0, against eps);
-    flows.check_time."""
+    finite and positive, with at least two distinct ones, and T is positive
+    (the drift exponent is a log-log fit of the drifts, all 0 at T = 0,
+    against eps); flows.check_time."""
     mode_set.index(k)
-    if not all(e > 0 for e in eps_list) or len(set(eps_list)) < 2:
-        raise ValueError("eps values must be positive, with at least two distinct ones")
+    if not all(0 < e < math.inf for e in eps_list) or len(set(eps_list)) < 2:
+        raise ValueError("eps must take at least two distinct finite positive values")
     if not T > 0:
         raise ValueError("T must be positive")
     flows.check_time(T, dt)
@@ -233,13 +235,14 @@ def action_drift(nf_result, z2: HomPoly, p6: HomPoly, k: int, eps_list, T: float
         transformed = np.max(np.abs(vk - vk[:, :1]), axis=1).tolist()
     rows = []
     for eps, traj, tr in zip(eps_list, trajs, transformed):
-        raw = float(np.max(np.abs(traj.actions[:, ki] - traj.actions[0, ki])))
+        action = traj.actions[:, ki]
+        raw = float(np.max(np.abs(action - action[0])))
         rows.append(DriftRow(eps=float(eps), drift_raw=raw,
                              drift_transformed=tr,
                              norm_drift=traj.norm_drift()))
     exponent = float(np.polyfit(np.log([r.eps for r in rows]),
                                 np.log([r.drift_raw for r in rows]), 1)[0])
-    return DriftResult(mode=k, rows=rows, exponent=exponent)
+    return DriftResult(rows=rows, exponent=exponent)
 
 
 # ------------------------------------------------------------ Strichartz scan
@@ -265,7 +268,7 @@ class ScanResult:
         return all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 600,
+def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48,
                     seed: int = 0) -> ScanResult:
     """Level-sup norm S(M) of the sextic modulus for each window size; being
     a norm of the modulus, it does not depend on the sign of the sextic.
@@ -294,8 +297,8 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48, iters: int = 
             off = (ms.size - prev_witness.size) // 2
             embedded[off: off + prev_witness.size] = prev_witness
             extra = embedded[None, :]
-        enc = sup_norm(SexticLevel0(ms, c6), multistart=multistart, iters=iters, seed=seed,
-                       extra_starts=extra)
+        enc = sup_norm(SexticLevel0(ms, c6), multistart=multistart, iters=_SCAN_ITERS,
+                       seed=seed, extra_starts=extra)
         rows.append(ScanRow(M=M, lower=enc.lower, upper=enc.upper, dominant_level=0))
         prev_witness = enc.witness
     exponents = []

@@ -68,8 +68,6 @@ class TailEntry:
 @dataclass
 class NormalFormResult:
     z2: HomPoly
-    omega: FrequencySet
-    config: NormalFormConfig
     resonant: dict[int, HomPoly]
     generators: list[HomPoly]
     eps_r: float
@@ -212,7 +210,7 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
         bound = eps ** (-2.0 * (j - cfg.p)) * norm_p.upper
         tail.append(TailEntry(j, enc.upper, bound, enc.upper > bound * (1 + 1e-9)))
 
-    return NormalFormResult(z2=z2, omega=omega, config=cfg, resonant=series,
+    return NormalFormResult(z2=z2, resonant=series,
                             generators=generators, eps_r=eps, norm_p=norm_p,
                             tail_report=tail, truncated_degrees=sorted(set(truncated)))
 
@@ -245,10 +243,7 @@ def transform_state(u: np.ndarray, generators, direction: str = "forward") -> np
 
 @dataclass
 class KRGammaReport:
-    mode: int
-    r: int
-    gamma: float
-    pairs_checked: int
+    pairs_checked: int = 0
     n_violations: int = 0           # every offending ordered pair, listed or not
     violations: list[tuple[tuple[int, ...], tuple[int, ...], float]] = field(default_factory=list)
 
@@ -310,7 +305,7 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     truncation; it counts every offending pair and lists the first 200.
     """
     mode_set.index(k)      # ValueError unless the window holds k
-    report = KRGammaReport(mode=k, r=r, gamma=gamma, pairs_checked=0)
+    report = KRGammaReport()
     for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r):
         bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])
         report.n_violations += int(np.count_nonzero(bad))

@@ -423,19 +423,17 @@ def norm_c(P: HomPoly, omega_int, **kw) -> NormEnclosure:
 # ---------------------------------------------------- Strichartz time integral
 
 
-def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
-                          c6: float = 1.0) -> float:
-    """Level-a value of the sextic modulus polynomial via the time integral
+def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray) -> float:
+    """Level-a value of the modulus of build_p6(mode_set) via the time integral
 
-        (c6/6) * (1/2pi) int_0^{2pi} e^{i tau a} h(tau) dtau,
+        (1/6) * (1/2pi) int_0^{2pi} e^{i tau a} h(tau) dtau,
 
     where h(tau) is the sixth power of the L6 norm of the free evolution of
     the componentwise modulus of u (trigonometric-polynomial normalization).
-    The x-integral mean_x |w|^6 is the value of build_p6 with sigma = 1 (the
-    quadrature is of the modulus) and c6 = 6 on all tau nodes at once, and
-    c6/6 scales the tau mean; the tau-integral is a trapezoidal sum on
-    12 M^2 + 8 nodes, M = max |m|.  Both are exact for the trigonometric
-    degrees involved.
+    The x-integral mean_x |w|^6 is the value of build_p6 with c6 = 6 on all
+    tau nodes at once; the tau-integral is a trapezoidal sum on 12 M^2 + 8
+    nodes, M = max |m|.  Both are exact for the trigonometric degrees
+    involved.
     """
     modes = np.asarray(mode_set.modes)
     amps = np.abs(mode_set.state(u))
@@ -443,20 +441,19 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray,
     tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
     phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))  # (n_tau, modes)
     h = build_p6(mode_set, 1, 6.0)(phases * amps[None, :])   # (n_tau,)
-    return c6 / 6.0 * float(np.mean(np.exp(1j * tau * a) * h).real)
+    return 1.0 / 6.0 * float(np.mean(np.exp(1j * tau * a) * h).real)
 
 
-def strichartz_identity_check(mode_set: ModeSet, a: int, u: np.ndarray, p6: HomPoly,
-                              c6: float = 1.0) -> tuple[float, float]:
+def strichartz_identity_check(p6: HomPoly, a: int, u: np.ndarray) -> tuple[float, float]:
     """(direct, quadrature) values of the level-a sextic modulus at |u|.
 
-    direct evaluates the stored projection of the modulus of p6, the window
-    sextic of c6 on mode_set, at the componentwise modulus of u; quadrature
-    uses the time-integral identity.
-    The modulus does not depend on the sign of the sextic.
+    p6 is a window sextic, build_p6(p6.mode_set, sigma, c6), whose keys all
+    carry sigma*c6/6.  direct evaluates the stored projection of its modulus
+    at the componentwise modulus of u; quadrature is c6 = 6 |p6's coefficient|
+    times the time-integral identity at c6 = 1.  Neither depends on sigma.
     """
-    part = project(p6, np.asarray(mode_set.modes, dtype=float) ** 2, a).modulus()
+    part = project(p6, np.asarray(p6.mode_set.modes, dtype=float) ** 2, a).modulus()
     val = complex(part(np.abs(np.asarray(u, dtype=complex)).astype(complex)))
     direct = val.real  # nonnegative coefficients at a nonnegative state
-    quad = strichartz_quadrature(mode_set, a, u, c6=c6)
+    quad = 6.0 * abs(p6.coef[0]) * strichartz_quadrature(p6.mode_set, a, u)
     return direct, quad

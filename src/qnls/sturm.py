@@ -98,12 +98,12 @@ def verify_ef_decay(basis: SLBasis) -> dict:
             "argmax": {"n": int(n[i, 0]), "k": int(k[0, j])}}
 
 
-def eigenfunction_values(basis: SLBasis, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, F) with F[n] the values of f_{n+1} on an n_grid-point grid of [0, 2pi)."""
+def eigenfunction_values(basis: SLBasis, n_grid: int) -> np.ndarray:
+    """F with F[n] the values of f_{n+1} on the grid 2 pi j / n_grid, j < n_grid."""
     x = 2.0 * np.pi * np.arange(n_grid) / n_grid
     m = np.arange(1, basis.N_basis + 1)
     S = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, m))
-    return x, basis.eigvecs @ S.T
+    return basis.eigvecs @ S.T
 
 
 def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> Sextic:
@@ -124,7 +124,7 @@ def p6_eigen_coeffs(basis: SLBasis, q_window: int) -> Sextic:
         raise ValueError("window exceeds the computed spectrum")
     ms = ModeSet.dirichlet(q_window)
     n_grid = 6 * basis.N_basis + 2
-    F = eigenfunction_values(basis, n_grid)[1][:q_window]
+    F = eigenfunction_values(basis, n_grid)[:q_window]
 
     def keys():
         if q_window > _MAX_WINDOW:

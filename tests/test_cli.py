@@ -1,13 +1,15 @@
 import argparse
 import json
+import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qnls import dynamics, nf, resonance, spectral, sturm
-from qnls.errors import BudgetError
+from qnls.errors import BudgetError, check_positive
 from qnls.poly import ModeSet, build_p6, build_z2
 from qnls.cli import (EXIT_ASSERT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, _parse_with_config,
                       build_parser, main)
@@ -115,6 +117,26 @@ def test_drift_quick(tmp_path):
     assert all(set(r) == {"eps", "drift_raw", "drift_transformed", "norm_drift"}
                for r in doc["rows"])
     assert (out / "drift.svg").exists()
+
+
+def test_drift_runs_no_lower_bound_ascent(tmp_path, monkeypatch):
+    # drift.json reads only the upper bound of ||P||_H, through eps_r: the
+    # command ascends no level, and writes the file that the ascent of every
+    # level would give
+    argv = ["drift", "--modes", "2", "--T", "0.1"]
+
+    def ascent(*args):
+        raise AssertionError("the drift command ran a lower-bound ascent")
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_posy_ascent", ascent)
+        assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+    birkhoff = nf.birkhoff
+    monkeypatch.setattr(nf, "birkhoff", lambda z2, p6, omega, cfg: birkhoff(
+        z2, p6, omega, replace(cfg, norm_lower_levels="all")))
+    assert main([*argv, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert ((tmp_path / "a" / "drift.json").read_bytes()
+            == (tmp_path / "b" / "drift.json").read_bytes())
 
 
 def test_drift_resonant_counts_every_offending_pair(tmp_path, capsys):
@@ -452,9 +474,9 @@ def _integrate(T, dt, M=1):
     dynamics.integrate(z2, p6, np.full(2 * M + 1, 0.1 + 0j), T, dt)
 
 
-def _drift(M=5, k=1, T=1000.0, dt=0.002):
+def _drift(M=5, k=1, T=1000.0, dt=0.002, eps_list=(0.1, 0.07, 0.05)):
     z2, p6 = _free(M)
-    dynamics.action_drift(None, z2, p6, k, [0.1, 0.07, 0.05], T, dt)
+    dynamics.action_drift(None, z2, p6, k, eps_list, T, dt)
 
 
 def _certify(kind, free=False, **kw):
@@ -473,6 +495,10 @@ _RULES = [
     ("dt-drift", lambda: _drift(M=2, T=1.0, dt=-1.0),
      ["drift", "--modes", "2", "--T", "1", "--dt", "-1"], 4),
     ("T", lambda: _integrate(-1.0, 0.01), ["simulate", "--modes", "1", "--T", "-1"], 4),
+    ("eps", lambda: check_positive(eps=math.inf),
+     ["simulate", "--modes", "1", "--eps", "inf", "--T", "0.1"], 4),
+    ("eps-drift", lambda: _drift(M=2, T=0.1, eps_list=[0.1, math.inf]),
+     ["drift", "--modes", "2", "--eps-list", "0.1,inf", "--T", "0.1"], 4),
     ("steps", lambda: _integrate(1.0, 1e-300, M=2),
      ["simulate", "--modes", "2", "--T", "1", "--dt", "1e-300"], 3),
     ("steps-inf", lambda: _integrate(1e10, 1e-300, M=2),
@@ -529,8 +555,9 @@ def test_each_input_rule_is_raised_by_its_library_owner(tmp_path, capsys, monkey
 
 
 def test_commands_raise_one_config_error():
-    # the commands check through the library's rules; the one rule of their
-    # own is simulate --eps, which no library function reads
+    # the commands check through the library's rules and raise no error of
+    # their own; simulate --eps, which no library function reads, goes through
+    # check_positive
     import ast
     from pathlib import Path
 
@@ -538,4 +565,4 @@ def test_commands_raise_one_config_error():
     tree = ast.parse(Path(qnls.cli.__file__).read_text())
     raises = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
               and f.name.startswith("cmd_") for n in ast.walk(f) if isinstance(n, ast.Raise)]
-    assert raises == ["cmd_simulate"]
+    assert raises == []

@@ -135,6 +135,19 @@ def test_integrate_rejects_misshaped_state():
         with pytest.raises(ValueError):
             integrate(z2, p6, bad, T=0.1, dt=0.01)
 
+def test_trajectory_actions_are_the_squared_moduli_of_the_states(rng):
+    ms, fs, z2, p6 = _system(2, seed=3)
+    u0 = np.array([random_state(ms, rng, norm=eps) for eps in (0.3, 0.1)])
+    for traj in [integrate(z2, p6, u0[0], T=1.0, dt=0.01),
+                 *integrate(z2, p6, u0, T=1.0, dt=0.01, max_samples=7)]:
+        actions = np.abs(traj.states) ** 2
+        assert np.array_equal(traj.actions, actions)
+        assert np.array_equal(traj.norm_sq, actions.sum(axis=1))
+    # both are read from the states, not stored beside them
+    assert set(dynamics.Trajectory.__dataclass_fields__) == {"mode_set", "times", "states",
+                                                             "energy"}
+
+
 def test_trajectory_csv(tmp_path, rng):
     ms, fs, z2, p6 = _system(1, seed=2)
     traj = integrate(z2, p6, random_state(ms, rng, norm=0.2), T=1.0, dt=0.01)
@@ -184,9 +197,6 @@ def test_remainder_zero_and_support(rng):
     assert np.max(np.abs(remainder_g(u2, fine, 2))) < 1e-18
     with pytest.raises(ValueError):
         remainder_g(u, fine, 10)
-    for sigma, c6 in ((0, 1.0), (2, 1.0), (1, 0.0), (1, math.nan), (-1, math.inf)):
-        with pytest.raises(ValueError):
-            remainder_g(u, fine, 2, sigma, c6)
 
 
 def test_remainder_scaling_slope():
@@ -221,7 +231,7 @@ def test_sobolev_profile_norm():
 
 
 def test_strichartz_scan_small(monkeypatch):
-    scan = strichartz_scan([1, 2, 4], multistart=24, iters=400, seed=0)
+    scan = strichartz_scan([1, 2, 4], multistart=24, seed=0)
     assert scan.monotone()
     assert len(scan.exponents) == 2
     assert scan.exponents[1] < scan.exponents[0]
@@ -262,7 +272,7 @@ def test_strichartz_budget_admits_m32(monkeypatch):
 def test_strichartz_scan_needs_distinct_positive_sizes(M_list):
     match = None if M_list else "at least one window size"
     with pytest.raises(ValueError, match=match):
-        strichartz_scan(M_list, multistart=2, iters=5)
+        strichartz_scan(M_list, multistart=2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,7 +318,8 @@ def test_strichartz_scan_matches_the_sparse_path(seed):
             extra = np.zeros((1, P.mode_set.size))
             off = (P.mode_set.size - witness.size) // 2
             extra[0, off:off + witness.size] = witness
-        enc = sup_norm(P, multistart=48, iters=600, seed=seed, extra_starts=extra)
+        enc = sup_norm(P, multistart=48, iters=dynamics._SCAN_ITERS, seed=seed,
+                       extra_starts=extra)
         lower.append(enc.lower)
         upper.append(P.l1())
         witness = enc.witness

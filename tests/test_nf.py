@@ -306,6 +306,17 @@ _MS = ModeSet.symmetric(1)
 _FS = freqs_conv(np.zeros(3), _MS)
 _REMOVED_SETTINGS = {
     "strichartz_scan-budget_keys": lambda: dynamics.strichartz_scan([1], budget_keys=10),
+    "strichartz_scan-iters": lambda: dynamics.strichartz_scan([1], iters=600),
+    "remainder_g-sigma": lambda: dynamics.remainder_g(np.zeros(5), ModeSet.symmetric(2), 1,
+                                                      sigma=1),
+    "remainder_g-c6": lambda: dynamics.remainder_g(np.zeros(5), ModeSet.symmetric(2), 1,
+                                                   c6=1.0),
+    "strichartz_identity_check-mode_set": lambda: spectral.strichartz_identity_check(
+        _MS, 0, np.ones(3), p6=build_p6(_MS)),
+    "strichartz_identity_check-c6": lambda: spectral.strichartz_identity_check(
+        build_p6(_MS), 0, np.ones(3), c6=1.0),
+    "strichartz_quadrature-c6": lambda: spectral.strichartz_quadrature(_MS, 0, np.ones(3),
+                                                                       c6=1.0),
     "certify_strong-max_tuples": lambda: resonance.certify_strong(
         _FS, resonance.NRBounds(2, 2, 1), alpha=0.4, max_tuples=10),
     "certify_weak-max_tuples": lambda: resonance.certify_weak(
@@ -335,6 +346,20 @@ def test_removed_settings_are_not_accepted(call):
     # budgets are module constants and the paper's constants class constants
     with pytest.raises(TypeError):
         call()
+
+
+def test_removed_fields_are_absent(setup_m1):
+    # fields that no caller read, and the grid that eigenfunction_values returned
+    ms, fs, z2, P6 = setup_m1
+    res = birkhoff(z2, P6, fs, NormalFormConfig(r=3, gamma=0.5))
+    assert not hasattr(res, "config") and not hasattr(res, "omega")
+    rep = check_krgamma(ms, fs, k=1, r=2, gamma=0.5)
+    assert not any(hasattr(rep, name) for name in ("mode", "r", "gamma"))
+    drift = dynamics.action_drift(None, z2, P6, 1, [0.1, 0.05], T=0.1, dt=0.05)
+    assert not hasattr(drift, "mode")
+    basis = sturm.dirichlet_eig(np.zeros(3), 2)
+    F = sturm.eigenfunction_values(basis, 10)
+    assert isinstance(F, np.ndarray) and F.shape == (2, 10)
 
 
 def test_paper_constants_read_as_before():

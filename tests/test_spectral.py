@@ -235,22 +235,31 @@ def test_gradient_norm_bound(rng):
 
 
 def test_strichartz_identity(rng):
+    # the quadrature reads c6 from p6's coefficients, and the modulus drops sigma
     ms = ModeSet.symmetric(2)
-    P = build_p6(ms)
-    for a in (0, 2, -4, 1, 11):
-        u = random_state(ms, rng)
-        direct, quad = strichartz_identity_check(ms, a, u, p6=P)
-        assert direct == pytest.approx(quad, rel=1e-10, abs=1e-10)
+    unit = build_p6(ms)
+    for sigma, c6 in ((1, 1.0), (1, 1.7), (-1, 1.0), (-1, 1.7), (1, 2.0)):
+        P = build_p6(ms, sigma, c6)
+        for a in (0, 2, -4, 1, 11):
+            u = random_state(ms, rng)
+            direct, quad = strichartz_identity_check(P, a, u)
+            assert direct == pytest.approx(quad, rel=1e-10, abs=1e-10)
+            d1, q1 = strichartz_identity_check(unit, a, u)
+            assert (direct, quad) == pytest.approx((c6 * d1, c6 * q1), rel=1e-12, abs=1e-12)
 
 
 def test_strichartz_single_mode():
     ms = ModeSet.symmetric(0)
     P = build_p6(ms)
-    direct, quad = strichartz_identity_check(ms, 0, np.array([2.0 + 0j]), p6=P)
+    direct, quad = strichartz_identity_check(P, 0, np.array([2.0 + 0j]))
     assert direct == pytest.approx(2.0 ** 6 / 6.0, rel=1e-12)
     assert quad == pytest.approx(direct, rel=1e-12)
-    d1, q1 = strichartz_identity_check(ms, 3, np.array([2.0 + 0j]), p6=P)
+    d1, q1 = strichartz_identity_check(P, 3, np.array([2.0 + 0j]))
     assert abs(d1) < 1e-12 and abs(q1) < 1e-12
+    # sigma = -1, c6 = 1.7: the level-0 modulus at |u| = 2 is 1.7 * 2^6 / 6
+    direct, quad = strichartz_identity_check(build_p6(ms, -1, 1.7), 0, np.array([2.0 + 0j]))
+    assert direct == pytest.approx(1.7 * 2.0 ** 6 / 6.0, rel=1e-12)
+    assert quad == pytest.approx(direct, rel=1e-12)
 
 
 def test_strichartz_identity_gapped_window(rng):
@@ -259,7 +268,7 @@ def test_strichartz_identity_gapped_window(rng):
     P = build_p6(ms)
     u = random_state(ms, rng)
     for a in range(-80, 81):
-        direct, quad = strichartz_identity_check(ms, a, u, p6=P)
+        direct, quad = strichartz_identity_check(P, a, u)
         assert direct == pytest.approx(quad, rel=1e-10, abs=1e-10)
 
 

@@ -79,7 +79,7 @@ def _dict_oracle(basis, q_window):
     """The former dict construction: both orderings of every pair of triples,
     exact zeros kept."""
     n_grid = 6 * basis.N_basis + 2
-    _, F = eigenfunction_values(basis, n_grid)
+    F = eigenfunction_values(basis, n_grid)
     triples = list(combinations_with_replacement(range(1, q_window + 1), 3))
     T = np.empty((len(triples), n_grid))
     for i, t in enumerate(triples):
@@ -100,7 +100,7 @@ def _rounding_bound(basis, q_window):
     """n_grid * eps * sum_x |T_k(x)| |T_l(x)| * w per key, the worst-case
     rounding error of each quadrature sum: a value within it is noise."""
     n_grid = 6 * basis.N_basis + 2
-    _, F = eigenfunction_values(basis, n_grid)
+    F = eigenfunction_values(basis, n_grid)
     triples = list(combinations_with_replacement(range(1, q_window + 1), 3))
     A = np.abs(np.array([F[t[0] - 1] * F[t[1] - 1] * F[t[2] - 1] for t in triples]))
     B = n_grid * np.finfo(float).eps * (A @ A.T) * (0.5 * 2.0 * np.pi / n_grid)
