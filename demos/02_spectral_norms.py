@@ -2,8 +2,9 @@
 Spectral levels, norm enclosures and the time-integral identity
 ===============================================================
 
-Split the sextic into the levels of its integer small divisor, enclose the
-level-sup norms, and confirm the quadrature identity behind the Strichartz
+Split the sextic into the levels of its integer small divisor (the integer
+frequencies are the squares m^2 of the modes, read from the mode set), enclose
+the level-sup norms, and confirm the quadrature identity behind the Strichartz
 bound.
 """
 
@@ -14,16 +15,15 @@ from qnls import (ModeSet, build_p6, norm_c, norm_h, split_levels,
 
 ms = ModeSet.symmetric(2)
 p6 = build_p6(ms)
-w2 = np.asarray(ms.modes, float) ** 2
 
-levels = split_levels(p6, w2)
+levels = split_levels(p6)
 print("levels of the M=2 sextic:", sorted(levels))
 print("keys per level:", {a: len(p) for a, p in sorted(levels.items())})
 
 # each norm comes as a witnessed lower bound plus a rigorous l1 upper bound
 s = sup_norm(p6.modulus(), multistart=24)
-h = norm_h(p6, w2, multistart=24)
-c = norm_c(p6, w2, multistart=24)
+h = norm_h(p6, multistart=24)
+c = norm_c(p6, multistart=24)
 print(f"sup |P6|       in [{s.lower:.6g}, {s.upper:.6g}]")
 print(f"level-sup norm in [{h.lower:.6g}, {h.upper:.6g}]")
 print(f"weighted norm  in [{c.lower:.6g}, {c.upper:.6g}]")

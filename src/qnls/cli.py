@@ -129,11 +129,9 @@ def cmd_plan(args, out: Path) -> int:
 def cmd_certify(args, out: Path) -> int:
     with _parameters():
         window = ModeSet.symmetric(args.hmax)
-        if args.free:
-            omega = {k: float(k * k) for k in window.modes}
-        else:
-            V = resonance.sample_conv_potential(args.s_star, args.hmax, args.seed)
-            omega = freqs_conv(V, window)
+        V = (np.zeros(window.size) if args.free
+             else resonance.sample_conv_potential(args.s_star, args.hmax, args.seed))
+        omega = freqs_conv(V, window)
         bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
         resonance.check_certificate(omega, bounds, args.kind, args.alpha, args.s_star)
     if args.kind == "strong":

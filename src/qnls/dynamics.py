@@ -142,7 +142,11 @@ def sobolev_profile_state(M_fine: int, s: float, eps: float, seed: int) -> np.nd
 def remainder_scaling(M_list, s: float, seed: int = 0) -> dict:
     """||g||_{l2} against M for one fixed spectral profile of unit H^s norm
     on the fine windows _FINE_FACTOR * M; returns the table and the fitted
-    log-log slope."""
+    log-log slope.  The fit needs at least two window sizes M, distinct and
+    at least 1, and a finite s."""
+    check_sizes(M_list, 2)
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     rows = []
     M_top = max(M_list) * _FINE_FACTOR
     u_top = sobolev_profile_state(M_top, s, 1.0, seed)
@@ -194,14 +198,20 @@ def check_drift(mode_set: ModeSet, k: int, eps_list, T: float, dt: float) -> Non
     flows.check_time(T, dt)
 
 
+def check_sizes(M_list, least: int) -> None:
+    """Raise ValueError unless M_list holds at least least (1 or 2) window
+    sizes, all at least 1 and distinct."""
+    if len(M_list) < least:
+        raise ValueError(f"at least {('one', 'two')[least - 1]} window size M needed")
+    if min(M_list) < 1 or len(set(M_list)) < len(M_list):
+        raise ValueError("window sizes M must be distinct and at least 1")
+
+
 def check_scan(M_list, c6: float, multistart: int) -> None:
     """Raise ValueError unless there is a window size, the sizes are at least 1
     and distinct (the scan's exponents divide by log2 of the ratio of two
     sizes), c6 is finite and positive, and the ascent has at least one start."""
-    if not len(M_list):
-        raise ValueError("strichartz_scan needs at least one window size M")
-    if min(M_list) < 1 or len(set(M_list)) < len(M_list):
-        raise ValueError("window sizes M must be distinct and at least 1")
+    check_sizes(M_list, 1)
     check_positive(c6=c6, multistart=multistart)
 
 

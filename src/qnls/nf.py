@@ -173,7 +173,7 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
     if P.q != cfg.p:
         raise ValueError(f"perturbation half-degree {P.q} does not match p={cfg.p}")
 
-    norm_p = norm_h(P, omega.omega_int, multistart=cfg.norm_multistart,
+    norm_p = norm_h(P, multistart=cfg.norm_multistart,
                     iters=cfg.norm_iters, seed=cfg.seed,
                     lower_levels=cfg.norm_lower_levels)
     eps = epsilon_r(cfg, norm_p.upper, omega)
@@ -206,7 +206,7 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
 
     tail = []
     for j in sorted(series):
-        enc = norm_h(series[j], omega.omega_int, lower_levels=0)   # reads upper bounds only
+        enc = norm_h(series[j], lower_levels=0)   # reads upper bounds only
         bound = eps ** (-2.0 * (j - cfg.p)) * norm_p.upper
         tail.append(TailEntry(j, enc.upper, bound, enc.upper > bound * (1 + 1e-9)))
 

@@ -94,6 +94,13 @@ class ModeSet:
         return self._index_map[mode]
 
     @cached_property
+    def squares(self) -> np.ndarray:
+        """Read-only int64 squares m^2 of the modes: the integer frequencies."""
+        sq = np.array(self.modes, dtype=np.int64) ** 2
+        sq.flags.writeable = False
+        return sq
+
+    @cached_property
     def _index_map(self) -> dict[int, int]:
         return {mode: i for i, mode in enumerate(self.modes)}
 

@@ -35,26 +35,25 @@ def japanese(x) -> float:
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Per-mode frequencies omega = omega_int + omega_frac: integer part plus remainder."""
+    """Per-mode frequencies omega = m^2 + omega_frac: the integer part is the
+    square of each mode (mode_set.squares), omega_frac the remainder."""
 
     mode_set: ModeSet
-    omega_int: np.ndarray
     omega_frac: np.ndarray
 
     def __post_init__(self):
-        n = self.mode_set.size
-        if self.omega_int.shape != (n,) or self.omega_frac.shape != (n,):
-            raise ValueError("frequency arrays do not match the mode set")
-        if not np.any(self.omega_int):
+        if self.omega_frac.shape != (self.mode_set.size,):
+            raise ValueError("the frequency remainder does not match the mode set")
+        if not np.any(self.mode_set.squares):
             raise ValueError("integer frequency part must be a nonzero vector")
 
     @property
     def omega(self) -> np.ndarray:
-        return self.omega_int + self.omega_frac
+        return self.mode_set.squares + self.omega_frac
 
     @property
     def int_inf(self) -> float:
-        return float(np.max(np.abs(self.omega_int)))
+        return float(np.max(self.mode_set.squares))
 
     @property
     def frac_inf(self) -> float:
@@ -75,21 +74,19 @@ def freqs_conv(V, mode_set: ModeSet) -> FrequencySet:
         raise ValueError(f"the potential must carry {mode_set.size} coefficients, one per mode")
     if np.iscomplexobj(V) and np.any(V.imag != 0) or not np.isfinite(V).all():
         raise ValueError("potential Fourier coefficients must be finite real numbers")
-    V = V.real.astype(float)
-    modes = np.asarray(mode_set.modes, dtype=float)
-    omega_int = (modes ** 2)
-    omega_frac = SQRT_2PI * V
-    return FrequencySet(mode_set, omega_int, omega_frac)
+    return FrequencySet(mode_set, SQRT_2PI * V.real.astype(float))
 
 
-def project(P: HomPoly, omega_int, a: int) -> HomPoly:
-    """Spectral projection keeping exactly the keys with integer divisor a."""
-    return P.restrict(P.divisors(np.rint(omega_int).astype(np.int64)) == int(a))
+def project(P: HomPoly, a) -> HomPoly:
+    """Spectral projection keeping exactly the keys whose level, the integer
+    small divisor sum_k m^2 - sum_l m^2, equals a; a non-integer a keeps none."""
+    return P.restrict(P.divisors(P.mode_set.squares) == a)
 
 
-def split_levels(P: HomPoly, omega_int) -> dict[int, HomPoly]:
-    """Partition of P into its spectral levels; summing the parts restores P."""
-    div = P.divisors(np.rint(omega_int).astype(np.int64))
+def split_levels(P: HomPoly) -> dict[int, HomPoly]:
+    """Partition of P into its spectral levels, the integer small divisors
+    sum_k m^2 - sum_l m^2 of its keys; summing the parts restores P."""
+    div = P.divisors(P.mode_set.squares)
     levels, first = np.unique(div, return_index=True)
     return {int(a): P.restrict(div == a) for a in levels[np.argsort(first)]}
 
@@ -260,11 +257,11 @@ def _enclosures(mods, seeds, multistart: int, iters: int, extra_starts=None):
 
 @dataclass(frozen=True)
 class SexticLevel0:
-    """The level-0 part of the modulus of build_p6(mode_set, c6=c6) at the
-    integer frequencies m^2, split_levels(...)[0].modulus(): coefficient c6/6
-    on every ordered tuple (k, l) of the window with sum k = sum l and
-    sum k^2 = sum l^2.  It is held as its window and c6 alone: sup_norm
-    encloses it on cells of sorted triples and lists none of its keys."""
+    """The level-0 part of the modulus of build_p6(mode_set, c6=c6),
+    split_levels(...)[0].modulus(): coefficient c6/6 on every ordered tuple
+    (k, l) of the window with sum k = sum l and sum k^2 = sum l^2.  It is
+    held as its window and c6 alone: sup_norm encloses it on cells of sorted
+    triples and lists none of its keys."""
 
     mode_set: ModeSet
     c6: float = 1.0
@@ -301,7 +298,8 @@ def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, 
 class _Cells:
     """Kernel of _ascend for the level-0 part of the sextic modulus on a window
     at c6 = 1 (coefficient 1/6 on every ordered tuple that conserves momentum
-    and the energy sum of m^2), one problem of nb starts.  Its value at y is
+    and the energy, the sum of mode_set.squares), one problem of nb starts.
+    Its value at y is
 
         (1/6) sum_c A_c(y)^2,    A_c(y) = sum_t mult_t y_t1 y_t2 y_t3,
 
@@ -314,11 +312,12 @@ class _Cells:
     norm, with n_c the number of ordered triples in cell c."""
 
     def __init__(self, mode_set: ModeSet, nb: int):
-        n, m = mode_set.size, np.asarray(mode_set.modes, dtype=np.int64)
-        lo, hi = 3 * m.min(), 3 * (m * m).max() + 1
-        code = lambda *slots: (sum(slots) - lo) * hi + sum(x * x for x in slots)
+        n, m, sq = mode_set.size, np.asarray(mode_set.modes, dtype=np.int64), mode_set.squares
+        lo, hi = 3 * m.min(), 3 * sq.max() + 1
+        # the (momentum, energy) code of the triples of mode indices slots
+        code = lambda *slots: (sum(m[i] for i in slots) - lo) * hi + sum(sq[i] for i in slots)
         T = np.concatenate(momentum_buckets(mode_set))      # (N, 3) sorted triples
-        codes, cell, size = np.unique(code(*m[T].T), return_inverse=True, return_counts=True)
+        codes, cell, size = np.unique(code(*T.T), return_inverse=True, return_counts=True)
         # cells by size, largest first, so that the k-th triples of the cells with
         # more than k are a layer that adds into a prefix of the cells
         rank = np.argsort(np.argsort(-size, kind="stable"))
@@ -338,7 +337,8 @@ class _Cells:
         self.t12, self.t3 = pair[T[:, 0], T[:, 1]] + (2 - eq) * self.pa.size, T[:, 2]
         self.w = np.where(self.pa == self.pb, 1.0, 2.0)[:, None]
         # the cell of the triple (j, a, b) for every mode j and pair a <= b
-        self.gcell = rank[np.searchsorted(codes, code(m[:, None], m[self.pa], m[self.pb]))].ravel()
+        gcode = code(np.arange(n)[:, None], self.pa, self.pb)
+        self.gcell = rank[np.searchsorted(codes, gcode)].ravel()
         # arrays reused by every iteration, as fresh ones cost a page fault per 4 KiB
         self.P2 = np.empty((3, self.pa.size, nb))
         self.prod, self.y3 = np.empty((len(T), nb)), np.empty((len(T), nb))
@@ -380,9 +380,10 @@ def check_lower_levels(k) -> None:
         raise ValueError(f"lower_levels must be 'all' or an int >= 0, not {k!r}")
 
 
-def level_enclosures(P: HomPoly, omega_int, multistart: int = 32, iters: int = 400,
+def level_enclosures(P: HomPoly, multistart: int = 32, iters: int = 400,
                      seed: int = 0, lower_levels="all") -> dict[int, NormEnclosure]:
-    """Per-level enclosures of || |proj_a P| ||_sup over the spectral support.
+    """Per-level enclosures of || |proj_a P| ||_sup over the spectral support,
+    the levels of split_levels(P).
 
     ``lower_levels`` selects which levels get an ascent lower bound: "all",
     or an integer K for the K levels with the largest l1 upper bound (the
@@ -391,7 +392,7 @@ def level_enclosures(P: HomPoly, omega_int, multistart: int = 32, iters: int = 4
     that sup_norm would use with seed + 2|a| + (a < 0).
     """
     check_lower_levels(lower_levels)
-    mods = {a: part.modulus() for a, part in split_levels(P, omega_int).items()}
+    mods = {a: part.modulus() for a, part in split_levels(P).items()}
     ranked = sorted(mods, key=lambda a: mods[a].l1(), reverse=True)
     chosen = [a for a in mods if lower_levels == "all" or a in ranked[:lower_levels]]
     seeds = [seed + 2 * abs(a) + (a < 0) for a in chosen]
@@ -410,14 +411,14 @@ def _combine(per_level: dict[int, NormEnclosure], weight=lambda a: 1.0) -> NormE
     return NormEnclosure(lower, upper, witness)
 
 
-def norm_h(P: HomPoly, omega_int, **kw) -> NormEnclosure:
-    """Enclosure of the level-sup norm sup_a || |proj_a P| ||_sup."""
-    return _combine(level_enclosures(P, omega_int, **kw))
+def norm_h(P: HomPoly, **kw) -> NormEnclosure:
+    """Enclosure of the level-sup norm sup_a || |proj_a P| ||_sup; kw as in level_enclosures."""
+    return _combine(level_enclosures(P, **kw))
 
 
-def norm_c(P: HomPoly, omega_int, **kw) -> NormEnclosure:
-    """Enclosure of the weighted norm sup_a <a> || |proj_a P| ||_sup."""
-    return _combine(level_enclosures(P, omega_int, **kw), weight=japanese)
+def norm_c(P: HomPoly, **kw) -> NormEnclosure:
+    """Enclosure of the weighted norm sup_a <a> || |proj_a P| ||_sup; kw as in level_enclosures."""
+    return _combine(level_enclosures(P, **kw), weight=japanese)
 
 
 # ---------------------------------------------------- Strichartz time integral
@@ -435,25 +436,29 @@ def strichartz_quadrature(mode_set: ModeSet, a: int, u: np.ndarray) -> float:
     nodes, M = max |m|.  Both are exact for the trigonometric degrees
     involved.
     """
-    modes = np.asarray(mode_set.modes)
     amps = np.abs(mode_set.state(u))
     n_tau = 12 * mode_set.M_param ** 2 + 8
     tau = 2.0 * np.pi * np.arange(n_tau) / n_tau
-    phases = np.exp(-1j * np.outer(tau, modes.astype(float) ** 2))  # (n_tau, modes)
+    phases = np.exp(-1j * np.outer(tau, mode_set.squares))  # (n_tau, modes)
     h = build_p6(mode_set, 1, 6.0)(phases * amps[None, :])   # (n_tau,)
     return 1.0 / 6.0 * float(np.mean(np.exp(1j * tau * a) * h).real)
 
 
 def strichartz_identity_check(p6: HomPoly, a: int, u: np.ndarray) -> tuple[float, float]:
-    """(direct, quadrature) values of the level-a sextic modulus at |u|.
+    """(direct, quadrature) values of the level-a sextic modulus at |u|, as floats.
 
     p6 is a window sextic, build_p6(p6.mode_set, sigma, c6), whose keys all
-    carry sigma*c6/6.  direct evaluates the stored projection of its modulus
-    at the componentwise modulus of u; quadrature is c6 = 6 |p6's coefficient|
-    times the time-integral identity at c6 = 1.  Neither depends on sigma.
+    carry sigma*c6/6; a polynomial whose keys carry different coefficients,
+    such as an eigenbasis sextic, raises ValueError.  direct evaluates the
+    stored projection of its modulus at the componentwise modulus of u;
+    quadrature is c6 = 6 |p6's coefficient| times the time-integral identity
+    at c6 = 1.  Neither depends on sigma.
     """
-    part = project(p6, np.asarray(p6.mode_set.modes, dtype=float) ** 2, a).modulus()
+    if np.any(p6.coef != p6.coef[0]):
+        raise ValueError("strichartz_identity_check needs a window sextic, "
+                         "whose keys all carry one coefficient")
+    part = project(p6, a).modulus()
     val = complex(part(np.abs(np.asarray(u, dtype=complex)).astype(complex)))
     direct = val.real  # nonnegative coefficients at a nonnegative state
-    quad = 6.0 * abs(p6.coef[0]) * strichartz_quadrature(p6.mode_set, a, u)
+    quad = 6.0 * float(abs(p6.coef[0])) * strichartz_quadrature(p6.mode_set, a, u)
     return direct, quad

@@ -164,9 +164,7 @@ def p6_decay_constant(P: HomPoly) -> dict:
 def freqs_mult(basis: SLBasis) -> FrequencySet:
     """Frequencies omega_n = lambda_n with integer part n^2 on [1, n_max]."""
     ms = ModeSet.dirichlet(basis.n_max)
-    n = np.arange(1, basis.n_max + 1, dtype=float)
-    omega_int = n ** 2
-    return FrequencySet(ms, omega_int, basis.lambdas - omega_int)
+    return FrequencySet(ms, basis.lambdas - ms.squares)
 
 
 def sobolev_ratio(basis: SLBasis, v: np.ndarray, s_prime: float) -> float:

@@ -103,19 +103,18 @@ def test_criterion_3_projector_convolution():
         for _ in range(50):
             M = int(rng.integers(1, 4))
             ms = ModeSet.symmetric(M)
-            w2 = np.asarray(ms.modes, float) ** 2
             P = random_balanced(ms, int(rng.integers(1, 4)), rng, n_keys=5)
             chi = random_balanced(ms, int(rng.integers(1, 4)), rng, n_keys=5)
             br = poisson(P, chi)
-            lv_P = split_levels(P, w2)
-            lv_chi = split_levels(chi, w2)
+            lv_P = split_levels(P)
+            lv_chi = split_levels(chi)
             conv = {}
             for b, part_b in lv_P.items():
                 for c, part_c in lv_chi.items():
                     term = poisson(part_b, part_c)
                     a = b + c
                     conv[a] = conv[a] + term if a in conv else term
-            lv_br = split_levels(br, w2)
+            lv_br = split_levels(br)
             for a in set(conv) | set(lv_br):
                 lhs = lv_br.get(a, HomPoly(ms, br.q, {}))
                 rhs = conv.get(a, HomPoly(ms, br.q, {}))
@@ -132,8 +131,8 @@ def test_criterion_4_norm_inequalities():
             q = 3
             w2 = np.asarray(ms.modes, float) ** 2
             winf = float(np.max(w2))
-            h = norm_h(P, w2, multistart=16, iters=300)
-            c = norm_c(P, w2, multistart=16, iters=300)
+            h = norm_h(P, multistart=16, iters=300)
+            c = norm_c(P, multistart=16, iters=300)
             s = sup_norm(P.modulus(), multistart=16, iters=300)
             if h.lower > s.upper * (1 + 1e-12):
                 violations += 1
@@ -143,7 +142,6 @@ def test_criterion_4_norm_inequalities():
                 violations += 1
         rng = np.random.default_rng(44)
         ms = ModeSet.symmetric(3)
-        w2 = np.asarray(ms.modes, float) ** 2
         winf = 9.0
         for _ in range(100):
             qP = int(rng.integers(1, 4))
@@ -156,10 +154,10 @@ def test_criterion_4_norm_inequalities():
                        * sup_norm(chi.modulus(), multistart=8, iters=150).upper)
             if lhs_sup > rhs_sup * (1 + 1e-10):
                 violations += 1
-            lhs_h = norm_h(br, w2, multistart=8, iters=150, lower_levels=3).lower
+            lhs_h = norm_h(br, multistart=8, iters=150, lower_levels=3).lower
             rhs_h = (40 * qP * qC * math.log(2 * qC * winf)
-                     * norm_h(P, w2, multistart=8, iters=150).upper
-                     * norm_c(chi, w2, multistart=8, iters=150).upper)
+                     * norm_h(P, multistart=8, iters=150).upper
+                     * norm_c(chi, multistart=8, iters=150).upper)
             if lhs_h > rhs_h * (1 + 1e-10):
                 violations += 1
         assert violations == 0

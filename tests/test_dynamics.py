@@ -207,6 +207,15 @@ def test_remainder_scaling_slope():
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+@pytest.mark.parametrize("M_list, s, match", [
+    ([4], 0.45, "at least two"), ([], 0.45, "at least two"), ([4, 4], 0.45, "distinct"),
+    ([0, 4], 0.45, "at least 1"), ([4, 8], math.nan, "finite"), ([4, 8], -math.inf, "finite")])
+def test_remainder_scaling_needs_two_distinct_sizes_and_a_finite_s(M_list, s, match):
+    # a slope needs two points; the checks raise before any remainder is computed
+    with pytest.raises(ValueError, match=match):
+        remainder_scaling(M_list, s)
+
+
 def test_window_transform_leaves_the_keys_unlisted(monkeypatch, rng):
     # integration at M=64 and the remainder on the M_f=160 window evaluate the
     # sextic only through its window transform; listing its keys would fail
@@ -279,7 +288,7 @@ def test_strichartz_scan_needs_distinct_positive_sizes(M_list):
 def _sparse_level0(M, c6, window="symmetric"):
     """The oracle path: level 0 of the sextic modulus, listed key by key."""
     ms = getattr(ModeSet, window)(M)
-    return split_levels(build_p6(ms, c6=c6), np.asarray(ms.modes, dtype=float) ** 2)[0].modulus()
+    return split_levels(build_p6(ms, c6=c6))[0].modulus()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, no library
 module imports another's private (underscore-prefixed) name, importing the
 library loads no SciPy, no message is raised from two places, only
-build_p6 and p6_eigen_coeffs construct a Sextic, and every midpoint step and
-Cayley factor comes from the one stepping loop of flows."""
+build_p6 and p6_eigen_coeffs construct a Sextic, every midpoint step and
+Cayley factor comes from the one stepping loop of flows, and no function or
+dataclass takes the integer frequencies, which the mode set fixes."""
 
 import ast
 import os
@@ -166,3 +167,34 @@ def test_one_loop_takes_every_midpoint_step():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert function_calls(sources, "midpoint_step") == {"flows.steps"}
     assert cayley_factor_sites(sources) == {"flows._extrapolation_table"}
+
+
+def takers(sources: dict[str, str], name: str) -> set[str]:
+    """Each function (module.function) with a parameter called name, and each
+    class (module.Class) with an annotated field called name."""
+    found = {at for at, fn in functions(sources)
+             if name in [a.arg for a in fn.args.posonlyargs + fn.args.args
+                         + fn.args.kwonlyargs]}
+    for mod, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == name
+                    for node in cls.body):
+                found.add(f"{mod}.{cls.name}")
+    return found
+
+
+def test_scanner_flags_a_parameter_or_field():
+    src = ("def split(P, omega_int):\n    return P\n"
+           "def norm(P, *, omega_int=None):\n    return P\n"
+           "class Freqs:\n    omega_int: np.ndarray\n"
+           "    @property\n    def omega(self):\n        return self.omega_int\n"
+           "def reader(fs):\n    return fs.omega_int\n")
+    assert takers({"m": src}, "omega_int") == {"m.split", "m.norm", "m.Freqs"}
+
+
+def test_no_function_takes_the_integer_frequencies():
+    # the integer frequencies are the squares of the modes, ModeSet.squares:
+    # levels, frequency sets and the sextic cells read them from the mode set
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert takers(sources, "omega_int") == set()

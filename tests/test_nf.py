@@ -193,11 +193,11 @@ def test_birkhoff_tail_report_reads_upper_bounds_only(setup_m1, monkeypatch, low
     cfg = NormalFormConfig(r=3, gamma=0.5, J_max=5, norm_lower_levels=lower_levels)
     res = birkhoff(z2, P6, fs, cfg)
     # one batched ascent over the chosen levels of P for norm_p, none for the tail
-    n_levels = len(split_levels(P6, fs.omega_int))
+    n_levels = len(split_levels(P6))
     assert calls == {"all": [n_levels], 1: [1], 0: []}[lower_levels]
     assert [e.j for e in res.tail_report] == sorted(res.resonant)
     for e in res.tail_report:
-        parts = split_levels(res.resonant[e.j], fs.omega_int).values()
+        parts = split_levels(res.resonant[e.j]).values()
         assert e.norm_upper == max((part.modulus().l1() for part in parts), default=0.0)
 
 
@@ -325,8 +325,15 @@ _REMOVED_SETTINGS = {
     "p6_eigen_coeffs-max_window": lambda: sturm.p6_eigen_coeffs(None, 5, max_window=12),
     "remainder_scaling-fine_factor": lambda: dynamics.remainder_scaling([4], 0.45, fine_factor=5),
     "verify_ef_decay-sigma": lambda: sturm.verify_ef_decay(None, sigma=1.0),
-    "FrequencySet-omega": lambda: spectral.FrequencySet(_MS, _FS.omega, _FS.omega_int,
+    "FrequencySet-omega": lambda: spectral.FrequencySet(_MS, _FS.omega, _MS.squares,
                                                         _FS.omega_frac),
+    "FrequencySet-omega_int": lambda: spectral.FrequencySet(_MS, omega_int=_MS.squares,
+                                                            omega_frac=_FS.omega_frac),
+    **{f"{fn.__name__}-omega_int": (lambda fn=fn, args=args: fn(build_p6(_MS), *args,
+                                                                omega_int=_MS.squares))
+       for fn, args in ((spectral.split_levels, ()), (spectral.project, (0,)),
+                        (spectral.level_enclosures, ()), (spectral.norm_h, ()),
+                        (spectral.norm_c, ()))},
     **{f"NormalFormConfig-{name}": (lambda name=name, value=value: NormalFormConfig(
         r=5, gamma=0.5, **{name: value}))
        for name, value in (("p", 3), ("A", 2.0), ("B_p", 100.0), ("flow_dt", 0.05),
@@ -349,12 +356,14 @@ def test_removed_settings_are_not_accepted(call):
 
 
 def test_removed_fields_are_absent(setup_m1):
-    # fields that no caller read, and the grid that eigenfunction_values returned
+    # fields that no caller read or that the mode set fixes, and the grid that
+    # eigenfunction_values returned
     ms, fs, z2, P6 = setup_m1
     res = birkhoff(z2, P6, fs, NormalFormConfig(r=3, gamma=0.5))
     assert not hasattr(res, "config") and not hasattr(res, "omega")
     rep = check_krgamma(ms, fs, k=1, r=2, gamma=0.5)
     assert not any(hasattr(rep, name) for name in ("mode", "r", "gamma"))
+    assert not hasattr(fs, "omega_int")
     drift = dynamics.action_drift(None, z2, P6, 1, [0.1, 0.05], T=0.1, dt=0.05)
     assert not hasattr(drift, "mode")
     basis = sturm.dirichlet_eig(np.zeros(3), 2)
@@ -411,8 +420,7 @@ def test_chi_c_norm_bound(setup_m1):
     ms, fs, z2, P6 = setup_m1
     gamma = 0.5
     chi, _ = solve_cohomological(P6, fs, gamma)
-    w_int = fs.omega_int
-    lhs = norm_c(chi, w_int, multistart=8, iters=150).lower
+    lhs = norm_c(chi, multistart=8, iters=150).lower
     rhs = (8 * (P6.q + 1) / gamma * japanese(fs.frac_inf)
-           * norm_h(P6, w_int, multistart=8, iters=150).upper)
+           * norm_h(P6, multistart=8, iters=150).upper)
     assert lhs <= rhs * (1 + 1e-10)

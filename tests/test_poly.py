@@ -231,6 +231,11 @@ def test_mode_set_invariants():
     # the window size is max |m|, derived from the modes
     assert ms.M_param == 2 and ModeSet.dirichlet(4).M_param == 4
     assert ModeSet((0, 2, 5)).M_param == 5 and ModeSet((-7, 3)).M_param == 7
+    # the integer frequencies m^2, derived once and read-only
+    assert ms.squares.dtype == np.int64 and ms.squares.tolist() == [4, 1, 0, 1, 4]
+    assert ms.squares is ms.squares
+    with pytest.raises(ValueError, match="read-only"):
+        ms.squares[0] = 9
 
 
 def test_eval_examples():

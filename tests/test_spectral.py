@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from qnls import spectral
 from qnls.errors import BudgetError
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
-from qnls.spectral import (NormEnclosure, freqs_conv, japanese,
+from qnls.spectral import (FrequencySet, NormEnclosure, freqs_conv, japanese,
                            level_enclosures, norm_c, norm_h, project,
                            split_levels, strichartz_identity_check, sup_norm)
+from qnls.sturm import dirichlet_eig, p6_eigen_coeffs
 from conftest import divisor, random_balanced, random_state
 
 SQ2PI = math.sqrt(2 * math.pi)
@@ -53,8 +54,13 @@ def test_frequency_split_exact():
     ms = ModeSet.symmetric(2)
     V = np.array([0.3, -0.1, 0.7, 0.2, -0.4])
     fs = freqs_conv(V, ms)
-    assert np.array_equal(fs.omega, fs.omega_int + fs.omega_frac)
+    # the frequencies are the float squares plus the remainder, bit for bit
+    assert np.array_equal(fs.omega, np.asarray(ms.modes).astype(float) ** 2 + fs.omega_frac)
     assert fs.int_inf == 4.0
+    with pytest.raises(ValueError, match="nonzero"):
+        FrequencySet(ModeSet((0,)), np.ones(1))
+    with pytest.raises(ValueError, match="remainder does not match"):
+        FrequencySet(ms, np.zeros(4))
 
 
 def test_small_divisor_examples():
@@ -70,11 +76,10 @@ def test_small_divisor_examples():
 def test_project_partition_and_support():
     ms = ModeSet.symmetric(1)
     P = build_p6(ms)
-    w2 = np.asarray(ms.modes, float) ** 2
-    levels = split_levels(P, w2)
+    levels = split_levels(P)
     assert sorted(levels) == [-2, 0, 2]
     # spec: a single key lands where its integer divisor says
-    part = project(P, w2, 2)
+    part = project(P, 2)
     assert ((-1, 1, 1), (0, 0, 1)) in part.coeffs
     # partition of unity, exact on coefficients
     total = None
@@ -84,15 +89,22 @@ def test_project_partition_and_support():
     # the supports are disjoint
     assert sum(len(p) for p in levels.values()) == len(P)
     # |a| beyond 2 q |omega_i|_inf is empty
-    assert len(project(P, w2, 7)) == 0
+    assert len(project(P, 7)) == 0
     assert all(abs(a) <= 2 * 3 * 1 for a in levels)
 
 
 def test_project_z2_diagonal():
     ms = ModeSet.symmetric(2)
     Z = build_z2(ms, np.array([0.3, 1.0, 2.0, -1.0, 0.5]))
-    w2 = np.asarray(ms.modes, float) ** 2
-    assert coeff_close(project(Z, w2, 0), Z, rtol=0)
+    assert coeff_close(project(Z, 0), Z, rtol=0)
+
+
+def test_project_keeps_no_key_at_a_non_integer_level():
+    # levels are integers: a = 2.5 or -0.5 holds no key, a = 2.0 is level 2
+    P = build_p6(ModeSet.symmetric(2))
+    assert len(project(P, 2)) == 15
+    assert coeff_close(project(P, 2.0), project(P, 2), rtol=0)
+    assert len(project(P, 2.5)) == 0 and len(project(P, -0.5)) == 0
 
 
 def test_sup_norm_projector():
@@ -158,10 +170,9 @@ def test_norm_h_diagonal_single_level(rng):
     ms = ModeSet.symmetric(2)
     # actions-only polynomial: a single level a = 0
     Z = build_z2(ms, np.abs(rng.standard_normal(5)))
-    w2 = np.asarray(ms.modes, float) ** 2
-    encs = level_enclosures(Z, w2)
+    encs = level_enclosures(Z)
     assert list(encs) == [0]
-    h = norm_h(Z, w2)
+    h = norm_h(Z)
     s = sup_norm(Z.modulus())
     assert h.lower == pytest.approx(s.lower, rel=1e-9)
 
@@ -169,8 +180,7 @@ def test_norm_h_diagonal_single_level(rng):
 def test_norm_h_vs_sup_of_modulus(rng):
     ms = ModeSet.symmetric(2)
     P = random_balanced(ms, 2, rng)
-    w2 = np.asarray(ms.modes, float) ** 2
-    h = norm_h(P, w2, multistart=16, iters=300)
+    h = norm_h(P, multistart=16, iters=300)
     s = sup_norm(P.modulus(), multistart=16, iters=300)
     assert h.lower <= s.upper * (1 + 1e-12)
 
@@ -178,25 +188,23 @@ def test_norm_h_vs_sup_of_modulus(rng):
 def test_norm_c_brute_force_small():
     ms = ModeSet.symmetric(1)
     P = build_p6(ms)
-    w2 = np.asarray(ms.modes, float) ** 2
-    encs = level_enclosures(P, w2, multistart=24, iters=400)
+    encs = level_enclosures(P, multistart=24, iters=400)
     want_low = max(japanese(a) * e.lower for a, e in encs.items())
     want_up = max(japanese(a) * e.upper for a, e in encs.items())
-    got = norm_c(P, w2, multistart=24, iters=400)
+    got = norm_c(P, multistart=24, iters=400)
     assert got.lower == pytest.approx(want_low, rel=1e-12)
     assert got.upper == pytest.approx(want_up, rel=1e-12)
 
 
 def test_projector_convolution_identity(rng):
     ms = ModeSet.symmetric(2)
-    w2 = np.asarray(ms.modes, float) ** 2
     P = random_balanced(ms, 2, rng, n_keys=5)
     chi = random_balanced(ms, 2, rng, n_keys=5)
     br = poisson(P, chi)
-    lv_P = split_levels(P, w2)
-    lv_chi = split_levels(chi, w2)
-    for a in set(split_levels(br, w2)) | {0, 2}:
-        lhs = project(br, w2, a)
+    lv_P = split_levels(P)
+    lv_chi = split_levels(chi)
+    for a in set(split_levels(br)) | {0, 2}:
+        lhs = project(br, a)
         rhs = None
         for b, part_b in lv_P.items():
             c = a - b
@@ -216,8 +224,8 @@ def test_sandwich_inequalities():
         q = 3
         w2 = np.asarray(ms.modes, float) ** 2
         winf = float(np.max(w2))
-        h = norm_h(P, w2, multistart=16, iters=300)
-        c = norm_c(P, w2, multistart=16, iters=300)
+        h = norm_h(P, multistart=16, iters=300)
+        c = norm_c(P, multistart=16, iters=300)
         s = sup_norm(P.modulus(), multistart=16, iters=300)
         assert h.lower <= s.upper * (1 + 1e-12)
         assert s.lower <= 5 * q * winf * h.upper * (1 + 1e-12)
@@ -262,6 +270,17 @@ def test_strichartz_single_mode():
     assert quad == pytest.approx(direct, rel=1e-12)
 
 
+def test_strichartz_identity_check_needs_one_coefficient(rng):
+    # the eigenbasis sextic's keys carry 8 distinct coefficients: no c6 scales it
+    p6 = p6_eigen_coeffs(dirichlet_eig(np.zeros(1), n_max=6), 3)
+    assert np.unique(np.round(p6.coef.real, 12)).size == 8
+    with pytest.raises(ValueError, match="one coefficient"):
+        strichartz_identity_check(p6, 0, np.ones(3))
+    ms = ModeSet.symmetric(1)
+    values = strichartz_identity_check(build_p6(ms, -1, 1.7), 0, random_state(ms, rng))
+    assert [type(v) for v in values] == [float, float]
+
+
 def test_strichartz_identity_gapped_window(rng):
     # the node count follows from max |m| = 5, not from the number of modes
     ms = ModeSet((0, 2, 5))
@@ -300,16 +319,15 @@ def test_strichartz_quadrature_matches_dense_dft(rng, M):
 def test_refined_bracket_bound(rng):
     # ||{P, chi}||_H <= 40 q q' log(2 q' |w|_inf) ||P||_H ||chi||_C
     ms = ModeSet.symmetric(2)
-    w2 = np.asarray(ms.modes, float) ** 2
     winf = 4.0
     for _ in range(5):
         P = random_balanced(ms, 2, rng, n_keys=4)
         chi = random_balanced(ms, 2, rng, n_keys=4)
         br = poisson(P, chi)
-        lhs = norm_h(br, w2, multistart=8, iters=150).lower
+        lhs = norm_h(br, multistart=8, iters=150).lower
         rhs = (40 * P.q * chi.q * math.log(2 * chi.q * winf)
-               * norm_h(P, w2, multistart=8, iters=150).upper
-               * norm_c(chi, w2, multistart=8, iters=150).upper)
+               * norm_h(P, multistart=8, iters=150).upper
+               * norm_c(chi, multistart=8, iters=150).upper)
         assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -449,9 +467,9 @@ def test_posy_ascent_stays_finite(nmodes, width, n_keys, n_starts, seed):
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
 
-def level_enclosures_oracle(P, omega_int, multistart, iters, seed, lower_levels):
+def level_enclosures_oracle(P, multistart, iters, seed, lower_levels):
     """One sup_norm call per chosen level, the loop level_enclosures replaced."""
-    levels = split_levels(P, omega_int)
+    levels = split_levels(P)
     chosen = set(levels)
     if lower_levels != "all":
         chosen = set(sorted(levels, key=lambda a: levels[a].l1(), reverse=True)[:lower_levels])
@@ -485,24 +503,21 @@ def test_level_enclosures_matches_sup_norm_loop(window, M, q, n_keys, lower_leve
     rng = np.random.default_rng(seed)
     ms = getattr(ModeSet, window)(M)
     P = random_balanced(ms, q, rng, n_keys=n_keys)
-    w2 = np.asarray(ms.modes, float) ** 2
     args = (8, iters, seed % 1000, lower_levels)
-    assert_same_enclosures(level_enclosures(P, w2, *args), level_enclosures_oracle(P, w2, *args))
+    assert_same_enclosures(level_enclosures(P, *args), level_enclosures_oracle(P, *args))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_level_enclosures_of_sextic_match_sup_norm_loop(M):
     ms = ModeSet.symmetric(M)
     P = build_p6(ms)
-    w2 = np.asarray(ms.modes, float) ** 2
     args = (16, 300, 0, "all")
-    assert_same_enclosures(level_enclosures(P, w2, *args), level_enclosures_oracle(P, w2, *args))
+    assert_same_enclosures(level_enclosures(P, *args), level_enclosures_oracle(P, *args))
 
 
 def test_level_enclosures_ascend_once(monkeypatch):
     ms = ModeSet.symmetric(2)
     P = build_p6(ms)
-    w2 = np.asarray(ms.modes, float) ** 2
     calls, ascent = [], spectral._posy_ascent
 
     def counting(problems, *args):
@@ -510,22 +525,21 @@ def test_level_enclosures_ascend_once(monkeypatch):
         return ascent(problems, *args)
 
     monkeypatch.setattr(spectral, "_posy_ascent", counting)
-    n_levels = len(split_levels(P, w2))
+    n_levels = len(split_levels(P))
     for lower_levels, want in (("all", n_levels), (3, 3), (0, None)):
         calls.clear()
-        encs = level_enclosures(P, w2, multistart=4, iters=3, lower_levels=lower_levels)
+        encs = level_enclosures(P, multistart=4, iters=3, lower_levels=lower_levels)
         assert calls == ([want] if want else [])
         assert sum(e.witness is not None for e in encs.values()) == (want or 0)
         assert all(e.upper == part.modulus().l1() for e, part in
-                   zip(encs.values(), split_levels(P, w2).values()))
+                   zip(encs.values(), split_levels(P).values()))
 
 
 @pytest.mark.parametrize("bad", [-1, 2.7, True, None, "top", "ALL", [2]])
 def test_lower_levels_validated(bad):
     ms = ModeSet.symmetric(1)
     P = build_p6(ms)
-    w2 = np.asarray(ms.modes, float) ** 2
     with pytest.raises(ValueError, match="lower_levels"):
-        level_enclosures(P, w2, lower_levels=bad)
+        level_enclosures(P, lower_levels=bad)
     with pytest.raises(ValueError, match="lower_levels"):
-        norm_h(P, w2, lower_levels=bad)
+        norm_h(P, lower_levels=bad)

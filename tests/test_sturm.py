@@ -246,7 +246,9 @@ def test_freqs_mult(random_basis):
     fs = freqs_mult(random_basis)
     assert np.array_equal(fs.omega, random_basis.lambdas)
     n = np.arange(1, 51, dtype=float)
-    assert np.array_equal(fs.omega_int, n ** 2)
+    assert np.array_equal(fs.mode_set.squares, n ** 2)
+    # the frequencies are the float squares plus the remainder, bit for bit
+    assert np.array_equal(fs.omega, n ** 2 + fs.omega_frac)
     c_est = verify_ev_asymptotics(random_basis)
     assert fs.frac_inf <= abs(random_basis.avg_W) + c_est + 1e-12
     # W = 0 and W = c reference points
