@@ -227,15 +227,18 @@ def qstar_reduce(omega: FrequencySet, m, h, gamma: float, B: float, s_star: floa
     """Largest index q* such that the head of the frequency combination cannot
     be dominated by its tail, with the discrete-Gronwall growth bound on <h_p>
     and (when q* < q) the numeric check of the triangle-inequality reduction
-    to half of the head divisor.
+    to half of the head divisor.  Remainders w_k - k^2 are read from
+    omega.omega_frac, never from the rounded sum omega.omega, and the
+    triangle check sums the integer parts m_j h_j^2 exactly.
     """
-    _, table = _omega_window(omega, max(abs(hj) for hj in h))
+    window, _ = _omega_window(omega, max(abs(hj) for hj in h))
+    frac = {k: float(omega.omega_frac[omega.mode_set.index(k)]) for k in window}
     h = list(h)
     m = list(m)
     jh = [japanese(hj) for hj in h]
     if any(a > b for a, b in zip(jh, jh[1:])):
         raise ValueError("h must be sorted by <h_j>")
-    sup_b = max(abs(table[k] - k * k) * japanese(k) ** s_star for k in table)
+    sup_b = max(abs(frac[k]) * japanese(k) ** s_star for k in window)
     if not B >= sup_b:
         raise ValueError(f"B={B} is below sup_k |w_k - k^2|<k>^{s_star} = {sup_b:.6g}")
     q = len(h)
@@ -251,18 +254,19 @@ def qstar_reduce(omega: FrequencySet, m, h, gamma: float, B: float, s_star: floa
             q_star = p - 1
             break
     m1 = sum(abs(mj) for mj in m)
-    C = (2.0 * B / gamma) ** (1.0 / s_star)
-    log_base = math.log(C) + 4.0 * q_star / s_star * math.log(m1) + math.log(jh[0])
+    log_c = math.log(2.0 * B / gamma) / s_star     # log C, C = (2B/gamma)^(1/s*) may underflow
+    log_base = log_c + 4.0 * q_star / s_star * math.log(m1) + math.log(jh[0])
     gronwall = []
     for p in range(2, q_star + 1):
         log_bound = math.exp(4.0 * (p - 1) / s_star) * log_base
         gronwall.append({"p": p, "jh_p": jh[p - 1], "log_bound": log_bound,
                          "holds": math.log(jh[p - 1]) <= log_bound})
     triangle_ok = None
-    if q_star < q:
-        full = abs(sum(m[j] * table[h[j]] for j in range(q)))
-        head_div = abs(sum(m[j] * h[j] ** 2 for j in range(q_star, q))
-                       + sum(m[j] * table[h[j]] for j in range(q_star)))
+    if q_star < q:      # the integers sum_j m_j h_j^2 exactly, then the remainders
+        ints = sum(int(mj) * int(hj) ** 2 for mj, hj in zip(m, h))
+        rems = [mj * frac[hj] for mj, hj in zip(m, h)]
+        full = abs(ints + sum(rems))
+        head_div = abs(ints + sum(rems[:q_star]))
         triangle_ok = full >= 0.5 * head_div
     return QStarReport(q_star=q_star, thresholds=thresholds,
                        gronwall_bounds=gronwall, triangle_factor_ok=triangle_ok)

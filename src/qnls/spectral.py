@@ -26,6 +26,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_ENTRIES = 5_000_000    # sorted triples x starts one _Cells may hold: M = 32 fits, 64 not
 # entries (modes x pairs x starts) that one block of the sextic cell gradient gathers
 _GATHER = 1 << 16
+# an ascent problem stops after _STALL iterations whose best value rose by at most _RISE of itself
+_STALL, _RISE = 20, 1e-14
 
 
 def japanese(x) -> float:
@@ -130,9 +132,11 @@ def _ascend(kernel, starts: np.ndarray, nb: list[int],
     problem's best (f, y).  A start steps by eta along its gradient, projected
     back to the orthant and the sphere; it keeps a step that raises its value,
     and eta grows by 1.2 on a kept step and halves on a refused one.  A problem
-    stops once all its steps are below 1e-16: its starts freeze.  Steps are
-    capped at 1e50, above the 0.25 * 1.2**600 < 1e47 of the 600 iterations that
-    callers run at most.
+    rises on an iteration that lifts its best value above the best of its last
+    rise (or of the starts) by more than _RISE of that value; it stops after
+    _STALL consecutive iterations without a rise, and its starts freeze.  Steps
+    are capped at 1e50, above the 0.25 * 1.2**600 < 1e47 of the 600 iterations
+    that callers run at most.
 
     The kernel holds the objective: kernel.value(Y) is the value of each row of
     Y, kernel.gradient(moving) the gradient rows of the moving starts at the
@@ -144,6 +148,7 @@ def _ascend(kernel, starts: np.ndarray, nb: list[int],
     done = np.zeros(len(Y), bool)
     f, eta = kernel.value(Y), np.full(len(Y), 0.25)
     G = kernel.gradient(np.ones(len(Y), bool))
+    top, stalled = np.maximum.reduceat(f, first), np.zeros(len(nb), int)
     for _ in range(iters):
         cand = np.maximum(Y + eta[:, None] * G, 0.0)
         nrm = np.sqrt((cand * cand).sum(axis=1))   # np.linalg.norm(cand, axis=1), inlined
@@ -156,7 +161,10 @@ def _ascend(kernel, starts: np.ndarray, nb: list[int],
         np.copyto(Y, cand, where=better[:, None])
         f = np.where(better, fc, f)
         eta = np.minimum(eta * np.where(better, 1.2, 0.5), 1e50)
-        stop = np.repeat(np.maximum.reduceat(eta, first) < 1e-16, nb) & ~done
+        best = np.maximum.reduceat(f, first)
+        rose = best > top + _RISE * np.abs(top)
+        top, stalled = np.where(rose, best, top), np.where(rose, 0, stalled + 1)
+        stop = np.repeat(stalled >= _STALL, nb) & ~done
         moving = better & ~stop
         G[moving] = kernel.gradient(moving)
         if stop.any():

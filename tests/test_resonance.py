@@ -26,6 +26,23 @@ def test_sampling_determinism_and_extension():
         sample_conv_potential(0.0, 5, seed=1)
 
 
+def test_qstar_reads_remainders_below_the_ulp_of_the_squares():
+    # 1e-9 is below the ulp of 10^14, so omega.omega rounds it away
+    omega = FrequencySet(ModeSet((1, 10 ** 7)), np.array([0.0, 1e-9]))
+    with pytest.raises(ValueError, match="below"):
+        qstar_reduce(omega, m=[1, -1], h=[1, 10 ** 7], gamma=0.5, B=1e-3, s_star=1.0)
+    # 4473^2 + 10003864^2 = 10003865^2: the integer parts cancel, so the full
+    # divisor is r_0 - r_2 = 0 while the head divisor is r_0 = 1e-18
+    h = [4473, 10003864, 10003865]
+    omega = FrequencySet(ModeSet(tuple(h)), np.array([1e-18, 0.0, 1e-18]))
+    rep = qstar_reduce(omega, m=[1, 1, -1], h=h, gamma=1.0, B=1e-14, s_star=0.5)
+    assert rep.q_star == 1
+    assert rep.triangle_factor_ok is False
+    # C = (2B/gamma)^(1/s*) underflows to 0 here; its logarithm does not
+    rep = qstar_reduce(omega, m=[1, 1, -1], h=h, gamma=1.0, B=1e-14, s_star=0.02)
+    assert rep.q_star == 3 and all(math.isfinite(g["log_bound"]) for g in rep.gronwall_bounds)
+
+
 _FS1 = freqs_conv(np.zeros(3), ModeSet.symmetric(1))
 _NAN_GUARDS = {
     "sample_conv_potential-s_star": lambda: sample_conv_potential(math.nan, 3, seed=0),

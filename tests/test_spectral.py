@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qnls import spectral
 from qnls.errors import BudgetError
+from qnls.nf import NormalFormConfig
 from qnls.poly import HomPoly, ModeSet, build_p6, build_z2, coeff_close, poisson
 from qnls.spectral import (FrequencySet, NormEnclosure, freqs_conv, japanese,
                            level_enclosures, norm_c, norm_h, project,
@@ -357,7 +358,9 @@ def reference_posy_ascent(slots, w, nmodes, starts, iters):
     """The orthant ascent with the gradient of every start rebuilt on every
     iteration, kept as the oracle that the kernel must reproduce bit for bit.
     Given column-major slots, as sup_norm passes them, it sums its values over
-    a start-contiguous array."""
+    a start-contiguous array.  It stops after 20 iterations in a row whose best
+    value is at most 1e-14 of itself above the best of the last iteration that
+    rose by more."""
     Y = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     B = Y.shape[0]
 
@@ -366,6 +369,7 @@ def reference_posy_ascent(slots, w, nmodes, starts, iters):
 
     f = value(Y)
     eta = np.full(B, 0.25)
+    top, stalled = f.max(), 0
     rows = np.repeat(np.arange(B), slots.size)
     for _ in range(iters):
         Ys = Y[:, slots]
@@ -386,8 +390,12 @@ def reference_posy_ascent(slots, w, nmodes, starts, iters):
         Y[better] = cand[better]
         f = np.where(better, fc, f)
         eta = np.minimum(np.where(better, eta * 1.2, eta * 0.5), 1e50)
-        if eta.max() < 1e-16:
-            break
+        if f.max() > top + 1e-14 * abs(top):
+            top, stalled = f.max(), 0
+        else:
+            stalled += 1
+            if stalled == 20:
+                break
     i = int(np.argmax(f))
     return float(f[i]), Y[i]
 
@@ -405,7 +413,7 @@ def posy_problem(rng, nmodes, width, n_keys, n_starts):
     return slots, w, np.abs(rng.standard_normal((n_starts, nmodes))) + 1e-9
 
 
-# a few iterations hit the cap; most ascents meet the step-size test before 2000
+# a few iterations hit the cap; most ascents stall long before 2000
 ITERS = st.sampled_from([1, 2, 3, 7, 2000])
 
 
@@ -444,7 +452,7 @@ def test_sup_norm_matches_reference_ascent(window, M, q, n_keys, n_extra, iters,
 @given(window=st.sampled_from(["symmetric", "dirichlet"]), M=st.integers(1, 3),
        width=st.integers(2, 10),
        shapes=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 12)), min_size=1, max_size=6),
-       iters=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2 ** 32 - 1))
+       iters=st.sampled_from([1, 2, 7, 300, 2000]), seed=st.integers(0, 2 ** 32 - 1))
 def test_grouped_ascent_matches_reference(window, M, width, shapes, iters, seed):
     # problems of different key and start counts ascend together; each must
     # come out as the oracle run on it alone, whenever the others stop
@@ -470,6 +478,47 @@ def test_posy_ascent_stays_finite(nmodes, width, n_keys, n_starts, seed):
         [(f, y)] = spectral._posy_ascent([(slots, w, starts)], nmodes, 2000)
     assert np.isfinite(f) and np.all(np.isfinite(y))
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+
+
+def count_value_calls(monkeypatch, kernel):
+    """A list that grows by one on each kernel.value call."""
+    calls, value = [], kernel.value
+
+    def counting(self, Y):
+        calls.append(None)
+        return value(self, Y)
+
+    monkeypatch.setattr(kernel, "value", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nmodes", [1, 5])
+def test_ascent_from_the_maximum_stops_after_stall_iterations(monkeypatch, nmodes):
+    # sum_j y_j^2 is 1 on the whole sphere: one mode holds it exactly, five
+    # modes gain at rounding level, which the stall rule must not count as a rise
+    calls = count_value_calls(monkeypatch, spectral._Posy)
+    slots = np.repeat(np.arange(nmodes), 2).reshape(-1, 2)
+    starts = np.abs(np.random.default_rng(0).standard_normal((6, nmodes))) + 1e-9
+    [(f, y)] = spectral._posy_ascent([(slots, np.ones(nmodes), starts)], nmodes, 1000)
+    assert f == pytest.approx(1.0, abs=1e-14)
+    assert len(calls) == 1 + spectral._STALL
+
+
+def test_cell_ascent_from_the_maximum_stops_after_stall_iterations(monkeypatch):
+    # the one-mode window's level 0 is y_0^6 / 6, constant on the sphere
+    calls = count_value_calls(monkeypatch, spectral._Cells)
+    enc = sup_norm(spectral.SexticLevel0(ModeSet.symmetric(0)), multistart=4, iters=1000)
+    assert enc.lower == enc.upper == 1.0 / 6.0
+    assert len(calls) == 1 + spectral._STALL
+
+
+def test_normal_form_norm_h_stops_before_its_cap(monkeypatch):
+    # every level of the M=3 sextic stalls long before the normal form's cap
+    calls = count_value_calls(monkeypatch, spectral._Posy)
+    iters = NormalFormConfig.norm_iters
+    norm_h(build_p6(ModeSet.symmetric(3)), multistart=NormalFormConfig.norm_multistart,
+           iters=iters)
+    assert len(calls) < 1 + iters
 
 
 def level_enclosures_oracle(P, multistart, iters, seed, lower_levels):
