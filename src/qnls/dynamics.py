@@ -18,7 +18,6 @@ from .spectral import SexticLevel0, japanese, split_levels, sup_norm
 
 _TRACED = (split_levels,)
 _FINE_FACTOR = 5        # remainder_scaling's fine window: _FINE_FACTOR times the window
-_SCAN_ITERS = 600       # iterations of each strichartz_scan ascent
 
 
 def _omega_from_z2(z2: HomPoly) -> np.ndarray:
@@ -307,8 +306,8 @@ def strichartz_scan(M_list, c6: float = 1.0, multistart: int = 48,
             off = (ms.size - prev_witness.size) // 2
             embedded[off: off + prev_witness.size] = prev_witness
             extra = embedded[None, :]
-        enc = sup_norm(SexticLevel0(ms, c6), multistart=multistart, iters=_SCAN_ITERS,
-                       seed=seed, extra_starts=extra)
+        enc = sup_norm(SexticLevel0(ms, c6), multistart=multistart, seed=seed,
+                       extra_starts=extra)
         rows.append(ScanRow(M=M, lower=enc.lower, upper=enc.upper, dominant_level=0))
         prev_witness = enc.witness
     exponents = []

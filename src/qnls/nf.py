@@ -36,7 +36,6 @@ class NormalFormConfig:
     p: ClassVar[int] = 3
     A: ClassVar[float] = 2.0
     B_p: ClassVar[float] = 100.0
-    norm_iters: ClassVar[int] = 300     # iterations of each norm ascent
     r: int
     gamma: float
     J_max: int | None = None
@@ -173,8 +172,7 @@ def birkhoff(z2: HomPoly, P: HomPoly, omega: FrequencySet,
     if P.q != cfg.p:
         raise ValueError(f"perturbation half-degree {P.q} does not match p={cfg.p}")
 
-    norm_p = norm_h(P, multistart=cfg.norm_multistart,
-                    iters=cfg.norm_iters, seed=cfg.seed,
+    norm_p = norm_h(P, multistart=cfg.norm_multistart, seed=cfg.seed,
                     lower_levels=cfg.norm_lower_levels)
     eps = epsilon_r(cfg, norm_p.upper, omega)
 

@@ -450,8 +450,7 @@ def _merged(X: np.ndarray, Y: np.ndarray, n: int):
     """(ix, iy, rows, ranks): for every pair of distinct rows x of X and y of
     Y the sorted row x + y and its rank, in flat tables, and an offset ix per
     row of X and iy per row of Y such that ix + iy is the place of their pair."""
-    (_, fx, ix), (_, fy, iy) = (np.unique(_ranks(Z, n), return_index=True, return_inverse=True)
-                                for Z in (X, Y))
+    (_, fx, ix), (_, fy, iy) = (_unique(_ranks(Z, n)) for Z in (X, Y))
     x, y = X[fx], Y[fy]
     shape = (len(x), len(y))
     rows = np.sort(np.concatenate([np.broadcast_to(x[:, None], shape + x.shape[1:]),

@@ -28,6 +28,7 @@ _MAX_ENTRIES = 5_000_000    # sorted triples x starts one _Cells may hold: M = 3
 _GATHER = 1 << 16
 # an ascent problem stops after _STALL iterations whose best value rose by at most _RISE of itself
 _STALL, _RISE = 20, 1e-14
+_MAX_ITERS = 600        # iterations of any ascent; the workloads' problems stall long before
 
 
 def japanese(x) -> float:
@@ -125,8 +126,7 @@ class NormEnclosure:
         return {"lower": self.lower, "upper": self.upper, "witness": w}
 
 
-def _ascend(kernel, starts: np.ndarray, nb: list[int],
-            iters: int) -> list[tuple[float, np.ndarray]]:
+def _ascend(kernel, starts: np.ndarray, nb: list[int]) -> list[tuple[float, np.ndarray]]:
     """Projected-gradient ascent on the nonnegative unit sphere from each row of
     starts, for problems of nb[i] consecutive starts, all together; returns each
     problem's best (f, y).  A start steps by eta along its gradient, projected
@@ -134,9 +134,9 @@ def _ascend(kernel, starts: np.ndarray, nb: list[int],
     and eta grows by 1.2 on a kept step and halves on a refused one.  A problem
     rises on an iteration that lifts its best value above the best of its last
     rise (or of the starts) by more than _RISE of that value; it stops after
-    _STALL consecutive iterations without a rise, and its starts freeze.  Steps
-    are capped at 1e50, above the 0.25 * 1.2**600 < 1e47 of the 600 iterations
-    that callers run at most.
+    _STALL consecutive iterations without a rise, and its starts freeze; all stop
+    after _MAX_ITERS iterations.  Steps are capped at 1e50, above the
+    0.25 * 1.2**_MAX_ITERS < 1e47 that _MAX_ITERS kept steps reach.
 
     The kernel holds the objective: kernel.value(Y) is the value of each row of
     Y, kernel.gradient(moving) the gradient rows of the moving starts at the
@@ -149,7 +149,7 @@ def _ascend(kernel, starts: np.ndarray, nb: list[int],
     f, eta = kernel.value(Y), np.full(len(Y), 0.25)
     G = kernel.gradient(np.ones(len(Y), bool))
     top, stalled = np.maximum.reduceat(f, first), np.zeros(len(nb), int)
-    for _ in range(iters):
+    for _ in range(_MAX_ITERS):
         cand = np.maximum(Y + eta[:, None] * G, 0.0)
         nrm = np.sqrt((cand * cand).sum(axis=1))   # np.linalg.norm(cand, axis=1), inlined
         dead = nrm == 0
@@ -233,12 +233,12 @@ class _Posy:
         self._pairs(self.gT[alive])
 
 
-def _posy_ascent(problems, nmodes: int, iters: int) -> list[tuple[float, np.ndarray]]:
+def _posy_ascent(problems, nmodes: int) -> list[tuple[float, np.ndarray]]:
     """_ascend of the posynomials of problems (slots, w, starts) of one slot
     width on nmodes modes, all together; returns each problem's best (f, y)."""
     nb = [len(st) for _, _, st in problems]
     kernel = _Posy([(slots, w) for slots, w, _ in problems], nb, nmodes)
-    return _ascend(kernel, np.vstack([st for _, _, st in problems]), nb, iters)
+    return _ascend(kernel, np.vstack([st for _, _, st in problems]), nb)
 
 
 def _starts(nmodes: int, multistart: int, seed: int, extra_starts=None) -> np.ndarray:
@@ -252,14 +252,14 @@ def _starts(nmodes: int, multistart: int, seed: int, extra_starts=None) -> np.nd
     return np.vstack(starts)
 
 
-def _enclosures(mods, seeds, multistart: int, iters: int, extra_starts=None):
+def _enclosures(mods, seeds, multistart: int, extra_starts=None):
     """Enclosures of modulus polynomials from one ascent call, each from its seed's starts."""
     nmodes = mods[0].mode_set.size
     problems = [(np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize,
                  _starts(nmodes, multistart, seed, extra_starts)) for P, seed in zip(mods, seeds)]
     # min guards against roundoff at tight enclosures
     return [NormEnclosure(min(lower, upper), upper, y) for upper, (lower, y)
-            in zip([P.l1() for P in mods], _posy_ascent(problems, nmodes, iters))]
+            in zip([P.l1() for P in mods], _posy_ascent(problems, nmodes))]
 
 
 @dataclass(frozen=True)
@@ -277,15 +277,16 @@ class SexticLevel0:
         check_positive(c6=self.c6)
 
 
-def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, seed: int = 0,
+def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, seed: int = 0,
              extra_starts=None) -> NormEnclosure:
     """Enclosure of sup_{||u||<=1} P(u) for a modulus polynomial P (real,
     nonnegative coefficients), such as P.modulus() of any polynomial.
 
-    The ascent runs over the nonnegative orthant of the sphere, which holds
-    the maximum since |P(u)| <= P(|u|) componentwise.  The upper bound is the
-    l1 norm over ordered tuples.  A SexticLevel0 ascends on its cells (_Cells) at
-    c6 = 1, as the ascent's steps are not scale-free, from the same starts, its l1
+    The ascent (_ascend: until it stalls, for _MAX_ITERS iterations at most)
+    runs over the nonnegative orthant of the sphere, which holds the maximum
+    since |P(u)| <= P(|u|) componentwise.  The upper bound is the l1 norm over
+    ordered tuples.  A SexticLevel0 ascends on its cells (_Cells) at c6 = 1,
+    as the ascent's steps are not scale-free, from the same starts, its l1
     norm counted, its work arrays held to _MAX_ENTRIES and both bounds times c6.
     """
     if isinstance(P, SexticLevel0):
@@ -293,13 +294,13 @@ def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, iters: int = 500, 
         if math.comb(P.mode_set.size + 2, 3) * len(starts) > _MAX_ENTRIES:
             raise BudgetError(f"sup_norm budget exceeded at M={P.mode_set.M_param}")
         cells = _Cells(P.mode_set, len(starts))
-        [(lower, y)] = _ascend(cells, starts, [len(starts)], iters)
+        [(lower, y)] = _ascend(cells, starts, [len(starts)])
         return NormEnclosure(P.c6 * min(lower, cells.upper), P.c6 * cells.upper, y)
     if not np.all((P.coef.imag == 0) & (P.coef.real >= 0)):
         raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
     if not len(P):
         return NormEnclosure(0.0, 0.0, np.zeros(P.mode_set.size))
-    return _enclosures([P], [seed], multistart, iters, extra_starts)[0]
+    return _enclosures([P], [seed], multistart, extra_starts)[0]
 
 
 class _Cells:
@@ -384,8 +385,8 @@ def check_lower_levels(k) -> None:
         raise ValueError(f"lower_levels must be 'all' or an int >= 0, not {k!r}")
 
 
-def level_enclosures(P: HomPoly, multistart: int = 32, iters: int = 400,
-                     seed: int = 0, lower_levels="all") -> dict[int, NormEnclosure]:
+def level_enclosures(P: HomPoly, multistart: int = 32, seed: int = 0,
+                     lower_levels="all") -> dict[int, NormEnclosure]:
     """Per-level enclosures of || |proj_a P| ||_sup over the spectral support,
     the levels of split_levels(P).
 
@@ -393,14 +394,14 @@ def level_enclosures(P: HomPoly, multistart: int = 32, iters: int = 400,
     or an integer K for the K levels with the largest l1 upper bound (the
     remaining levels report lower = 0 with no witness).  The chosen levels
     ascend together in one call of the ascent kernel, each from the starts
-    that sup_norm would use with seed + 2|a| + (a < 0).
+    that sup_norm would use with seed + 2|a| + (a < 0), for at most _MAX_ITERS iterations.
     """
     check_lower_levels(lower_levels)
     mods = split_levels(P.modulus())
     ranked = sorted(mods, key=lambda a: mods[a].l1(), reverse=True)
     chosen = [a for a in mods if lower_levels == "all" or a in ranked[:lower_levels]]
     seeds = [seed + 2 * abs(a) + (a < 0) for a in chosen]
-    found = dict(zip(chosen, _enclosures([mods[a] for a in chosen], seeds, multistart, iters)
+    found = dict(zip(chosen, _enclosures([mods[a] for a in chosen], seeds, multistart)
                      if chosen else []))
     return {a: found.get(a) or NormEnclosure(0.0, mod.l1(), None) for a, mod in mods.items()}
 

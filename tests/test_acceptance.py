@@ -131,9 +131,9 @@ def test_criterion_4_norm_inequalities():
             q = 3
             w2 = np.asarray(ms.modes, float) ** 2
             winf = float(np.max(w2))
-            h = norm_h(P, multistart=16, iters=300)
-            c = norm_c(P, multistart=16, iters=300)
-            s = sup_norm(P.modulus(), multistart=16, iters=300)
+            h = norm_h(P, multistart=16)
+            c = norm_c(P, multistart=16)
+            s = sup_norm(P.modulus(), multistart=16)
             if h.lower > s.upper * (1 + 1e-12):
                 violations += 1
             if s.lower > 5 * q * winf * h.upper * (1 + 1e-12):
@@ -149,15 +149,15 @@ def test_criterion_4_norm_inequalities():
             P = random_balanced(ms, qP, rng, n_keys=4)
             chi = random_balanced(ms, qC, rng, n_keys=4)
             br = poisson(P, chi)
-            lhs_sup = sup_norm(br.modulus(), multistart=8, iters=150).lower
-            rhs_sup = (8 * qP * qC * sup_norm(P.modulus(), multistart=8, iters=150).upper
-                       * sup_norm(chi.modulus(), multistart=8, iters=150).upper)
+            lhs_sup = sup_norm(br.modulus(), multistart=8).lower
+            rhs_sup = (8 * qP * qC * sup_norm(P.modulus(), multistart=8).upper
+                       * sup_norm(chi.modulus(), multistart=8).upper)
             if lhs_sup > rhs_sup * (1 + 1e-10):
                 violations += 1
-            lhs_h = norm_h(br, multistart=8, iters=150, lower_levels=3).lower
+            lhs_h = norm_h(br, multistart=8, lower_levels=3).lower
             rhs_h = (40 * qP * qC * math.log(2 * qC * winf)
-                     * norm_h(P, multistart=8, iters=150).upper
-                     * norm_c(chi, multistart=8, iters=150).upper)
+                     * norm_h(P, multistart=8).upper
+                     * norm_c(chi, multistart=8).upper)
             if lhs_h > rhs_h * (1 + 1e-10):
                 violations += 1
         assert violations == 0

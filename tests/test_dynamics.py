@@ -267,7 +267,7 @@ def test_strichartz_budget_admits_m32(monkeypatch):
         def __init__(self, ms, nb):
             seen.append((ms.size, nb))
 
-    def ascent(cells, starts, nb, iters):
+    def ascent(cells, starts, nb):
         return [(1.0, np.full(starts.shape[1], starts.shape[1] ** -0.5))]
 
     monkeypatch.setattr(spectral, "_Cells", Cells)
@@ -327,8 +327,7 @@ def test_strichartz_scan_matches_the_sparse_path(seed):
             extra = np.zeros((1, P.mode_set.size))
             off = (P.mode_set.size - witness.size) // 2
             extra[0, off:off + witness.size] = witness
-        enc = sup_norm(P, multistart=48, iters=dynamics._SCAN_ITERS, seed=seed,
-                       extra_starts=extra)
+        enc = sup_norm(P, multistart=48, seed=seed, extra_starts=extra)
         lower.append(enc.lower)
         upper.append(P.l1())
         witness = enc.witness

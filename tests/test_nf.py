@@ -307,6 +307,9 @@ _FS = freqs_conv(np.zeros(3), _MS)
 _REMOVED_SETTINGS = {
     "strichartz_scan-budget_keys": lambda: dynamics.strichartz_scan([1], budget_keys=10),
     "strichartz_scan-iters": lambda: dynamics.strichartz_scan([1], iters=600),
+    **{f"{fn.__name__}-iters": (lambda fn=fn: fn(build_p6(_MS), iters=600))
+       for fn in (spectral.level_enclosures, spectral.norm_h, spectral.norm_c)},
+    "sup_norm-iters": lambda: spectral.sup_norm(build_p6(_MS).modulus(), iters=600),
     "remainder_g-sigma": lambda: dynamics.remainder_g(np.zeros(5), ModeSet.symmetric(2), 1,
                                                       sigma=1),
     "remainder_g-c6": lambda: dynamics.remainder_g(np.zeros(5), ModeSet.symmetric(2), 1,
@@ -364,6 +367,8 @@ def test_removed_fields_are_absent(setup_m1):
     rep = check_krgamma(ms, fs, k=1, r=2, gamma=0.5)
     assert not any(hasattr(rep, name) for name in ("mode", "r", "gamma"))
     assert not hasattr(fs, "omega_int")
+    # one cap, spectral._MAX_ITERS, for every norm ascent
+    assert not hasattr(NormalFormConfig, "norm_iters") and not hasattr(dynamics, "_SCAN_ITERS")
     drift = dynamics.action_drift(None, z2, P6, 1, [0.1, 0.05], T=0.1, dt=0.05)
     assert not hasattr(drift, "mode")
     basis = sturm.dirichlet_eig(np.zeros(3), 2)
@@ -373,7 +378,7 @@ def test_removed_fields_are_absent(setup_m1):
 
 def test_paper_constants_read_as_before():
     cfg = NormalFormConfig(r=5, gamma=0.5)
-    assert (cfg.p, cfg.A, cfg.B_p, cfg.norm_iters) == (3, 2.0, 100.0, 300)
+    assert (cfg.p, cfg.A, cfg.B_p, spectral._MAX_ITERS) == (3, 2.0, 100.0, 600)
     # the generator flows' step and the midpoint tolerance are module constants
     assert (nf._FLOW_DT, flows._TOL) == (0.05, 1e-14)
     assert not hasattr(cfg, "flow_dt") and not hasattr(cfg, "flow_tol")
@@ -420,7 +425,6 @@ def test_chi_c_norm_bound(setup_m1):
     ms, fs, z2, P6 = setup_m1
     gamma = 0.5
     chi, _ = solve_cohomological(P6, fs, gamma)
-    lhs = norm_c(chi, multistart=8, iters=150).lower
-    rhs = (8 * (P6.q + 1) / gamma * japanese(fs.frac_inf)
-           * norm_h(P6, multistart=8, iters=150).upper)
+    lhs = norm_c(chi, multistart=8).lower
+    rhs = (8 * (P6.q + 1) / gamma * japanese(fs.frac_inf) * norm_h(P6, multistart=8).upper)
     assert lhs <= rhs * (1 + 1e-10)

@@ -188,6 +188,37 @@ def test_poisson_on_sextic_across_block_splits():
     assert_bits(got, dict_poisson(chi, P6))
 
 
+def poisson_by_np_unique(P, Q):
+    """The bracket with np.unique tabulating the distinct rows in _merged,
+    where the kernel calls poly._unique; the bracket's own codes keep _unique."""
+    merged = poly._merged
+
+    def merged_by_np_unique(X, Y, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_unique", lambda codes: np.unique(
+                codes, return_index=True, return_inverse=True))
+            return merged(X, Y, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_merged", merged_by_np_unique)
+        return poisson(P, Q)
+
+
+def assert_same_arrays(P: HomPoly, Q: HomPoly):
+    assert np.array_equal(P.idx_k, Q.idx_k) and np.array_equal(P.idx_l, Q.idx_l)
+    assert np.array_equal(P.coef.view(np.int64), Q.coef.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 18])
+def test_merged_tables_give_the_sextic_brackets_of_np_unique(seed):
+    # the first generator of the M=3 normal form, bracketed with P6 and itself
+    ms = ModeSet.symmetric(3)
+    P6 = build_p6(ms)
+    chi, _ = solve_cohomological(P6, freqs_conv(sample_conv_potential(1.0, 3, seed), ms), 0.5)
+    for Q in (P6, chi):
+        assert_same_arrays(poisson(chi, Q), poisson_by_np_unique(chi, Q))
+
+
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=1, max_size=8),
        data=st.data())

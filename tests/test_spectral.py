@@ -1,5 +1,6 @@
 import math
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_sup_norm_cross_term():
 def test_sup_norm_signed():
     ms = ModeSet.dirichlet(2)
     Z = build_z2(ms, [1.0, -3.0])
-    enc = sup_norm(Z.modulus(), multistart=16, iters=300)
+    enc = sup_norm(Z.modulus(), multistart=16)
     assert enc.lower == pytest.approx(1.5, abs=1e-8)
     assert enc.lower <= enc.upper
     # the signed polynomial itself attains the bound at the witness
@@ -161,7 +162,7 @@ def test_sup_norm_takes_moduli_only():
 def test_sup_norm_witness_contract(rng):
     ms = ModeSet.symmetric(2)
     P = random_balanced(ms, 2, rng).modulus()
-    enc = sup_norm(P, multistart=16, iters=200)
+    enc = sup_norm(P, multistart=16)
     val = abs(complex(P(enc.witness)))
     assert val >= enc.lower - 1e-12
     assert np.linalg.norm(enc.witness) == pytest.approx(1.0, abs=1e-12)
@@ -186,18 +187,18 @@ def test_norm_h_diagonal_single_level(rng):
 def test_norm_h_vs_sup_of_modulus(rng):
     ms = ModeSet.symmetric(2)
     P = random_balanced(ms, 2, rng)
-    h = norm_h(P, multistart=16, iters=300)
-    s = sup_norm(P.modulus(), multistart=16, iters=300)
+    h = norm_h(P, multistart=16)
+    s = sup_norm(P.modulus(), multistart=16)
     assert h.lower <= s.upper * (1 + 1e-12)
 
 
 def test_norm_c_brute_force_small():
     ms = ModeSet.symmetric(1)
     P = build_p6(ms)
-    encs = level_enclosures(P, multistart=24, iters=400)
+    encs = level_enclosures(P, multistart=24)
     want_low = max(japanese(a) * e.lower for a, e in encs.items())
     want_up = max(japanese(a) * e.upper for a, e in encs.items())
-    got = norm_c(P, multistart=24, iters=400)
+    got = norm_c(P, multistart=24)
     assert got.lower == pytest.approx(want_low, rel=1e-12)
     assert got.upper == pytest.approx(want_up, rel=1e-12)
 
@@ -230,9 +231,9 @@ def test_sandwich_inequalities():
         q = 3
         w2 = np.asarray(ms.modes, float) ** 2
         winf = float(np.max(w2))
-        h = norm_h(P, multistart=16, iters=300)
-        c = norm_c(P, multistart=16, iters=300)
-        s = sup_norm(P.modulus(), multistart=16, iters=300)
+        h = norm_h(P, multistart=16)
+        c = norm_c(P, multistart=16)
+        s = sup_norm(P.modulus(), multistart=16)
         assert h.lower <= s.upper * (1 + 1e-12)
         assert s.lower <= 5 * q * winf * h.upper * (1 + 1e-12)
         assert s.lower <= 5 * math.log(2 * q * winf) * c.upper * (1 + 1e-12)
@@ -330,10 +331,9 @@ def test_refined_bracket_bound(rng):
         P = random_balanced(ms, 2, rng, n_keys=4)
         chi = random_balanced(ms, 2, rng, n_keys=4)
         br = poisson(P, chi)
-        lhs = norm_h(br, multistart=8, iters=150).lower
+        lhs = norm_h(br, multistart=8).lower
         rhs = (40 * P.q * chi.q * math.log(2 * chi.q * winf)
-               * norm_h(P, multistart=8, iters=150).upper
-               * norm_c(chi, multistart=8, iters=150).upper)
+               * norm_h(P, multistart=8).upper * norm_c(chi, multistart=8).upper)
         assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -343,6 +343,20 @@ def test_enclosure_validation():
 
 
 # ------------------------------------------------ reference of the orthant ascent
+
+
+@contextmanager
+def capped(iters):
+    """Every ascent inside runs at most iters iterations, not spectral._MAX_ITERS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_MAX_ITERS", iters)
+        yield
+
+
+def test_step_cap_lies_above_every_step_of_an_ascent():
+    # eta starts at 0.25 and grows by 1.2 per kept step: the 1e50 cap of _ascend
+    # changes no ascent of _MAX_ITERS iterations, only longer ones that would overflow
+    assert 0.25 * 1.2 ** spectral._MAX_ITERS < 1e50
 
 
 def _excl_prods(Y):
@@ -424,7 +438,8 @@ ITERS = st.sampled_from([1, 2, 3, 7, 2000])
 def test_posy_ascent_matches_reference(window, M, width, n_keys, n_starts, iters, seed):
     nmodes = getattr(ModeSet, window)(M).size
     slots, w, starts = posy_problem(np.random.default_rng(seed), nmodes, width, n_keys, n_starts)
-    [(f, y)] = spectral._posy_ascent([(slots, w, starts.copy())], nmodes, iters)
+    with capped(iters):
+        [(f, y)] = spectral._posy_ascent([(slots, w, starts.copy())], nmodes)
     f_ref, y_ref = reference_posy_ascent(slots, w, nmodes, starts.copy(), iters)
     assert f == f_ref
     assert np.array_equal(y, y_ref)
@@ -439,10 +454,12 @@ def test_sup_norm_matches_reference_ascent(window, M, q, n_keys, n_extra, iters,
     ms = getattr(ModeSet, window)(M)
     P = random_balanced(ms, q, rng, n_keys=n_keys).modulus()
     extra = rng.standard_normal((n_extra, ms.size)) if n_extra else None
-    kw = dict(multistart=8, iters=iters, seed=seed % 1000, extra_starts=extra)
-    got = sup_norm(P, **kw)
+    kw = dict(multistart=8, seed=seed % 1000, extra_starts=extra)
+    with capped(iters):
+        got = sup_norm(P, **kw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_posy_ascent", reference_grouped)
+        mp.setattr(spectral, "_posy_ascent",
+                   lambda problems, nmodes: reference_grouped(problems, nmodes, iters))
         want = sup_norm(P, **kw)
     assert (got.lower, got.upper) == (want.lower, want.upper)
     assert np.array_equal(got.witness, want.witness)
@@ -459,7 +476,8 @@ def test_grouped_ascent_matches_reference(window, M, width, shapes, iters, seed)
     rng = np.random.default_rng(seed)
     nmodes = getattr(ModeSet, window)(M).size
     problems = [posy_problem(rng, nmodes, width, k, b) for k, b in shapes]
-    got = spectral._posy_ascent([(sl, w, st.copy()) for sl, w, st in problems], nmodes, iters)
+    with capped(iters):
+        got = spectral._posy_ascent([(sl, w, st.copy()) for sl, w, st in problems], nmodes)
     assert len(got) == len(problems)
     for (f, y), (slots, w, starts) in zip(got, problems):
         f_ref, y_ref = reference_posy_ascent(slots, w, nmodes, starts.copy(), iters)
@@ -475,7 +493,8 @@ def test_posy_ascent_stays_finite(nmodes, width, n_keys, n_starts, seed):
     slots, w, starts = posy_problem(np.random.default_rng(seed), nmodes, width, n_keys, n_starts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [(f, y)] = spectral._posy_ascent([(slots, w, starts)], nmodes, 2000)
+        with capped(2000):
+            [(f, y)] = spectral._posy_ascent([(slots, w, starts)], nmodes)
     assert np.isfinite(f) and np.all(np.isfinite(y))
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
@@ -499,7 +518,8 @@ def test_ascent_from_the_maximum_stops_after_stall_iterations(monkeypatch, nmode
     calls = count_value_calls(monkeypatch, spectral._Posy)
     slots = np.repeat(np.arange(nmodes), 2).reshape(-1, 2)
     starts = np.abs(np.random.default_rng(0).standard_normal((6, nmodes))) + 1e-9
-    [(f, y)] = spectral._posy_ascent([(slots, np.ones(nmodes), starts)], nmodes, 1000)
+    with capped(1000):
+        [(f, y)] = spectral._posy_ascent([(slots, np.ones(nmodes), starts)], nmodes)
     assert f == pytest.approx(1.0, abs=1e-14)
     assert len(calls) == 1 + spectral._STALL
 
@@ -507,22 +527,22 @@ def test_ascent_from_the_maximum_stops_after_stall_iterations(monkeypatch, nmode
 def test_cell_ascent_from_the_maximum_stops_after_stall_iterations(monkeypatch):
     # the one-mode window's level 0 is y_0^6 / 6, constant on the sphere
     calls = count_value_calls(monkeypatch, spectral._Cells)
-    enc = sup_norm(spectral.SexticLevel0(ModeSet.symmetric(0)), multistart=4, iters=1000)
+    with capped(1000):
+        enc = sup_norm(spectral.SexticLevel0(ModeSet.symmetric(0)), multistart=4)
     assert enc.lower == enc.upper == 1.0 / 6.0
     assert len(calls) == 1 + spectral._STALL
 
 
 def test_normal_form_norm_h_stops_before_its_cap(monkeypatch):
-    # every level of the M=3 sextic stalls long before the normal form's cap
+    # every level of the M=3 sextic stalls long before 300 iterations, half the cap
     calls = count_value_calls(monkeypatch, spectral._Posy)
-    iters = NormalFormConfig.norm_iters
-    norm_h(build_p6(ModeSet.symmetric(3)), multistart=NormalFormConfig.norm_multistart,
-           iters=iters)
-    assert len(calls) < 1 + iters
+    norm_h(build_p6(ModeSet.symmetric(3)), multistart=NormalFormConfig.norm_multistart)
+    assert len(calls) < 1 + 300
 
 
 def level_enclosures_oracle(P, multistart, iters, seed, lower_levels):
-    """One sup_norm call per chosen level, the loop level_enclosures replaced."""
+    """One sup_norm call per chosen level, each of at most iters iterations,
+    the loop level_enclosures replaced."""
     levels = split_levels(P)
     chosen = set(levels)
     if lower_levels != "all":
@@ -531,8 +551,8 @@ def level_enclosures_oracle(P, multistart, iters, seed, lower_levels):
     for a, part in levels.items():
         mod = part.modulus()
         if a in chosen:
-            out[a] = sup_norm(mod, multistart=multistart, iters=iters,
-                              seed=seed + 2 * abs(a) + (a < 0))
+            with capped(iters):
+                out[a] = sup_norm(mod, multistart=multistart, seed=seed + 2 * abs(a) + (a < 0))
         else:
             out[a] = NormEnclosure(0.0, mod.l1(), None)
     return out
@@ -557,16 +577,18 @@ def test_level_enclosures_matches_sup_norm_loop(window, M, q, n_keys, lower_leve
     rng = np.random.default_rng(seed)
     ms = getattr(ModeSet, window)(M)
     P = random_balanced(ms, q, rng, n_keys=n_keys)
-    args = (8, iters, seed % 1000, lower_levels)
-    assert_same_enclosures(level_enclosures(P, *args), level_enclosures_oracle(P, *args))
+    with capped(iters):
+        got = level_enclosures(P, 8, seed % 1000, lower_levels)
+    assert_same_enclosures(got, level_enclosures_oracle(P, 8, iters, seed % 1000, lower_levels))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_level_enclosures_of_sextic_match_sup_norm_loop(M):
     ms = ModeSet.symmetric(M)
     P = build_p6(ms)
-    args = (16, 300, 0, "all")
-    assert_same_enclosures(level_enclosures(P, *args), level_enclosures_oracle(P, *args))
+    with capped(300):
+        got = level_enclosures(P, 16, 0, "all")
+    assert_same_enclosures(got, level_enclosures_oracle(P, 16, 300, 0, "all"))
 
 
 def test_level_enclosures_ascend_once(monkeypatch):
@@ -582,7 +604,8 @@ def test_level_enclosures_ascend_once(monkeypatch):
     n_levels = len(split_levels(P))
     for lower_levels, want in (("all", n_levels), (3, 3), (0, None)):
         calls.clear()
-        encs = level_enclosures(P, multistart=4, iters=3, lower_levels=lower_levels)
+        with capped(3):
+            encs = level_enclosures(P, multistart=4, lower_levels=lower_levels)
         assert calls == ([want] if want else [])
         assert sum(e.witness is not None for e in encs.values()) == (want or 0)
         assert all(e.upper == part.modulus().l1() for e, part in
