@@ -132,7 +132,7 @@ def cmd_certify(args, out: Path) -> int:
         V = (np.zeros(window.size) if args.free
              else resonance.sample_conv_potential(args.s_star, args.hmax, args.seed))
         omega = freqs_conv(V, window)
-        bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax, args.amax)
+        bounds = resonance.NRBounds(args.qmax, args.m1max, args.hmax)
         resonance.check_certificate(omega, bounds, args.kind, args.alpha, args.s_star)
     if args.kind == "strong":
         cert = resonance.certify_strong(omega, bounds, alpha=args.alpha)
@@ -304,7 +304,6 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, default=3)
     p.add_argument("--m1max", type=int, default=4)
     p.add_argument("--hmax", type=int, default=20)
-    p.add_argument("--amax", type=int, default=0, help="0 = automatic cap")
     _add_system(p, "--s-star")
     p.add_argument("--free", action="store_true", help="use the unperturbed frequencies k^2")
     p.set_defaults(func=cmd_certify)

@@ -253,25 +253,27 @@ class KRGammaReport:
 def _divisor_blocks(mode_set: ModeSet, omega: FrequencySet, k: int, r: int):
     """Tables of |Omega| between multisets of equal size q = 1..r.
 
-    For each q the multisets of q modes are listed with their frequency sums
-    and their multiplicities of mode k; the table |sums[i] - sums[j]| is then
-    yielded in blocks of 4096 rows as (multis, sums, mult_k, rows, diff).
-    BudgetError is raised before any table whose pairs would take the running
-    total past _MAX_PAIRS.
+    For each q the multisets of q modes are rows of sorted positions in
+    mode_set; they are listed as rows of modes, with their frequency sums
+    (added left to right) and their multiplicities of mode k, which need not
+    lie in the window.  The table |sums[i] - sums[j]| is yielded in blocks of
+    4096 rows as (multis, sums, mult_k, block, diff).  BudgetError is raised
+    before any table whose pairs would take the running total past _MAX_PAIRS.
     """
-    w = {m: omega.value(m) for m in mode_set.modes}
+    modes, w = np.array(mode_set.modes), omega.omega
     pairs = 0
     for q in range(1, r + 1):
         n = math.comb(mode_set.size + q - 1, q)
         pairs += n * n
         if pairs > _MAX_PAIRS:
             raise BudgetError(f"divisor enumeration budget exceeded at half-degree {q}")
-        multis = list(combinations_with_replacement(mode_set.modes, q))
-        sums = np.array([sum(w[m] for m in t) for t in multis])
-        mult_k = np.array([t.count(k) for t in multis])
+        rows = np.array(list(combinations_with_replacement(range(mode_set.size), q)))
+        multis = modes[rows]
+        sums = sum(w[rows.T])       # w[rows[:, 0]] + w[rows[:, 1]] + ...
+        mult_k = (multis == k).sum(1)
         for i0 in range(0, n, 4096):
-            rows = slice(i0, min(i0 + 4096, n))
-            yield multis, sums, mult_k, rows, np.abs(sums[rows, None] - sums[None, :])
+            block = slice(i0, min(i0 + 4096, n))
+            yield multis, sums, mult_k, block, np.abs(sums[block, None] - sums[None, :])
 
 
 def suggest_gamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
@@ -304,12 +306,13 @@ def check_krgamma(mode_set: ModeSet, omega: FrequencySet, k: int, r: int,
     """
     mode_set.index(k)      # ValueError unless the window holds k
     report = KRGammaReport()
-    for multis, sums, mult_k, rows, diff in _divisor_blocks(mode_set, omega, k, r):
-        bad = (diff <= gamma) & (mult_k[rows, None] != mult_k[None, :])
+    for multis, sums, mult_k, block, diff in _divisor_blocks(mode_set, omega, k, r):
+        bad = (diff <= gamma) & (mult_k[block, None] != mult_k[None, :])
         report.n_violations += int(np.count_nonzero(bad))
         listed = 200 - len(report.violations)
         for bi, bj in zip(*(ix[:listed] for ix in np.nonzero(bad))):
-            i, j = rows.start + int(bi), int(bj)
-            report.violations.append((multis[i], multis[j], float(sums[i] - sums[j])))
+            i, j = block.start + int(bi), int(bj)
+            report.violations.append((tuple(multis[i].tolist()), tuple(multis[j].tolist()),
+                                      float(sums[i] - sums[j])))
         report.pairs_checked += diff.size
     return report

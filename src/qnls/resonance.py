@@ -62,10 +62,9 @@ class NRBounds:
     q_max: int
     m1_max: int
     h_max: int
-    a_max: int = 0
 
     def __post_init__(self):
-        if min(self.q_max, self.m1_max, self.h_max) < 1 or self.a_max < 0:
+        if min(self.q_max, self.m1_max, self.h_max) < 1:
             raise ValueError("enumeration bounds must be positive")
 
 
@@ -85,40 +84,29 @@ class NRCertificate:
 
 
 def _m_patterns(q: int, m1_max: int, zero_sum: bool) -> list[tuple[int, ...]]:
-    """Ordered m in (Z*)^q with sum|m| <= m1_max, deduplicated by overall sign."""
-    out = []
-    if m1_max < q:
-        return out
-    for mags in product(range(1, m1_max + 1), repeat=q):
-        if sum(mags) > m1_max:
-            continue
-        for signs in product((1, -1), repeat=q):
-            m = tuple(s * a for s, a in zip(signs, mags))
-            if zero_sum and sum(m) != 0:
-                continue
-            if m[0] < 0:
-                continue  # (m, h) and (-m, h) have the same divisor modulus
-            out.append(m)
-    return out
+    """Ordered m in (Z*)^q with sum|m| <= m1_max and m_1 > 0, as (m, h) and
+    (-m, h) have the same divisor modulus."""
+    mags = (a for a in product(range(1, m1_max + 1), repeat=q) if sum(a) <= m1_max)
+    signed = (tuple(s * x for s, x in zip((1, *signs), a))
+              for a in mags for signs in product((1, -1), repeat=q - 1))
+    return [m for m in signed if not (zero_sum and sum(m))]
 
 
-def _omega_window(omega: FrequencySet, h_max: int) -> tuple[list[int], dict[int, float]]:
-    """The modes |m| <= h_max of omega, sorted Python ints, and their frequencies."""
+def _omega_window(omega: FrequencySet, h_max: int) -> tuple[list[int], list[int]]:
+    """Positions in omega.mode_set of its modes |m| <= h_max, and those modes as Python ints."""
     if not isinstance(omega, FrequencySet):
         raise TypeError("omega must be a FrequencySet")
-    table = {int(m): omega.value(m) for m in omega.mode_set.modes if abs(m) <= h_max}
-    if not table:
+    pos = [i for i, m in enumerate(omega.mode_set.modes) if abs(m) <= h_max]
+    if not pos:
         raise ValueError("no frequencies inside the enumeration window")
-    return sorted(table), table
+    return pos, [int(omega.mode_set.modes[i]) for i in pos]
 
 
 def enumeration_size(omega: FrequencySet, b: NRBounds, kind: str = "strong") -> int:
     """Number of (q, m, h) tuples a certification run will inspect."""
-    window, _ = _omega_window(omega, b.h_max)
-    total = 0
-    for q in range(1, b.q_max + 1):
-        total += len(_m_patterns(q, b.m1_max, kind == "strong")) * math.comb(len(window), q)
-    return total
+    _, window = _omega_window(omega, b.h_max)
+    return sum(len(_m_patterns(q, b.m1_max, kind == "strong")) * math.comb(len(window), q)
+               for q in range(1, b.q_max + 1))
 
 
 def check_certificate(omega: FrequencySet, b: NRBounds, kind: str, alpha, s_star) -> None:
@@ -135,17 +123,15 @@ def check_certificate(omega: FrequencySet, b: NRBounds, kind: str, alpha, s_star
 def _certify(omega: FrequencySet, b: NRBounds, *, kind: str, alpha: float | None,
              s_star: float | None) -> NRCertificate:
     check_certificate(omega, b, kind, alpha, s_star)
-    window, table = _omega_window(omega, b.h_max)
-    wvals = np.array([table[h] for h in window])
+    pos, window = _omega_window(omega, b.h_max)
+    wvals = omega.omega[pos]
     jh = np.array([japanese(h) for h in window])
     fitted = math.inf
     worst = None
     violations = []
     n_checked = 0
-    for q in range(1, b.q_max + 1):
+    for q in range(1, min(b.q_max, len(window)) + 1):
         combos = np.array(list(combinations(range(len(window)), q)), dtype=int)
-        if combos.size == 0:
-            continue
         Wh = wvals[combos]                    # (n, q)
         Jh = jh[combos]
         min_jh = Jh.min(axis=1)
@@ -155,14 +141,12 @@ def _certify(omega: FrequencySet, b: NRBounds, *, kind: str, alpha: float | None
             x = Wh @ marr                     # sum m_j w_{h_j}
             n_checked += x.size
             if kind == "weak":
-                a_cap = np.minimum(b.a_max, np.floor(1.0 + np.abs(Wh) @ np.abs(marr)))
-                a_best = np.clip(np.rint(-x), -a_cap, a_cap)
-                div = np.abs(x + a_best)
+                a_best = np.rint(-x)          # the nearest integer a
                 rhs = (min_jh ** -s_star) * np.prod(np.abs(marr) ** -4.0) * prod_pen
             else:
                 a_best = np.zeros_like(x)
-                div = np.abs(x)
                 rhs = (2.0 * min_jh) ** (-np.exp(alpha * np.abs(marr).sum()))
+            div = np.abs(x + a_best)
             ratio = div / rhs
             i = int(np.argmin(ratio))
             if ratio[i] < fitted:
@@ -171,10 +155,8 @@ def _certify(omega: FrequencySet, b: NRBounds, *, kind: str, alpha: float | None
                          "h": [window[j] for j in combos[i]],
                          "a": int(a_best[i]), "divisor": float(div[i]),
                          "rhs_factor": float(rhs[i])}
-            for iz in np.flatnonzero(div == 0.0):
-                violations.append({"q": q, "m": list(m),
-                                   "h": [window[j] for j in combos[int(iz)]],
-                                   "a": int(a_best[int(iz)])})
+            violations += [{"q": q, "m": list(m), "h": [window[j] for j in combos[iz]],
+                            "a": int(a_best[iz])} for iz in np.flatnonzero(div == 0.0)]
     if violations:
         fitted = 0.0
     return NRCertificate(kind=kind, fitted=fitted, alpha=alpha, s_star=s_star,
@@ -183,9 +165,9 @@ def _certify(omega: FrequencySet, b: NRBounds, *, kind: str, alpha: float | None
 
 
 def certify_weak(omega: FrequencySet, b: NRBounds, s_star: float) -> NRCertificate:
-    """Fit the largest gamma of the weak non-resonance inequality over NRBounds."""
-    if b.a_max < 1:
-        b = NRBounds(b.q_max, b.m1_max, b.h_max, a_max=10 ** 9)
+    """Fit the largest gamma of the weak non-resonance inequality over NRBounds;
+    each (m, h) takes the integer a nearest to -sum_j m_j w_{h_j}, which
+    minimizes the divisor |a + sum_j m_j w_{h_j}| over all integers."""
     return _certify(omega, b, kind="weak", alpha=None, s_star=s_star)
 
 
@@ -198,9 +180,10 @@ def recompute_worst_case(cert: NRCertificate, omega: FrequencySet) -> float:
     """Re-evaluate the certificate's minimizing tuple; reproduces `fitted`."""
     if cert.worst_case is None:
         raise ValueError("certificate has no worst case")
-    _, table = _omega_window(omega, cert.bounds.h_max)
+    pos, window = _omega_window(omega, cert.bounds.h_max)
     wc = cert.worst_case
-    x = sum(mj * table[hj] for mj, hj in zip(wc["m"], wc["h"]))
+    w = omega.omega[pos].tolist()
+    x = sum(mj * w[window.index(hj)] for mj, hj in zip(wc["m"], wc["h"]))
     div = abs(x + wc["a"])
     if cert.kind == "weak":
         rhs = (min(japanese(h) for h in wc["h"]) ** -cert.s_star
@@ -229,16 +212,21 @@ def qstar_reduce(omega: FrequencySet, m, h, gamma: float, B: float, s_star: floa
     and (when q* < q) the numeric check of the triangle-inequality reduction
     to half of the head divisor.  Remainders w_k - k^2 are read from
     omega.omega_frac, never from the rounded sum omega.omega, and the
-    triangle check sums the integer parts m_j h_j^2 exactly.
+    triangle check sums the integer parts m_j h_j^2 exactly.  ValueError
+    unless m holds one nonzero integer per h_j, each h_j is a mode of omega
+    and gamma, B and s_star are finite and positive.
     """
-    window, _ = _omega_window(omega, max(abs(hj) for hj in h))
-    frac = {k: float(omega.omega_frac[omega.mode_set.index(k)]) for k in window}
-    h = list(h)
-    m = list(m)
+    h, m = list(h), list(m)
+    if not h or len(m) != len(h) or 0 in m:
+        raise ValueError("m must hold one nonzero integer per mode of h")
+    check_positive(gamma=gamma, B=B, s_star=s_star)
+    pos, window = _omega_window(omega, max(abs(hj) for hj in h))
+    frac_h = omega.omega_frac[[omega.mode_set.index(hj) for hj in h]].tolist()
     jh = [japanese(hj) for hj in h]
     if any(a > b for a, b in zip(jh, jh[1:])):
         raise ValueError("h must be sorted by <h_j>")
-    sup_b = max(abs(frac[k]) * japanese(k) ** s_star for k in window)
+    sup_b = max(abs(f) * japanese(k) ** s_star
+                for f, k in zip(omega.omega_frac[pos].tolist(), window))
     if not B >= sup_b:
         raise ValueError(f"B={B} is below sup_k |w_k - k^2|<k>^{s_star} = {sup_b:.6g}")
     q = len(h)
@@ -264,7 +252,7 @@ def qstar_reduce(omega: FrequencySet, m, h, gamma: float, B: float, s_star: floa
     triangle_ok = None
     if q_star < q:      # the integers sum_j m_j h_j^2 exactly, then the remainders
         ints = sum(int(mj) * int(hj) ** 2 for mj, hj in zip(m, h))
-        rems = [mj * frac[hj] for mj, hj in zip(m, h)]
+        rems = [mj * f for mj, f in zip(m, frac_h)]
         full = abs(ints + sum(rems))
         head_div = abs(ints + sum(rems[:q_star]))
         triangle_ok = full >= 0.5 * head_div

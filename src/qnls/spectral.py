@@ -14,6 +14,7 @@ gradient ascent; all the levels of one H- or C-norm ascend together.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -68,7 +69,9 @@ class FrequencySet:
         return float(np.max(np.abs(self.omega_frac)))
 
     def value(self, mode: int) -> float:
-        return float(self.omega[self.mode_set.index(mode)])
+        """The frequency of one mode, read as the same entry of omega."""
+        i = self.mode_set.index(mode)
+        return float(self.mode_set.squares[i] + self.omega_frac[i])
 
 
 def freqs_conv(V, mode_set: ModeSet) -> FrequencySet:
@@ -252,14 +255,15 @@ def _starts(nmodes: int, multistart: int, seed: int, extra_starts=None) -> np.nd
     return np.vstack(starts)
 
 
-def _enclosures(mods, seeds, multistart: int, extra_starts=None):
-    """Enclosures of modulus polynomials from one ascent call, each from its seed's starts."""
+def _enclosures(mods, uppers, seeds, multistart: int, extra_starts=None):
+    """Enclosures of modulus polynomials from one ascent call, each from its
+    seed's starts, with the given upper bounds (their l1 norms)."""
     nmodes = mods[0].mode_set.size
     problems = [(np.concatenate([P.idx_k, P.idx_l], axis=1), P.coef.real * P.csize,
                  _starts(nmodes, multistart, seed, extra_starts)) for P, seed in zip(mods, seeds)]
     # min guards against roundoff at tight enclosures
     return [NormEnclosure(min(lower, upper), upper, y) for upper, (lower, y)
-            in zip([P.l1() for P in mods], _posy_ascent(problems, nmodes))]
+            in zip(uppers, _posy_ascent(problems, nmodes))]
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,7 @@ def sup_norm(P: HomPoly | SexticLevel0, multistart: int = 64, seed: int = 0,
         raise ValueError("sup_norm needs real nonnegative coefficients: pass P.modulus()")
     if not len(P):
         return NormEnclosure(0.0, 0.0, np.zeros(P.mode_set.size))
-    return _enclosures([P], [seed], multistart, extra_starts)[0]
+    return _enclosures([P], [P.l1()], [seed], multistart, extra_starts)[0]
 
 
 class _Cells:
@@ -398,12 +402,13 @@ def level_enclosures(P: HomPoly, multistart: int = 32, seed: int = 0,
     """
     check_lower_levels(lower_levels)
     mods = split_levels(P.modulus())
-    ranked = sorted(mods, key=lambda a: mods[a].l1(), reverse=True)
-    chosen = [a for a in mods if lower_levels == "all" or a in ranked[:lower_levels]]
+    upper = {a: mod.l1() for a, mod in mods.items()}
+    top = mods if lower_levels == "all" else heapq.nlargest(lower_levels, mods, key=upper.get)
+    chosen = [a for a in mods if a in top]
     seeds = [seed + 2 * abs(a) + (a < 0) for a in chosen]
-    found = dict(zip(chosen, _enclosures([mods[a] for a in chosen], seeds, multistart)
-                     if chosen else []))
-    return {a: found.get(a) or NormEnclosure(0.0, mod.l1(), None) for a, mod in mods.items()}
+    found = dict(zip(chosen, _enclosures([mods[a] for a in chosen], [upper[a] for a in chosen],
+                                         seeds, multistart) if chosen else []))
+    return {a: found.get(a) or NormEnclosure(0.0, upper[a], None) for a in mods}
 
 
 def _combine(per_level: dict[int, NormEnclosure], weight=lambda a: 1.0) -> NormEnclosure:

@@ -119,6 +119,13 @@ def test_drift_quick(tmp_path):
     assert (out / "drift.svg").exists()
 
 
+def test_normal_form_takes_a_k_outside_the_window(tmp_path):
+    # the gamma scan does not depend on k, so normal-form refuses none
+    code, _ = run(tmp_path, "normal-form", "--modes", "2", "--order", "4", "--j-max", "5",
+                  "--k", "-7")
+    assert code == EXIT_OK
+
+
 def test_drift_runs_no_lower_bound_ascent(tmp_path, monkeypatch):
     # drift.json reads only the upper bound of ||P||_H, through eps_r: the
     # command ascends no level, and writes the file that the ascent of every
@@ -294,6 +301,7 @@ def test_parse_errors_are_config_errors(tmp_path):
     ["simulate", "--modes", "1", "--T", "-1"],
     ["drift", "--modes", "2", "--T", "-1"],
     ["strichartz", "--m-list", "1,2", "--sigma", "-1"],               # deleted flags
+    ["certify", "--hmax", "5", "--amax", "1"],
     ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--s", "0.5"],
     ["plan", "--eps", "0.01", "--nu", "1", "--alpha", "1", "--seed", "3"],
 ])
@@ -454,6 +462,7 @@ def test_config_field_parses_as_its_flag(tmp_path, command, dest, value):
     (["certify", "--hmax", "6"], {"command": "sturm"}),
     (["certify", "--hmax", "6"], {"config": None}),
     (["certify", "--hmax", "6"], {"alpha": [0.4]}),
+    (["certify", "--hmax", "6"], {"amax": 1}),                    # a deleted flag
 ])
 def test_wrongly_typed_config_field_exits_config(tmp_path, argv, fields):
     cfg = tmp_path / "cfg.json"

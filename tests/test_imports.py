@@ -151,6 +151,13 @@ def cayley_factor_sites(sources: dict[str, str]) -> set[str]:
                    for node in ast.walk(fn))}
 
 
+def test_certification_reads_frequencies_by_position():
+    # resonance and nf index omega.omega and omega.omega_frac by position;
+    # none of their functions looks a frequency up by mode with .value(mode)
+    sources = {p.stem: p.read_text() for p in MODULES if p.stem in ("resonance", "nf")}
+    assert function_calls(sources, "value") == set()
+
+
 def test_scanners_flag_midpoint_callers_and_cayley_factors():
     src = ("def loop(g, u):\n    return midpoint_step(g, u, 0.1, 0.0, u)\n"
            "def other(g, u):\n    return [flows.midpoint_step(g, v, 0.1, 0.0, v) for v in u]\n"

@@ -325,6 +325,8 @@ _REMOVED_SETTINGS = {
     "certify_weak-max_tuples": lambda: resonance.certify_weak(
         _FS, resonance.NRBounds(2, 2, 1), s_star=1.0, max_tuples=10),
     "check_krgamma-max_pairs": lambda: check_krgamma(_MS, _FS, 1, 2, 0.5, max_pairs=10),
+    "NRBounds-a_max": lambda: resonance.NRBounds(2, 2, 1, a_max=1),
+    "NRBounds-a_max-positional": lambda: resonance.NRBounds(2, 2, 1, 1),
     "p6_eigen_coeffs-max_window": lambda: sturm.p6_eigen_coeffs(None, 5, max_window=12),
     "remainder_scaling-fine_factor": lambda: dynamics.remainder_scaling([4], 0.45, fine_factor=5),
     "verify_ef_decay-sigma": lambda: sturm.verify_ef_decay(None, sigma=1.0),
@@ -417,6 +419,57 @@ def test_check_krgamma_counts_past_the_listed_violations():
         assert key_k.count(1) != key_l.count(1)
         assert abs(omega) <= 1.0
         assert omega == pytest.approx(divisor(fs, (key_k, key_l)), abs=1e-12)
+
+
+def divisor_blocks_oracle(mode_set, omega, k, r):
+    """Per q, the multisets of q modes as tuples, their frequency sums as Python
+    sums over a {mode: value} table, their counts of mode k and the whole
+    table |sums[i] - sums[j]|: the tables before they were built on index rows."""
+    w = {m: omega.value(m) for m in mode_set.modes}
+    for q in range(1, r + 1):
+        multis = list(combinations_with_replacement(mode_set.modes, q))
+        sums = np.array([sum(w[m] for m in t) for t in multis])
+        mult_k = np.array([t.count(k) for t in multis])
+        yield multis, sums, mult_k, np.abs(sums[:, None] - sums[None, :])
+
+
+def suggest_gamma_oracle(mode_set, omega, k, r):
+    best = math.inf
+    for *_, diff in divisor_blocks_oracle(mode_set, omega, k, r):
+        diff[diff == 0.0] = np.inf
+        best = min(best, float(diff.min()))
+    return min(0.5 * best, 0.999)
+
+
+def check_krgamma_oracle(mode_set, omega, k, r, gamma):
+    n_violations, listed = 0, []
+    for multis, sums, mult_k, diff in divisor_blocks_oracle(mode_set, omega, k, r):
+        bad = (diff <= gamma) & (mult_k[:, None] != mult_k[None, :])
+        n_violations += int(np.count_nonzero(bad))
+        listed += [(multis[i], multis[j], float(sums[i] - sums[j]))
+                   for i, j in zip(*np.nonzero(bad))][:200 - len(listed)]
+    return n_violations, listed
+
+
+@pytest.mark.parametrize("M, r", [(3, 5), (5, 3)])
+def test_divisor_tables_match_the_dict_and_sum_tables(M, r):
+    ms = ModeSet.symmetric(M)
+    for seed in range(32):
+        fs = freqs_conv(sample_conv_potential(1.0, M, seed=seed), ms)
+        gamma = suggest_gamma(ms, fs, k=1, r=r)
+        assert gamma.hex() == suggest_gamma_oracle(ms, fs, 1, r).hex(), seed
+        for g in (gamma, 0.05, 1.0):
+            rep = check_krgamma(ms, fs, k=1, r=r, gamma=g)
+            assert (rep.n_violations, rep.violations) == check_krgamma_oracle(ms, fs, 1, r, g)
+
+
+def test_suggest_gamma_takes_a_k_outside_the_window():
+    # suggest_gamma does not depend on k, so no k is refused; check_krgamma's is
+    ms = ModeSet.symmetric(2)
+    fs = freqs_conv(sample_conv_potential(1.0, 2, seed=2), ms)
+    assert suggest_gamma(ms, fs, k=-7, r=4) == suggest_gamma(ms, fs, k=1, r=4)
+    with pytest.raises(ValueError, match="mode -7 outside"):
+        check_krgamma(ms, fs, k=-7, r=2, gamma=0.5)
 
 
 def test_chi_c_norm_bound(setup_m1):

@@ -1,7 +1,9 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from qnls import resonance
@@ -203,3 +205,120 @@ def test_qstar_cases():
         qstar_reduce(omega, m=[1, 1], h=[5, 2], gamma=1e-3, B=0.5, s_star=1.0)
     with pytest.raises(ValueError):
         qstar_reduce(omega, m=[1, 1], h=[2, 5], gamma=1e-3, B=1e-9, s_star=1.0)
+
+
+_QSTAR_OMEGA = FrequencySet(ModeSet((*range(1, 13), 10 ** 7)), np.zeros(13))
+
+
+@pytest.mark.parametrize("change, rule", [
+    ({"h": [1, 2, 13]}, "mode 13 outside the mode set"),     # no frequency at 13
+    ({"m": [1, -1]}, "one nonzero integer per mode"),          # m shorter than h
+    ({"m": [1, 1, -2, 1]}, "one nonzero integer per mode"),    # m longer than h
+    ({"m": [1, 0, -1]}, "one nonzero integer per mode"),
+    ({"m": [], "h": []}, "one nonzero integer per mode"),
+    ({"gamma": 0.0}, "gamma must be finite and positive"),
+    ({"s_star": 0.0}, "s_star must be finite and positive"),
+    ({"B": 0.0}, "B must be finite and positive"),
+])
+def test_qstar_reduce_checks_its_inputs(change, rule):
+    args = {"m": [1, 1, -2], "h": [1, 2, 3], "gamma": 1e-3, "B": 0.5, "s_star": 1.0}
+    assert qstar_reduce(_QSTAR_OMEGA, **args).q_star == 3
+    with pytest.raises(ValueError, match=rule):
+        qstar_reduce(_QSTAR_OMEGA, **{**args, **change})
+
+
+def m_patterns_oracle(q, m1_max, zero_sum):
+    """Every ordered m in (Z*)^q with sum|m| <= m1_max and m_1 > 0, in product order."""
+    return [m for mags in product(range(1, m1_max + 1), repeat=q) if sum(mags) <= m1_max
+            for signs in product((1, -1), repeat=q)
+            for m in [tuple(s * a for s, a in zip(signs, mags))]
+            if m[0] > 0 and not (zero_sum and sum(m) != 0)]
+
+
+def certify_oracle(omega, b, kind, alpha=None, s_star=None, a_max=10 ** 9):
+    """The certificate search over a {mode: value} table of the window's
+    frequencies, the weak one taking the nearest integer a clipped to
+    |a| <= min(a_max, floor(1 + sum_j |m_j w_{h_j}|)), as certification ran
+    before it read the frequencies by position and dropped the clip."""
+    table = {m: omega.value(m) for m in omega.mode_set.modes if abs(m) <= b.h_max}
+    window = sorted(table)
+    wvals, jh = np.array([table[h] for h in window]), np.array([japanese(h) for h in window])
+    fitted, worst, violations = math.inf, None, []
+    for q in range(1, b.q_max + 1):
+        combos = np.array(list(combinations(range(len(window)), q)), dtype=int)
+        if combos.size == 0:
+            continue
+        Wh, Jh = wvals[combos], jh[combos]
+        for m in m_patterns_oracle(q, b.m1_max, kind == "strong"):
+            marr = np.array(m, dtype=float)
+            x = Wh @ marr
+            if kind == "weak":
+                a_cap = np.minimum(a_max, np.floor(1.0 + np.abs(Wh) @ np.abs(marr)))
+                a_best = np.clip(np.rint(-x), -a_cap, a_cap)
+                rhs = (Jh.min(axis=1) ** -s_star) * np.prod(np.abs(marr) ** -4.0) \
+                    * np.prod(Jh ** -4.0, axis=1)
+            else:
+                a_best = np.zeros_like(x)
+                rhs = (2.0 * Jh.min(axis=1)) ** (-np.exp(alpha * np.abs(marr).sum()))
+            div = np.abs(x + a_best)
+            ratio = div / rhs
+            i = int(np.argmin(ratio))
+            if ratio[i] < fitted:
+                fitted = float(ratio[i])
+                worst = {"q": q, "m": list(m), "h": [window[j] for j in combos[i]],
+                         "a": int(a_best[i]), "divisor": float(div[i]),
+                         "rhs_factor": float(rhs[i])}
+            violations += [{"q": q, "m": list(m), "h": [window[j] for j in combos[iz]],
+                            "a": int(a_best[iz])} for iz in np.flatnonzero(div == 0.0)]
+    return (0.0 if violations else fitted), worst, violations
+
+
+_CERT_CASES = [(None, 8, NRBounds(3, 4, 8)), (0, 8, NRBounds(3, 4, 8)),
+               (3, 20, NRBounds(2, 3, 20)), (7, 20, NRBounds(3, 4, 20)),
+               (7, 12, NRBounds(3, 5, 9)), (11, 6, NRBounds(4, 4, 6))]
+
+
+@pytest.mark.parametrize("kind, seed, M, b", [
+    *(("weak", *case) for case in _CERT_CASES),
+    *(("strong", *case) for case in [*_CERT_CASES, (None, 20, NRBounds(3, 4, 20))]),
+])
+def test_certificates_match_the_table_search(kind, seed, M, b):
+    # seed None is certify --free: the unperturbed frequencies k^2
+    ms = ModeSet.symmetric(M)
+    fs = freqs_conv(np.zeros(ms.size) if seed is None
+                    else sample_conv_potential(1.0, M, seed), ms)
+    if kind == "weak":
+        cert = certify_weak(fs, b, s_star=1.0)
+        want = certify_oracle(fs, b, "weak", s_star=1.0)
+    else:
+        cert = certify_strong(fs, b, alpha=0.4)
+        want = certify_oracle(fs, b, "strong", alpha=0.4)
+    assert (cert.fitted, cert.worst_case, cert.violations) == want
+    assert (cert.fitted == 0.0) == (seed is None)
+    assert cert.to_dict()["bounds"] == {"q_max": b.q_max, "m1_max": b.m1_max, "h_max": b.h_max}
+
+
+def test_weak_certificate_is_sound_where_the_clip_was_not():
+    # clipping a to |a| <= 1 misses the nearest integers and overstates gamma
+    ms = ModeSet.symmetric(20)
+    fs = freqs_conv(sample_conv_potential(1.0, 20, 3), ms)
+    b = NRBounds(2, 3, 20)
+    cert = certify_weak(fs, b, s_star=1.0)
+    clipped, _, _ = certify_oracle(fs, b, "weak", s_star=1.0, a_max=1)
+    assert cert.fitted == pytest.approx(0.116, abs=5e-4)
+    assert clipped == pytest.approx(0.704, abs=5e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 6), q_max=st.integers(1, 3), m1_max=st.integers(1, 5),
+       scale=st.sampled_from([0.01, 0.5, 3.0, 40.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_weak_worst_case_takes_the_nearest_integer(M, q_max, m1_max, scale, seed):
+    ms = ModeSet.symmetric(M)
+    fs = FrequencySet(ms, scale * np.random.default_rng(seed).standard_normal(ms.size))
+    cert = certify_weak(fs, NRBounds(q_max, m1_max, M), s_star=1.5)
+    wc = cert.worst_case
+    x = sum(mj * fs.value(hj) for mj, hj in zip(wc["m"], wc["h"]))
+    # rint(-x): within half a unit, and on the even integer at an exact half
+    assert abs(x + wc["a"]) <= 0.5 * (1 + 1e-12)
+    assert wc["a"] == int(np.rint(-x)) or abs(abs(x + wc["a"]) - 0.5) < 1e-9
+    assert wc["divisor"] == pytest.approx(abs(x + wc["a"]), rel=1e-12, abs=1e-12 * abs(x))

@@ -43,6 +43,21 @@ def test_freqs_conv_needs_finite_coefficients_one_per_mode(bad):
         freqs_conv(np.zeros(4), ms)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), scale=st.sampled_from([1e-9, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=0, scale=1e-9, seed=0)
+def test_value_is_the_entry_of_omega_bit_for_bit(n, scale, seed):
+    # n = 0 is the window (1, 10^7) with remainders (0, 1e-9)
+    rng = np.random.default_rng(seed)
+    modes = sorted({1, 10 ** 7, *rng.integers(-10 ** 7, 10 ** 7, n).tolist()})
+    ms = ModeSet(tuple(modes))
+    frac = scale * rng.standard_normal(ms.size) if n else np.where(np.array(modes) == 1, 0, 1e-9)
+    fs = FrequencySet(ms, frac)
+    values = np.array([fs.value(m) for m in ms.modes])
+    assert np.array_equal(values.view(np.int64), fs.omega.view(np.int64))
+
+
 def test_sup_norm_of_a_sextic_level0_keeps_the_entry_budget(monkeypatch):
     # M=64 holds 366,145 sorted triples times 131 starts, past the 5,000,000-entry
     # budget; they are counted before the cells are built, and none is listed
@@ -610,6 +625,19 @@ def test_level_enclosures_ascend_once(monkeypatch):
         assert sum(e.witness is not None for e in encs.values()) == (want or 0)
         assert all(e.upper == part.modulus().l1() for e, part in
                    zip(encs.values(), split_levels(P).values()))
+
+
+def test_level_enclosures_read_each_l1_once(monkeypatch):
+    # one l1 per level ranks the levels and bounds them above
+    P = build_p6(ModeSet.symmetric(2))
+    n_levels, l1 = len(split_levels(P)), HomPoly.l1
+    calls = []
+    monkeypatch.setattr(HomPoly, "l1", lambda self: calls.append(1) or l1(self))
+    for lower_levels in ("all", 3, 0):
+        calls.clear()
+        with capped(3):
+            level_enclosures(P, multistart=4, lower_levels=lower_levels)
+        assert len(calls) == n_levels
 
 
 @pytest.mark.parametrize("bad", [-1, 2.7, True, None, "top", "ALL", [2]])
